@@ -183,6 +183,12 @@ class NgramLM:
         """
         return self._prob(w, tuple(context)[: self.order - 1])
 
+    def score(self, words, contexts) -> np.ndarray:
+        """prob() for a batch of words and their context rows."""
+        rows = np.asarray(contexts)[:, : self.order - 1].tolist()
+        pairs = zip(np.asarray(words).tolist(), rows)
+        return np.array([self._prob(w, tuple(h)) for w, h in pairs], dtype=np.float64)
+
     def _prob(self, w: int, context: Key) -> float:
         if not context:
             return float(self.base[w])
@@ -233,19 +239,3 @@ def _context_stats(table: CountTable) -> Dict[Key, ContextStats]:
                 n3p += 1
         stats[context] = (total, n1, n2, n3p)
     return stats
-
-
-def mle_prob(lm: NgramLM, w: int, context: Sequence[int]) -> float:
-    return lm.prob(w, context)
-
-
-def abs_discount_prob(lm: NgramLM, w: int, context: Sequence[int]) -> float:
-    return lm.prob(w, context)
-
-
-def kn_prob(lm: NgramLM, w: int, context: Sequence[int]) -> float:
-    return lm.prob(w, context)
-
-
-def mkn_prob(lm: NgramLM, w: int, context: Sequence[int]) -> float:
-    return lm.prob(w, context)

@@ -18,6 +18,8 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
+import numpy as np
+
 from .errors import DataError, EmptyCorpusError
 
 UNK = "<unk>"
@@ -144,11 +146,15 @@ class CountTable:
         self.total = sum(self.context_totals.values())
         self._by_context = None
 
-    def get(self, key: Key) -> int:
-        return self.entries.get(key, 0)
-
-    def context_total(self, context: Key) -> int:
-        return self.context_totals.get(context, 0)
+    def arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(keys as an n x order id array, counts), sorted by context then
+        predicted word."""
+        n = len(self.entries)
+        keys = np.array(list(self.entries), dtype=np.int32).reshape(n, self.order)
+        counts = np.fromiter(self.entries.values(), dtype=np.int64, count=n)
+        # Sort by context (most recent word first), then predicted word.
+        perm = np.lexsort([keys[:, c] for c in [0] + list(range(self.order - 1, 0, -1))])
+        return keys[perm], counts[perm]
 
     def by_context(self) -> Dict[Key, List[Tuple[int, int]]]:
         """Entries grouped by context: context -> [(word, count), ...].

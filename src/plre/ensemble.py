@@ -27,14 +27,18 @@ closed-form rank-1 and full-rank paths, to reported tolerance for iterative
 NMF), and the adjusted tables are derived recursively from support, so the
 discounted mass a level releases is exactly the mass the next level's table
 normalizes over.
+
+Each level is one sorted-array table (the layout of KenLM, Heafield, WMT
+2011), and one vectorized walk, ``PlreModel.score``, answers every query.
 """
 
 from __future__ import annotations
 
 import math
+from collections import abc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -136,79 +140,116 @@ def compute_discounts(
     return DiscountSpec(level, base.power, next_power, dstar, gamma)
 
 
-@dataclass
-class SliceFactors:
-    """Factorized compacted slice plus the id maps to re-expand on query."""
-
-    pair: FactorPair
-    row_ids: np.ndarray
-    col_ids: np.ndarray
-    row_index: Dict[int, int]
-    col_index: Dict[int, int]
-    report: Optional[ConvergenceReport]
+def _segments(sizes: np.ndarray) -> np.ndarray:
+    """CSR offsets of consecutive runs with the given sizes."""
+    return np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
 
 
+def _find(table: np.ndarray, codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(position, found) of each code in a strictly increasing code table."""
+    if len(table) == 0:
+        return np.zeros(len(codes), dtype=np.int64), np.zeros(len(codes), dtype=bool)
+    pos = np.minimum(np.searchsorted(table, codes), len(table) - 1)
+    return pos, table[pos] == codes
+
+
+def _strictly_increasing(codes: np.ndarray, what: str) -> None:
+    if np.any(codes[1:] <= codes[:-1]):
+        raise ValueError(f"{what} must be sorted and unique")
+
+
+@dataclass(eq=False)
 class LowRankCPT:
     """Discounted low-rank conditional probability table for one chain step.
 
-    Slices are keyed by the interior context (everything between the
-    predicted word and the oldest context word; empty for order 2).  A
-    conditional lookup finds the slice, takes one L-row . R-column inner
-    product, and divides by the precomputed powered context sum.
+    Slice s, keyed by interior context ``slices[s]`` (the context without
+    its oldest word), has ``dims[s] = (rows, cols, rank)``: runs of
+    ``row_ids`` (predicted words) and ``col_ids`` (oldest words), and
+    row-major factors L (rows x rank) and R (rank x cols) as runs of ``L``
+    and ``R``.  A lookup is one L-row . R-column product over the powered
+    context sum in ``denominators``, aligned with the level's contexts.
     """
 
-    __slots__ = ("order", "power", "rank", "slices", "denominators")
+    order: int
+    rank: int
+    slices: np.ndarray
+    dims: np.ndarray
+    row_ids: np.ndarray
+    col_ids: np.ndarray
+    L: np.ndarray
+    R: np.ndarray
+    denominators: np.ndarray
+    reports: List[ConvergenceReport] = field(default_factory=list)
 
-    def __init__(
-        self,
-        order: int,
-        power: float,
-        rank: int,
-        slices: Dict[Key, SliceFactors],
-        denominators: Dict[Key, float],
-    ):
-        self.order = order
-        self.power = power
-        self.rank = rank
-        self.slices = slices
-        self.denominators = denominators
+    def __post_init__(self):
+        # int64 ids: numpy would convert narrower index arrays on every use.
+        self.row_ids, self.col_ids = self.row_ids.astype(np.int64), self.col_ids.astype(np.int64)
+        k, s = self.order, len(self.slices)
+        if self.dims.shape != (s, 3) or self.slices.shape[1:] != (k - 2,):
+            raise ValueError(f"order {k}: slice keys disagree with slice dims")
+        rows, cols, ranks = self.dims.astype(np.int64).T
+        if np.any(ranks < 1) or np.any(ranks > np.minimum(rows, cols).clip(max=self.rank)):
+            raise ValueError(f"order {k}: slice ranks outside [1, min(rows, cols, rank)]")
+        self.row_start = _segments(rows)
+        self.col_start = _segments(cols)
+        self.L_start = _segments(rows * ranks)
+        self.R_start = _segments(ranks * cols)
+        sizes = (self.row_start, self.col_start, self.L_start, self.R_start)
+        arrays = (self.row_ids, self.col_ids, self.L, self.R)
+        if [len(a) for a in arrays] != [offsets[-1] for offsets in sizes]:
+            raise ValueError(f"order {k}: slice arrays disagree with slice dims")
 
-    def cond(self, w: int, context: Key, counter: Optional[OpCounter] = None) -> float:
-        denom = self.denominators.get(context)
-        if denom is None:
-            return 0.0
-        sl = self.slices.get(context[:-1])
-        if sl is None:
-            return 0.0
-        i = sl.row_index.get(w)
-        j = sl.col_index.get(context[-1])
-        if i is None or j is None:
-            return 0.0
+    def link(
+        self, parent: np.ndarray, ctx_parent: np.ndarray, oldest: np.ndarray, vsize: int
+    ) -> None:
+        """Index the slices, whose interiors are the contexts ``parent``
+        one order lower, and give each of the level's contexts (its parent
+        and its oldest word) its slice and column, or slice -1 if none."""
+        _strictly_increasing(parent, f"order {self.order} slice keys")
+        ids = np.arange(len(parent))
+        self.vsize = vsize
+        self.row_code = np.repeat(ids, np.diff(self.row_start)) * vsize + self.row_ids
+        col_code = np.repeat(ids, np.diff(self.col_start)) * vsize + self.col_ids
+        _strictly_increasing(self.row_code, f"order {self.order} slice row ids")
+        _strictly_increasing(col_code, f"order {self.order} slice column ids")
+        s, hit = _find(parent, ctx_parent)
+        pos, col_hit = _find(col_code, s * vsize + oldest)
+        self.ctx_slice = np.where(hit & col_hit, s, -1)
+        self.ctx_col = pos - self.col_start[s]
+
+    def factors(self, s: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(row ids, column ids, L, R) of slice s, as views."""
+        rows, cols, rank = self.dims[s].tolist()
+        return (
+            self.row_ids[self.row_start[s] : self.row_start[s + 1]],
+            self.col_ids[self.col_start[s] : self.col_start[s + 1]],
+            self.L[self.L_start[s] : self.L_start[s + 1]].reshape(rows, rank),
+            self.R[self.R_start[s] : self.R_start[s + 1]].reshape(rank, cols),
+        )
+
+    def values(
+        self, ctx: np.ndarray, words: np.ndarray, counter: Optional[OpCounter] = None
+    ) -> np.ndarray:
+        """Z(w | h) for a batch of the level's contexts ``ctx``; 0 where the
+        slice, its row or its column is absent."""
+        s, j = self.ctx_slice[ctx], self.ctx_col[ctx]
+        # Row codes are nonnegative, so slice -1 finds no row.
+        pos, hit = _find(self.row_code, s * self.vsize + words)
+        s, j, pos = s[hit], j[hit], pos[hit]
+        rank = self.dims[s, 2].astype(np.int64)
+        cols = self.dims[s, 1].astype(np.int64)
+        left = self.L_start[s] + (pos - self.row_start[s]) * rank
+        right = self.R_start[s] + j
+        # One rank term at a time, in order, like a plain dot product.
+        dot = np.zeros(len(s))
+        for t in range(int(rank.max(initial=0))):
+            live = rank > t
+            dot[live] += self.L[left[live] + t] * self.R[right[live] + t * cols[live]]
+        out = np.zeros(len(words))
+        out[hit] = dot / self.denominators[ctx[hit]]
         if counter is not None:
-            counter.muladds += sl.pair.rank
-        return float(sl.pair.L[i] @ sl.pair.R[:, j]) / denom
-
-    def lookup_rank(self, w: int, context: Key) -> int:
-        """Multiply-adds a cond() call with these arguments will spend."""
-        if context not in self.denominators:
-            return 0
-        sl = self.slices.get(context[:-1])
-        if sl is None or w not in sl.row_index or context[-1] not in sl.col_index:
-            return 0
-        return sl.pair.rank
-
-    def add_column(self, context: Key, vec: np.ndarray, weight: float) -> None:
-        """vec += weight * Z(.|context) over the vocabulary, vectorized."""
-        denom = self.denominators.get(context)
-        if denom is None:
-            return
-        sl = self.slices.get(context[:-1])
-        if sl is None:
-            return
-        j = sl.col_index.get(context[-1])
-        if j is None:
-            return
-        vec[sl.row_ids] += (weight / denom) * (sl.pair.L @ sl.pair.R[:, j])
+            counter.muladds += int(rank.sum())
+        return out
 
 
 def _factor_slice(
@@ -218,7 +259,7 @@ def _factor_slice(
     rel_tol: float,
     eps: float,
     seed: np.random.SeedSequence,
-) -> SliceFactors:
+) -> Tuple[FactorPair, List[int], List[int], ConvergenceReport]:
     row_ids = sorted({w for w, _ in entries})
     col_ids = sorted({x for _, x in entries})
     row_index = {w: i for i, w in enumerate(row_ids)}
@@ -251,14 +292,11 @@ def _factor_slice(
         pair, report = nmf_gkl(
             M, rank, max_iters=max_iters, rel_tol=rel_tol, eps=eps, seed=seed
         )
-    return SliceFactors(
-        pair,
-        np.asarray(row_ids, dtype=np.int64),
-        np.asarray(col_ids, dtype=np.int64),
-        row_index,
-        col_index,
-        report,
-    )
+    return pair, row_ids, col_ids, report
+
+
+def _concat(parts: List[np.ndarray], dtype) -> np.ndarray:
+    return np.concatenate(parts).astype(dtype) if parts else np.zeros(0, dtype=dtype)
 
 
 def compute_z(
@@ -299,22 +337,34 @@ def compute_z(
 
     interiors = sorted(slice_entries)
 
-    def task(item: Tuple[int, Key]) -> Tuple[Key, SliceFactors]:
+    def task(item: Tuple[int, Key]):
         idx, interior = item
         seq = np.random.SeedSequence(
             entropy=seed, spawn_key=(base.order, spec.level, idx)
         )
-        return interior, _factor_slice(
-            slice_entries[interior], rank, max_iters, rel_tol, eps, seq
-        )
+        return _factor_slice(slice_entries[interior], rank, max_iters, rel_tol, eps, seq)
 
     if threads > 1 and len(interiors) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(task, enumerate(interiors)))
     else:
         results = [task(item) for item in enumerate(interiors)]
+    pairs, rows, cols, reports = zip(*results) if results else ((), (), (), ())
+    # Contexts sorted as tuples: the order the level's table keeps them in.
+    contexts = sorted(base.context_sums)
     return LowRankCPT(
-        base.order, base.power, rank, dict(results), dict(base.context_sums)
+        base.order,
+        rank,
+        slices=np.array(interiors, dtype=np.int32).reshape(len(interiors), base.order - 2),
+        dims=np.array(
+            [(len(r), len(c), p.rank) for p, r, c in zip(pairs, rows, cols)], dtype=np.int32
+        ).reshape(len(pairs), 3),
+        row_ids=_concat(rows, np.int32),
+        col_ids=_concat(cols, np.int32),
+        L=_concat([p.L.ravel() for p in pairs], np.float64),
+        R=_concat([p.R.ravel() for p in pairs], np.float64),
+        denominators=np.array([base.context_sums[h] for h in contexts]),
+        reports=list(reports),
     )
 
 
@@ -328,105 +378,135 @@ def derive_dstar(d_gt: float, eta: int) -> float:
     return d_gt ** (1.0 / (eta + 1))
 
 
+class ContextTotals(abc.Mapping):
+    """Read-only view of one level's context totals, keyed by context tuple."""
+
+    def __init__(self, level: "PlreLevel"):
+        self._level = level
+
+    def __len__(self) -> int:
+        return len(self._level.totals)
+
+    def __iter__(self) -> Iterator[Key]:
+        return map(tuple, self._level.contexts.tolist())
+
+    def __getitem__(self, context: Key) -> int:
+        level = self._level
+        if len(context) != level.order - 1:
+            raise KeyError(context)
+        idx, found = level.find(np.asarray([context], dtype=np.int64))[-1]
+        if not found[0]:
+            raise KeyError(context)
+        return int(level.totals[idx[0]])
+
+
+@dataclass(eq=False)
 class PlreLevel:
-    """One order's stack: sparse top term, low-rank middles, gamma chain."""
+    """One order's stack as one sorted-array table.
 
-    __slots__ = (
-        "order",
-        "dstar",
-        "powers",
-        "counts",
-        "context_totals",
-        "top_numerators",
-        "gammas",
-        "z_tables",
-        "_top_by_context",
-        "_nplus",
-    )
+    ``keys`` (n x order, most-recent-first) are sorted by context, then
+    word, and carry ``counts`` and the sparse term's ``top`` numerators.
+    Context c, derived from the keys, owns entries ``ctx_start[c]:
+    ctx_start[c+1]``; ``totals``, ``gammas`` rows and each low-rank table's
+    ``denominators`` are aligned with the contexts.  A context is coded as
+    its parent's index one order lower times V plus its oldest word.
+    """
 
-    def __init__(
-        self,
-        order: int,
-        dstar: float,
-        powers: Tuple[float, ...],
-        counts: Dict[Key, int],
-        context_totals: Dict[Key, int],
-        top_numerators: Dict[Key, float],
-        gammas: List[Dict[Key, float]],
-        z_tables: List[LowRankCPT],
-    ):
-        if len(gammas) != len(powers) + 1 or len(z_tables) != len(powers):
-            raise ValueError("gamma/z tables inconsistent with power chain")
-        self.order = order
-        self.dstar = dstar
-        self.powers = powers
-        self.counts = counts
-        self.context_totals = context_totals
-        self.top_numerators = top_numerators
-        self.gammas = gammas
-        self.z_tables = z_tables
-        self._top_by_context = None
-        self._nplus = None
+    order: int
+    dstar: float
+    powers: Tuple[float, ...]
+    keys: np.ndarray
+    counts: np.ndarray
+    top: np.ndarray
+    gammas: np.ndarray
+    z_tables: List[LowRankCPT]
+
+    def __post_init__(self):
+        self.keys = self.keys.astype(np.int64)  # as LowRankCPT's ids
+        n, k, eta = len(self.keys), self.order, len(self.powers)
+        shapes = (self.keys.shape, self.counts.shape, self.top.shape)
+        if n == 0 or shapes != ((n, k), (n,), (n,)):
+            raise ValueError(f"order {k}: table arrays disagree in length")
+        change = np.flatnonzero(np.any(self.keys[1:, 1:] != self.keys[:-1, 1:], axis=1)) + 1
+        self.ctx_start = np.concatenate(([0], change, [n])).astype(np.int64)
+        self.contexts = self.keys[self.ctx_start[:-1], 1:]
+        self.totals = np.add.reduceat(self.counts, self.ctx_start[:-1])
+        m = len(self.contexts)
+        if self.gammas.shape != (eta + 1, m) or len(self.z_tables) != eta or any(
+            z.denominators.shape != (m,) for z in self.z_tables
+        ):
+            raise ValueError(f"order {k}: gamma/z tables disagree with keys or power chain")
+        self.ctx_of_entry = np.repeat(np.arange(m), np.diff(self.ctx_start))
 
     @property
     def eta(self) -> int:
         return len(self.powers)
 
-    def eval(
-        self, w: int, context: Key, counter: Optional[OpCounter] = None
-    ) -> Tuple[float, float]:
-        """(level value, gamma hand-off) for one word.
+    @property
+    def context_totals(self) -> ContextTotals:
+        return ContextTotals(self)
 
-        A context missing from this level's table contributes nothing and
-        hands off with multiplier 1 (fall through to the shorter history).
-        """
-        total = self.context_totals.get(context)
-        if not total:
-            return 0.0, 1.0
-        value = self.top_numerators.get((w,) + context, 0.0) / total
-        g = self.gammas[0][context]
+    def link(self, lower: Optional["PlreLevel"], vsize: int) -> None:
+        """Index this level through the level one order lower (None at
+        order 2, whose contexts all extend the empty context)."""
+        self.lower = lower
+        self.vsize = vsize
+
+        def parents(interiors: np.ndarray) -> np.ndarray:
+            if lower is None:
+                return np.zeros(len(interiors), dtype=np.int64)
+            idx, found = lower.find(interiors)[-1]
+            if not found.all():
+                raise ValueError(f"order {self.order}: a context has no lower-order parent")
+            return idx
+
+        ctx_parent = parents(self.contexts[:, :-1])
+        self.ctx_code = ctx_parent * vsize + self.contexts[:, -1]
+        _strictly_increasing(self.ctx_code, f"order {self.order} contexts")
+        self.entry_code = self.ctx_of_entry * vsize + self.keys[:, 0]
+        _strictly_increasing(self.entry_code, f"order {self.order} keys")
+        for z in self.z_tables:
+            z.link(parents(z.slices), ctx_parent, self.contexts[:, -1], vsize)
+
+    def find(self, contexts: np.ndarray) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """(index, found) of the rows of ``contexts`` (n x order-1) and of
+        their prefixes, one per order from the empty context up to this one."""
+        n = len(contexts)
+        root = [(np.zeros(n, dtype=np.int64), np.ones(n, dtype=bool))]
+        chain = self.lower.find(contexts[:, :-1]) if self.lower else root
+        parent, found = chain[-1]
+        oldest = contexts[:, -1]
+        pos, hit = _find(self.ctx_code, parent * self.vsize + oldest)
+        return chain + [(pos, hit & found & (oldest >= 0) & (oldest < self.vsize))]
+
+    def terms(
+        self, ctx: np.ndarray, words: np.ndarray, counter: Optional[OpCounter] = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """(level value, gamma hand-off) for a batch of words after the
+        level's contexts ``ctx``."""
+        pos, hit = _find(self.entry_code, ctx * self.vsize + words)
+        value = np.where(hit, self.top[pos], 0.0) / self.totals[ctx]
+        g = self.gammas[0, ctx]
         for j, z in enumerate(self.z_tables):
-            value += g * z.cond(w, context, counter)
-            g *= self.gammas[j + 1][context]
+            value += g * z.values(ctx, words, counter)
+            g = g * self.gammas[j + 1, ctx]
         return value, g
 
-    def eval_dist(self, context: Key, vsize: int) -> Tuple[Optional[np.ndarray], float]:
-        """Vectorized eval over the whole vocabulary."""
-        total = self.context_totals.get(context)
-        if not total:
-            return None, 1.0
-        vec = np.zeros(vsize)
-        for w, num in self.top_by_context().get(context, ()):
-            vec[w] += num / total
-        g = self.gammas[0][context]
+    def column(self, ctx: int) -> Tuple[np.ndarray, float]:
+        """(level value over the vocabulary, gamma hand-off) for one of the
+        level's contexts: its CSR row and one factor block per chain step."""
+        lo, hi = self.ctx_start[ctx : ctx + 2].tolist()
+        vec = np.zeros(self.vsize)
+        vec[self.keys[lo:hi, 0]] = self.top[lo:hi] / self.totals[ctx]
+        gammas = self.gammas[:, ctx].tolist()
+        g = gammas[0]
         for j, z in enumerate(self.z_tables):
-            z.add_column(context, vec, g)
-            g *= self.gammas[j + 1][context]
+            s = int(z.ctx_slice[ctx])
+            if s >= 0:
+                rows, _, L, R = z.factors(s)
+                vec[rows] += (g / z.denominators[ctx]) * (L @ R[:, z.ctx_col[ctx]])
+            g *= gammas[j + 1]
         return vec, g
-
-    def top_by_context(self) -> Dict[Key, List[Tuple[int, float]]]:
-        if self._top_by_context is None:
-            grouped: Dict[Key, List[Tuple[int, float]]] = {}
-            for key, num in self.top_numerators.items():
-                grouped.setdefault(key[1:], []).append((key[0], num))
-            self._top_by_context = grouped
-        return self._top_by_context
-
-    def nplus(self) -> Dict[Key, int]:
-        """Distinct-continuation counts per context of this level's table."""
-        if self._nplus is None:
-            np_: Dict[Key, int] = {}
-            for key in self.counts:
-                h = key[1:]
-                np_[h] = np_.get(h, 0) + 1
-            self._nplus = np_
-        return self._nplus
-
-    def gamma_product(self, context: Key) -> float:
-        g = 1.0
-        for table in self.gammas:
-            g *= table[context]
-        return g
 
 
 class PlreModel:
@@ -453,57 +533,83 @@ class PlreModel:
         self.seed = seed
         self.warnings = warnings or []
         self.smoother = "plre"
+        lower = None
+        for k in range(2, order + 1):
+            levels[k].link(lower, len(vocab))
+            lower = levels[k]
+
+    def _lookup(self, contexts: np.ndarray) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """Every level's lookup of the context rows; entry k-1 is order k's."""
+        c = contexts.shape[1]
+        return self.levels[c + 1].find(contexts) if c else []
+
+    def score(
+        self, words, contexts, counter: Optional[OpCounter] = None
+    ) -> np.ndarray:
+        """P(w | h) for a batch: ``words`` (n,) and ``contexts`` (n x c,
+        most recent word first, truncated to order-1).
+
+        Contexts are found level by level from the shortest; then each
+        level, from the longest context down, adds its value weighted by the
+        hand-offs above it, and the base distribution takes what is left.
+        A context a level does not hold adds nothing and hands off with
+        multiplier 1.  Low-rank multiply-adds are added to ``counter``.
+        """
+        words = np.asarray(words, dtype=np.int64)
+        contexts = np.asarray(contexts, dtype=np.int64)[:, : self.order - 1]
+        found = self._lookup(contexts)
+        acc = np.zeros(len(words))
+        mult = np.ones(len(words))
+        for k in range(contexts.shape[1] + 1, 1, -1):
+            ctx, ok = found[k - 1]
+            value, g = self.levels[k].terms(ctx[ok], words[ok], counter)
+            acc[ok] += mult[ok] * value
+            mult[ok] *= g
+        return acc + mult * self.base[words]
 
     def prob(
         self, w: int, context: Sequence[int] = (), counter: Optional[OpCounter] = None
     ) -> float:
         """P(w | context), context most-recent-first, truncated to order-1."""
-        ctx = tuple(context)[: self.order - 1]
-        acc = 0.0
-        mult = 1.0
-        for k in range(len(ctx) + 1, 1, -1):
-            value, g = self.levels[k].eval(w, ctx[: k - 1], counter)
-            acc += mult * value
-            mult *= g
-        return acc + mult * float(self.base[w])
+        return float(self.score([w], [tuple(context)], counter)[0])
+
+    def query_cost(self, w: int, context: Sequence[int]) -> int:
+        """Multiply-adds a prob() call spends in low-rank lookups."""
+        counter = OpCounter()
+        self.prob(w, context, counter)
+        return counter.muladds
+
+    def dists(self, contexts) -> Iterator[np.ndarray]:
+        """Conditional distribution over the whole vocabulary for each row
+        of ``contexts``, with the rows found in one walk."""
+        contexts = np.asarray(contexts, dtype=np.int64)[:, : self.order - 1]
+        found = self._lookup(contexts)
+        for i in range(len(contexts)):
+            acc = np.zeros(len(self.vocab))
+            mult = 1.0
+            for k in range(contexts.shape[1] + 1, 1, -1):
+                ctx, ok = found[k - 1]
+                if ok[i]:
+                    vec, g = self.levels[k].column(int(ctx[i]))
+                    acc += mult * vec
+                    mult *= g
+            yield acc + mult * self.base
 
     def dist(self, context: Sequence[int] = ()) -> np.ndarray:
         """Conditional distribution over the whole vocabulary."""
-        ctx = tuple(context)[: self.order - 1]
-        vsize = len(self.vocab)
-        acc = np.zeros(vsize)
-        mult = 1.0
-        for k in range(len(ctx) + 1, 1, -1):
-            vec, g = self.levels[k].eval_dist(ctx[: k - 1], vsize)
-            if vec is not None:
-                acc += mult * vec
-            mult *= g
-        return acc + mult * self.base
-
-    def query_cost(self, w: int, context: Sequence[int]) -> int:
-        """Multiply-adds a prob() call will spend in low-rank lookups."""
-        ctx = tuple(context)[: self.order - 1]
-        cost = 0
-        for k in range(len(ctx) + 1, 1, -1):
-            level = self.levels[k]
-            h = ctx[: k - 1]
-            if not level.context_totals.get(h):
-                continue
-            for z in level.z_tables:
-                cost += z.lookup_rank(w, h)
-        return cost
+        return next(self.dists([tuple(context)]))
 
     def check_discount_bounds(self) -> float:
         """Max violation of 0 <= D_j(w,h) <= c̃(w,h)^rho_j over everything."""
-        worst = 0.0
+        worst = [0.0]
         for level in self.levels.values():
-            counts = np.fromiter(level.counts.values(), dtype=np.float64)
+            counts = level.counts.astype(np.float64)
             chain = (1.0,) + level.powers + (0.0,)
             for j in range(len(chain) - 1):
                 d = level.dstar * counts ** chain[j + 1]
-                excess = float(np.max(d - counts ** chain[j], initial=0.0))
-                worst = max(worst, excess, float(np.max(-d, initial=0.0)))
-        return worst
+                worst.append(np.max(d - counts ** chain[j], initial=0.0))
+                worst.append(np.max(-d, initial=0.0))
+        return float(np.max(worst))
 
     def check_local_constraints(self) -> float:
         """Max violation of the per-entry discount identity across all levels.
@@ -513,49 +619,34 @@ class PlreModel:
         where the powered context sums S are recomputed here from the raw
         level counts rather than read from the model.
         """
-        worst = 0.0
+        worst = [0.0]
         for level in self.levels.values():
-            chain = (1.0,) + level.powers + (0.0,)
-            sums: List[Dict[Key, float]] = []
-            for rho in chain:
-                s: Dict[Key, float] = {}
-                for key, c in level.counts.items():
-                    h = key[1:]
-                    s[h] = s.get(h, 0.0) + float(c) ** rho
-                sums.append(s)
-            for key, c in level.counts.items():
-                h = key[1:]
-                for j in range(len(chain) - 1):
-                    cj = float(c) ** chain[j]
-                    cn = float(c) ** chain[j + 1]
-                    lhs = cj / sums[j][h]
-                    rhs = (cj - level.dstar * cn) / sums[j][h] + level.gammas[j][
-                        h
-                    ] * cn / sums[j + 1][h]
-                    worst = max(worst, abs(lhs - rhs))
-        return worst
+            counts = level.counts.astype(np.float64)
+            h = level.ctx_of_entry
+            powered = [counts**rho for rho in (1.0,) + level.powers + (0.0,)]
+            sums = [np.add.reduceat(p, level.ctx_start[:-1])[h] for p in powered]
+            for j in range(len(powered) - 1):
+                cj, cn = powered[j], powered[j + 1]
+                lhs = cj / sums[j]
+                rhs = (cj - level.dstar * cn) / sums[j]
+                rhs += level.gammas[j][h] * cn / sums[j + 1]
+                worst.append(np.max(np.abs(lhs - rhs)))
+        return float(np.max(worst))
 
     def check_gamma_closed_form(self) -> float:
         """Max deviation of each level's gamma product from
         d*^(eta+1) * N+(h) / c̃(h) over all observed contexts."""
-        worst = 0.0
+        worst = [0.0]
         for level in self.levels.values():
-            scale = level.dstar ** (level.eta + 1)
-            nplus = level.nplus()
-            for h, total in level.context_totals.items():
-                expected = scale * nplus[h] / total
-                worst = max(worst, abs(level.gamma_product(h) - expected))
-        return worst
+            nplus = np.diff(level.ctx_start)
+            expected = level.dstar ** (level.eta + 1) * nplus / level.totals
+            worst.append(np.max(np.abs(np.prod(level.gammas, axis=0) - expected)))
+        return float(np.max(worst))
 
     def convergence_reports(self) -> List[ConvergenceReport]:
         """All per-slice factorization reports (empty for loaded models)."""
-        reports = []
-        for level in self.levels.values():
-            for z in level.z_tables:
-                for sl in z.slices.values():
-                    if sl.report is not None:
-                        reports.append(sl.report)
-        return reports
+        tables = [z for level in self.levels.values() for z in level.z_tables]
+        return [r for z in tables for r in z.reports]
 
 
 def _resolve_rank(value: Union[int, float], vsize: int) -> Tuple[int, Optional[str]]:
@@ -651,10 +742,10 @@ def build_plre(
             compute_discounts(powered[j], chain[j + 1], dstars[k], level=j)
             for j in range(eta + 1)
         ]
-        top_numerators = {
-            key: v - specs[0].discount(ctab.entries[key])
-            for key, v in powered[0].entries.items()
-        }
+        keys, counts = ctab.arrays()
+        top = np.array([float(c) - specs[0].discount(c) for c in counts.tolist()])
+        # Contexts sorted as tuples: the order of the sorted keys' contexts.
+        contexts = sorted(specs[0].gamma)
         z_tables = [
             compute_z(
                 powered[j],
@@ -672,10 +763,10 @@ def build_plre(
             order=k,
             dstar=dstars[k],
             powers=chain_mid,
-            counts=ctab.entries,
-            context_totals=ctab.context_totals,
-            top_numerators=top_numerators,
-            gammas=[spec.gamma for spec in specs],
+            keys=keys,
+            counts=counts,
+            top=top,
+            gammas=np.array([[spec.gamma[h] for h in contexts] for spec in specs]),
             z_tables=z_tables,
         )
 
@@ -709,14 +800,13 @@ def verify_marginal(model: PlreModel, order: Optional[int] = None) -> float:
         raise ValueError(f"order must be in [2, {model.order}], got {k}")
     level = model.levels[k]
     vsize = len(model.vocab)
-    total = float(sum(level.context_totals.values()))
+    total = float(level.totals.sum())
     expected = np.zeros(vsize)
-    for key, c in level.counts.items():
-        expected[key[0]] += c
+    np.add.at(expected, level.keys[:, 0], level.counts)
     expected /= total
     acc = np.zeros(vsize)
-    for h, ctx_count in level.context_totals.items():
-        acc += (ctx_count / total) * model.dist(h)
+    for ctx_count, vec in zip(level.totals.tolist(), model.dists(level.contexts)):
+        acc += (ctx_count / total) * vec
     return float(np.max(np.abs(acc - expected)))
 
 
@@ -738,33 +828,21 @@ def marginal_error_bound(model: PlreModel, order: Optional[int] = None) -> float
     upper_total = None
     for kk in range(k, 1, -1):
         level = model.levels[kk]
-        total = float(sum(level.context_totals.values()))
+        total = float(level.totals.sum())
         if upper_total is not None:
             up = model.levels[kk + 1]
             lam *= (up.dstar ** (up.eta + 1)) * total / upper_total
         chain = (1.0,) + level.powers + (0.0,)
+        counts = level.counts.astype(np.float64)
         for j, z in enumerate(level.z_tables, start=1):
-            rho, rho_next = chain[j], chain[j + 1]
-            groups: Dict[Key, Dict[int, float]] = {}
-            for key, c in level.counts.items():
-                v = float(c) ** rho - level.dstar * float(c) ** rho_next
-                if v <= 0.0:
-                    continue
-                rows = groups.setdefault(key[1:-1], {})
-                rows[key[0]] = rows.get(key[0], 0.0) + v
-            resid: Dict[int, float] = {}
-            for interior, rows in groups.items():
-                sl = z.slices.get(interior)
-                if sl is None:
-                    for w, m in rows.items():
-                        resid[w] = resid.get(w, 0.0) - m
-                    continue
-                f_rows = sl.pair.row_sums()
-                for w, i in sl.row_index.items():
-                    resid[w] = resid.get(w, 0.0) + float(f_rows[i]) - rows.pop(w, 0.0)
-                for w, m in rows.items():
-                    resid[w] = resid.get(w, 0.0) - m
-            worst = max((abs(v) for v in resid.values()), default=0.0)
-            bound += lam * (level.dstar ** j) / total * worst
+            # Factor row sums minus target row sums, summed per word over
+            # the slices; entries discounted to zero have no target.
+            v = counts ** chain[j] - level.dstar * counts ** chain[j + 1]
+            resid = np.zeros(len(model.vocab))
+            np.add.at(resid, level.keys[:, 0], -np.maximum(v, 0.0))
+            for s in range(len(z.slices)):
+                rows, _, L, R = z.factors(s)
+                resid[rows] += L @ R.sum(axis=1)
+            bound += lam * (level.dstar ** j) / total * float(np.max(np.abs(resid)))
         upper_total = total
     return bound

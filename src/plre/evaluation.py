@@ -7,9 +7,14 @@ tokens outside the vocabulary are scored as unk and counted in the report.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
+
+import numpy as np
 
 from .errors import EvalError, VocabMismatchError
 
@@ -22,28 +27,48 @@ class EvalReport:
     perplexity: float
 
 
-def log_prob_sentence(model, sentence_ids: Sequence[int]) -> float:
-    """Natural-log probability of one id sentence under the model.
+# Tokens scored per model.score call (whole sentences, so a little more):
+# bounds the scorer's working arrays.
+SCORE_CHUNK = 4096
 
-    The sentence is padded with order-1 bos ids and one eos id; every real
-    token plus eos is predicted from its full-length context.  A zero
-    probability is a hard error: every smoother here is total over the
-    vocabulary, so a zero means a broken model, not a surprising sentence.
+
+def _sentence_logprobs(model, id_sentences: Sequence[Sequence[int]]) -> List[float]:
+    """Natural-log probability of each id sentence, scored in one call.
+
+    Each sentence is padded with order-1 bos ids and one eos id; every real
+    token plus eos is predicted from its full-length context.  A probability
+    that is not positive and finite is a hard error: every smoother here is
+    total over the vocabulary, so a zero or NaN means a broken model, not a
+    surprising sentence.
     """
-    vocab = model.vocab
-    order = model.order
-    if vocab.bos_id in sentence_ids:
+    bos, eos, pad = model.vocab.bos_id, model.vocab.eos_id, model.order - 1
+    lengths = np.array([len(ids) + 1 for ids in id_sentences], dtype=np.int64)
+    tokens = itertools.chain.from_iterable([*ids, eos] for ids in id_sentences)
+    words = np.fromiter(tokens, dtype=np.int32, count=int(lengths.sum()))
+    if np.any(words == bos):
         raise EvalError("bos cannot appear as a predicted token")
-    padded = [vocab.bos_id] * (order - 1) + list(sentence_ids) + [vocab.eos_id]
-    logprob = 0.0
-    for i in range(order - 1, len(padded)):
-        w = padded[i]
-        context = tuple(padded[i - d] for d in range(1, order))
-        p = model.prob(w, context)
-        if p <= 0.0:
-            raise EvalError(f"zero probability for id {w} in context {context}")
-        logprob += math.log(p)
-    return logprob
+    # Each sentence is preceded by pad bos ids in the stream the contexts
+    # are read from, most recent word first.
+    at = np.arange(len(words)) + pad * np.repeat(np.arange(1, len(lengths) + 1), lengths)
+    stream = np.full(len(words) + pad * len(lengths), bos, dtype=np.int32)
+    stream[at] = words
+    contexts = stream[at[:, None] - np.arange(1, pad + 1)]
+    probs = model.score(words, contexts)
+    bad = np.flatnonzero(~(np.isfinite(probs) & (probs > 0.0)))
+    if len(bad):
+        i = bad[0]
+        raise EvalError(f"probability {probs[i]} for id {words[i]} after {contexts[i]}")
+    # Each sentence's log-probabilities are summed in order, as predicted.
+    ends = np.cumsum(lengths).tolist()
+    return [
+        functools.reduce(operator.add, map(math.log, probs[e - n : e].tolist()), 0.0)
+        for n, e in zip(lengths.tolist(), ends)
+    ]
+
+
+def log_prob_sentence(model, sentence_ids: Sequence[int]) -> float:
+    """Natural-log probability of one id sentence under the model."""
+    return _sentence_logprobs(model, [sentence_ids])[0]
 
 
 def perplexity(model, sentences: Sequence[Sequence[str]]) -> EvalReport:
@@ -51,14 +76,16 @@ def perplexity(model, sentences: Sequence[Sequence[str]]) -> EvalReport:
     if not sentences:
         raise EvalError("empty test set")
     vocab = model.vocab
-    total_tokens = 0
-    oov = 0
+    oov = sum(1 for sent in sentences for tok in sent if tok not in vocab)
+    total_tokens = sum(len(sent) + 1 for sent in sentences)  # eos predicted too
     sentence_logprobs: List[float] = []
-    for sent in sentences:
-        oov += sum(1 for tok in sent if tok not in vocab)
-        ids = vocab.encode(sent)
-        sentence_logprobs.append(log_prob_sentence(model, ids))
-        total_tokens += len(sent) + 1  # eos predicted too
+    start = budget = 0
+    for i, sent in enumerate(sentences):
+        budget += len(sent) + 1
+        if budget >= SCORE_CHUNK or i == len(sentences) - 1:
+            chunk = [vocab.encode(s) for s in sentences[start : i + 1]]
+            sentence_logprobs += _sentence_logprobs(model, chunk)
+            start, budget = i + 1, 0
     total_logprob = math.fsum(sentence_logprobs)
     ppl = math.exp(-total_logprob / total_tokens)
     return EvalReport(total_tokens, oov, total_logprob, ppl)

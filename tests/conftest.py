@@ -232,3 +232,44 @@ class RefInterpolatedLM:
     def prob(self, w: int, context) -> float:
         hist = tuple(reversed(tuple(context)[: self.order - 1]))
         return self._rec(w, hist)
+
+
+class ZReader:
+    """Lookups in one low-rank table, read off its arrays in plain Python.
+
+    ``contexts`` are the contexts the table's denominators are aligned
+    with, in order.  This is the tests' reference for what a conditional
+    lookup in the table finds and costs, kept apart from the package's
+    vectorized walk.
+    """
+
+    def __init__(self, z, contexts):
+        self.denominators = dict(zip(contexts, z.denominators.tolist()))
+        self.slices = {}
+        for s, interior in enumerate(map(tuple, z.slices.tolist())):
+            rows, cols, L, R = z.factors(s)
+            self.slices[interior] = (
+                {w: i for i, w in enumerate(rows.tolist())},
+                {x: j for j, x in enumerate(cols.tolist())},
+                L,
+                R,
+            )
+
+    def _find(self, w: int, h: Key):
+        sl = self.slices.get(h[:-1]) if h in self.denominators else None
+        if sl is None or w not in sl[0] or h[-1] not in sl[1]:
+            return None
+        return sl[0][w], sl[1][h[-1]], sl[2], sl[3]
+
+    def cond(self, w: int, h: Key) -> float:
+        """Z(w | h): one L-row . R-column product over the denominator."""
+        hit = self._find(w, h)
+        if hit is None:
+            return 0.0
+        i, j, L, R = hit
+        return float(L[i] @ R[:, j]) / self.denominators[h]
+
+    def rank(self, w: int, h: Key) -> int:
+        """Multiply-adds the lookup of w after h spends (0 if none)."""
+        hit = self._find(w, h)
+        return 0 if hit is None else hit[2].shape[1]

@@ -9,6 +9,7 @@ rest of the file finishes in well under a minute.
 import time
 
 import numpy as np
+import pytest
 
 from plre.baselines import DiscountParams, NgramLM
 from plre.container import load_model, save_model
@@ -37,6 +38,8 @@ from plre.factorization import (
     sum_residual,
 )
 from plre.synthetic import synthesize_corpus
+
+from conftest import ZReader
 
 
 def _toy(seed):
@@ -109,12 +112,14 @@ def test_rank_one_members_reproduce_unigram_and_continuation_bases(toy_corpus):
     raw = count_ngrams(enc, 2)
     pc1 = power_counts(raw, 1.0)
     z1 = compute_z(pc1, compute_discounts(pc1, 1.0, 0.0, level=1), rank=1)
+    z1 = ZReader(z1, sorted(pc1.context_sums))
     row = {}
     for (w, _), c in raw.entries.items():
         row[w] = row.get(w, 0) + c
     adj = adjusted_tables(raw)[2]
     pc0 = power_counts(adj, 0.0)
     z0 = compute_z(pc0, compute_discounts(pc0, 0.0, 0.0, level=1), rank=1)
+    z0 = ZReader(z0, sorted(pc0.context_sums))
     n_minus = {}
     for (w, _) in adj.entries:
         n_minus[w] = n_minus.get(w, 0) + 1
@@ -225,6 +230,7 @@ def test_every_smoother_normalizes_over_observed_and_unseen_contexts():
     assert checked > 15_000
 
 
+@pytest.mark.slow
 def test_ensemble_beats_both_kneser_ney_baselines_on_large_corpus():
     # ~1M training tokens, full vocabulary at threshold 1, trigram
     # models: the powered low-rank ensemble must land strictly below
@@ -259,6 +265,10 @@ def test_reported_query_cost_equals_sum_of_active_slice_ranks(toy_plre3):
     model = toy_plre3
     rng = np.random.default_rng(71)
     seen = sorted(model.levels[3].context_totals)
+    readers = {
+        k: [ZReader(z, list(level.context_totals)) for z in level.z_tables]
+        for k, level in model.levels.items()
+    }
     total = 0
     multi_level_hits = 0
     for i in range(1_000):
@@ -269,22 +279,18 @@ def test_reported_query_cost_equals_sum_of_active_slice_ranks(toy_plre3):
             ctx = tuple(int(x) for x in rng.integers(0, len(model.vocab), size=size))
         w = int(rng.integers(0, len(model.vocab)))
 
-        # recompute the expected spend from the raw slice structures
+        # recompute the expected spend from the stored slice arrays
         expected = 0
         levels_hit = 0
         for k in range(len(ctx) + 1, 1, -1):
             h = ctx[: k - 1]
-            level = model.levels[k]
-            if not level.context_totals.get(h):
+            if not model.levels[k].context_totals.get(h):
                 continue
-            for z in level.z_tables:
-                if h not in z.denominators:
-                    continue
-                sl = z.slices.get(h[:-1])
-                if sl is None or w not in sl.row_index or h[-1] not in sl.col_index:
-                    continue
-                expected += sl.pair.rank
-                levels_hit += 1
+            for z in readers[k]:
+                rank = z.rank(w, h)
+                if rank:
+                    expected += rank
+                    levels_hit += 1
 
         counter = OpCounter()
         model.prob(w, ctx, counter)

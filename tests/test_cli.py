@@ -1,14 +1,15 @@
 """End-to-end command-line behavior: exit codes, JSON contracts, files."""
 
 import json
-import struct
 
 import jsonschema
 import pytest
 
-from plre.cli import main
-from plre.container import load_model
+from plre.cli import _normalization_sweep, main
+from plre.container import load_model, save_model
 from plre.corpus import read_sentences
+from plre.ensemble import build_plre
+from plre.errors import EvalError
 from plre.evaluation import perplexity
 
 from conftest import write_corpus
@@ -275,29 +276,52 @@ class TestVerify:
         assert "kn_reduction" in names
 
     def test_tampered_gamma_table_fails_verification(self, ws, tmp_path, capsys):
-        blob = bytearray(ws["plre_model"].read_bytes())
-        (hlen,) = struct.unpack("<Q", bytes(blob[8:16]))
-        header = json.loads(bytes(blob[16 : 16 + hlen]).decode("utf-8"))
-        pos = 16 + hlen
-        for name in header["sections"]:
-            (plen,) = struct.unpack("<Q", bytes(blob[pos : pos + 8]))
-            pos += 8
-            if name == "gamma.3.0":
-                keylen, n = struct.unpack("<IQ", bytes(blob[pos : pos + 12]))
-                voff = pos + 12 + n * keylen * 4
-                (val,) = struct.unpack("<d", bytes(blob[voff : voff + 8]))
-                blob[voff : voff + 8] = struct.pack("<d", val + 0.05)
-                break
-            pos += plen
-        else:
-            pytest.fail("gamma section not found")
+        model = load_model(str(ws["plre_model"]))
+        level = model.levels[3]
+        level.gammas = level.gammas.copy()
+        level.gammas[0, 0] += 0.05
         bad = tmp_path / "tampered.plre"
-        bad.write_bytes(bytes(blob))
+        save_model(model, str(bad))
         code = main(["verify", "--model", str(bad), "--json"])
         assert code == 7
         report = json.loads(capsys.readouterr().out)
         assert report["passed"] is False
         assert any(not c["passed"] for c in report["checks"])
+
+    def test_nan_gamma_fails_every_check_that_reads_it(self, toy_corpus, toy_top3):
+        # a NaN must not vanish into a max(): the checks that read gammas
+        # fail, and scoring refuses the NaN probability
+        sents, vocab, _ = toy_corpus
+        model = build_plre(toy_top3, vocab, seed=0)
+        assert model.check_gamma_closed_form() <= 1e-12
+        level = model.levels[2]
+        ctx = list(level.context_totals).index((3,))
+        level.gammas[1, ctx] = float("nan")
+        assert not model.check_gamma_closed_form() <= 1e-12
+        assert not model.check_local_constraints() <= 1e-12
+        assert not _normalization_sweep(model, 0) <= 1e-8
+        with pytest.raises(EvalError):
+            perplexity(model, sents)
+
+    def test_marginal_error_above_rounding_fails(
+        self, toy_corpus, toy_top3, tmp_path, capsys
+    ):
+        # moving one top numerator shifts the order-3 marginal of its word
+        # by delta / level total, ~1e-10: far below the old flat 1e-6 slack
+        _, vocab, _ = toy_corpus
+        model = build_plre(toy_top3, vocab, ranks={2: (1,), 3: (1,)}, seed=0)
+        level = model.levels[3]
+        ctx = int(level.totals.argmax())
+        level.top[level.ctx_start[ctx]] += 1e-10 * level.totals.sum()
+        path = tmp_path / "shifted.plre"
+        save_model(model, str(path))
+        code = main(["verify", "--model", str(path), "--json"])
+        assert code == 7
+        checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        marginal = checks["marginal_order_3"]
+        assert not marginal["passed"]
+        assert 5e-11 < marginal["max_violation"] < 1e-6
+        assert checks["marginal_order_2"]["passed"]
 
 
 class TestCompare:

@@ -1,5 +1,6 @@
 """Binary model container: round-trip fidelity and corruption handling."""
 
+import hashlib
 import json
 import struct
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from plre.baselines import NgramLM
+from plre.cli import main
 from plre.container import FORMAT_VERSION, load_model, save_model
 from plre.corpus import count_all_orders
 from plre.errors import ContainerError
@@ -16,6 +18,41 @@ def _read_header(path):
     blob = open(path, "rb").read()
     (hlen,) = struct.unpack("<Q", blob[8:16])
     return json.loads(blob[16 : 16 + hlen].decode("utf-8"))
+
+
+def _split(blob):
+    """(header, [[name, payload], ...]) of a container blob."""
+    (hlen,) = struct.unpack("<Q", blob[8:16])
+    header = json.loads(blob[16 : 16 + hlen].decode("utf-8"))
+    pos = 16 + hlen
+    sections = []
+    for name in header["sections"]:
+        (plen,) = struct.unpack("<Q", blob[pos : pos + 8])
+        sections.append([name, bytearray(blob[pos + 8 : pos + 8 + plen])])
+        pos += 8 + plen
+    return header, sections
+
+
+def _join(blob, header, sections, rehash):
+    """Reassemble a blob from edited sections, optionally re-hashing them."""
+    if rehash:
+        header["sha256"] = {n: hashlib.sha256(p).hexdigest() for n, p in sections}
+    hjson = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    body = b"".join(struct.pack("<Q", len(p)) + bytes(p) for _, p in sections)
+    return blob[:8] + struct.pack("<Q", len(hjson)) + hjson + body
+
+
+def _first_float(header, name, payload):
+    """Byte offset of the first f64 in a section, None if it holds none."""
+    kind, *rest = name.split(".")
+    if kind in ("top", "gamma", "zden"):
+        return 0
+    if kind == "z":
+        k, s = int(rest[0]), header["slices"][".".join(rest)]
+        dims = np.frombuffer(bytes(payload), "<i4", count=3 * s, offset=4 * s * (k - 2))
+        dims = dims.reshape(s, 3)
+        return 4 * (s * (k - 2) + 3 * s + int(dims[:, 0].sum()) + int(dims[:, 1].sum()))
+    return None
 
 
 def _sample_queries(vocab_size, rng, n=300, max_ctx=2):
@@ -159,3 +196,49 @@ class TestCorruption:
         path.write_bytes(b"")
         with pytest.raises(ContainerError):
             load_model(str(path))
+
+
+class TestSectionChecks:
+    @pytest.fixture()
+    def blob(self, toy_plre3, tmp_path):
+        path = tmp_path / "model.plre"
+        save_model(toy_plre3, str(path))
+        return path.read_bytes()
+
+    @staticmethod
+    def _verify(tmp_path, blob):
+        path = tmp_path / "edited.plre"
+        path.write_bytes(blob)
+        return main(["verify", "--model", str(path)])
+
+    @pytest.mark.parametrize("rehash", [False, True])
+    def test_negative_factor_exits_6(self, blob, rehash, tmp_path, capsys):
+        header, sections = _split(blob)
+        name, payload = next(sec for sec in sections if sec[0] == "z.3.1")
+        at = _first_float(header, name, payload)
+        payload[at : at + 8] = struct.pack("<d", -1.0)
+        edited = _join(blob, header, sections, rehash)
+        with pytest.raises(ContainerError, match="negative" if rehash else "hash"):
+            (tmp_path / "m.plre").write_bytes(edited)
+            load_model(str(tmp_path / "m.plre"))
+        assert self._verify(tmp_path, edited) == 6
+
+    def test_nan_or_truncation_in_any_section_never_exits_clean(
+        self, blob, tmp_path, capsys
+    ):
+        header, _ = _split(blob)
+        assert len(header["sections"]) == 12
+        for i, name in enumerate(header["sections"]):
+            edits = ["truncate"]
+            if _first_float(header, name, _split(blob)[1][i][1]) is not None:
+                edits.append("nan")
+            for edit in edits:
+                header, sections = _split(blob)
+                payload = sections[i][1]
+                if edit == "nan":
+                    at = _first_float(header, name, payload)
+                    payload[at : at + 8] = struct.pack("<d", float("nan"))
+                else:
+                    del payload[-1]
+                code = self._verify(tmp_path, _join(blob, header, sections, rehash=True))
+                assert code in (6, 7), (name, edit, code)

@@ -19,6 +19,8 @@ from plre.ensemble import (
 )
 from plre.errors import ConfigError
 
+from conftest import ZReader
+
 
 def _bigram_table(mat):
     """CountTable from a dense matrix: rows = predicted, cols = context."""
@@ -115,7 +117,7 @@ class TestComputeZ:
         table = count_ngrams(enc, 2)
         pc = power_counts(table, 0.5)
         spec = compute_discounts(pc, 0.0, 0.4, level=1)
-        z = compute_z(pc, spec, rank=len(vocab))
+        z = ZReader(compute_z(pc, spec, rank=len(vocab)), sorted(pc.context_sums))
         for key, v in list(pc.entries.items())[:200]:
             want = (v - spec.discount(table.entries[key])) / pc.context_sums[key[1:]]
             assert z.cond(key[0], key[1:]) == pytest.approx(want, abs=1e-8)
@@ -127,7 +129,7 @@ class TestComputeZ:
         table = adjusted_tables(count_ngrams(enc, 2))[2]
         pc = power_counts(table, 0.0)
         spec = compute_discounts(pc, 0.0, 0.0, level=1)
-        z = compute_z(pc, spec, rank=1)
+        z = ZReader(compute_z(pc, spec, rank=1), sorted(pc.context_sums))
         n_minus = {}
         for (w, _) in table.entries:
             n_minus[w] = n_minus.get(w, 0) + 1
@@ -142,7 +144,7 @@ class TestComputeZ:
         table = count_ngrams(enc, 2)
         pc = power_counts(table, 1.0)
         spec = compute_discounts(pc, 1.0, 0.0, level=1)
-        z = compute_z(pc, spec, rank=1)
+        z = ZReader(compute_z(pc, spec, rank=1), sorted(pc.context_sums))
         row = {}
         for (w, _), c in table.entries.items():
             row[w] = row.get(w, 0) + c
@@ -156,7 +158,7 @@ class TestComputeZ:
         table = CountTable(2, {(5, 3): 1, (6, 3): 1, (5, 4): 3})
         pc = power_counts(table, 1.0)
         spec = compute_discounts(pc, 0.0, 1.0, level=1)
-        z = compute_z(pc, spec, rank=2)
+        z = ZReader(compute_z(pc, spec, rank=2), sorted(pc.context_sums))
         assert z.cond(5, (3,)) == 0.0
         assert z.cond(5, (4,)) > 0.0
 
@@ -165,7 +167,7 @@ class TestComputeZ:
         table = count_ngrams(enc, 2)
         pc = power_counts(table, 0.5)
         z = compute_z(pc, compute_discounts(pc, 0.0, 0.5, level=1), rank=2)
-        assert z.cond(3, (99999,)) == 0.0
+        assert ZReader(z, sorted(pc.context_sums)).cond(3, (99999,)) == 0.0
 
     def test_invalid_rank_rejected(self, toy_top3):
         pc = power_counts(toy_top3, 0.5)
@@ -314,11 +316,16 @@ class TestPlreQueries:
         for k in (2, 3):
             level = model.levels[k]
             contexts = list(level.context_totals)
-            nplus = level.nplus()
+            nplus = {}
+            for key in level.keys.tolist():
+                nplus[tuple(key[1:])] = nplus.get(tuple(key[1:]), 0) + 1
             for i in rng.integers(0, len(contexts), size=100):
                 h = contexts[int(i)]
                 want = level.dstar ** (level.eta + 1) * nplus[h] / level.context_totals[h]
-                assert level.gamma_product(h) == pytest.approx(want, abs=1e-12)
+                product = 1.0
+                for gamma in level.gammas:
+                    product *= gamma[int(i)]
+                assert product == pytest.approx(want, abs=1e-12)
 
     def test_local_discount_identity(self, toy_plre3):
         assert toy_plre3.check_local_constraints() <= 1e-12
@@ -397,18 +404,18 @@ class TestQueryCost:
     def test_each_lookup_costs_its_slice_rank(self, toy_plre3):
         model = toy_plre3
         level = model.levels[2]
-        z = level.z_tables[0]
+        z = ZReader(level.z_tables[0], list(level.context_totals))
         hit = 0
         for h in level.context_totals:
             sl = z.slices.get(h[:-1])
             if sl is None:
                 continue
-            for w in sl.row_index:
-                if h[-1] not in sl.col_index:
+            for w in sl[0]:
+                if h[-1] not in sl[1]:
                     continue
                 counter = OpCounter()
-                z.cond(w, h, counter)
-                assert counter.muladds == sl.pair.rank == z.lookup_rank(w, h)
+                model.prob(w, h, counter)
+                assert counter.muladds == sl[2].shape[1] == model.query_cost(w, h)
                 hit += 1
                 break
             if hit >= 20:
@@ -423,10 +430,8 @@ class TestDeterminism:
         m2 = build_plre(toy_top3, vocab, ranks={2: (4,), 3: (4,)}, seed=7)
         for k in (2, 3):
             z1, z2 = m1.levels[k].z_tables[0], m2.levels[k].z_tables[0]
-            assert sorted(z1.slices) == sorted(z2.slices)
-            for key in z1.slices:
-                assert np.array_equal(z1.slices[key].pair.L, z2.slices[key].pair.L)
-                assert np.array_equal(z1.slices[key].pair.R, z2.slices[key].pair.R)
+            for name in ("slices", "dims", "row_ids", "col_ids", "L", "R"):
+                assert np.array_equal(getattr(z1, name), getattr(z2, name))
 
     def test_thread_count_does_not_change_results(self, toy_corpus, toy_top3):
         _, vocab, _ = toy_corpus

@@ -26,6 +26,9 @@ class _StubModel:
     def prob(self, w, context):
         return self.special.get(w, 1.0 / len(self.vocab))
 
+    def score(self, words, contexts):
+        return np.array([self.prob(w, h) for w, h in zip(words, contexts)])
+
 
 def _uniform4():
     vocab = build_vocabulary([["a"]], unk_threshold=0)
