@@ -41,7 +41,13 @@ from .corpus import (
     count_ngrams,
     read_sentences,
 )
-from .ensemble import PlreModel, build_plre, marginal_error_bound, verify_marginal
+from .ensemble import (
+    PlreModel,
+    build_plre,
+    marginal_error_bound,
+    normalization_observed,
+    verify_marginal,
+)
 from .errors import (
     ConfigError,
     ContainerError,
@@ -349,20 +355,33 @@ def _kn_reduction_deviation(model: PlreModel, seed: int, n_queries: int = 2000) 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     model = load_model(args.model)
-    t0 = time.perf_counter()
+    t0 = last = time.perf_counter()
     checks: List[dict] = []
 
     def check(name: str, value: float, tol: float) -> None:
+        # Wall time since the previous check: this one's value and tolerance.
+        nonlocal last
+        now = time.perf_counter()
         checks.append(
-            {"name": name, "max_violation": value, "tolerance": tol, "passed": value <= tol}
+            {
+                "name": name,
+                "max_violation": value,
+                "tolerance": tol,
+                "passed": value <= tol,
+                "seconds": now - last,
+            }
         )
+        last = now
 
     check("normalization_sweep", _normalization_sweep(model, args.seed), 1e-8)
     if isinstance(model, PlreModel):
+        check("normalization_observed", normalization_observed(model), 1e-8)
         for k in range(2, model.order + 1):
-            # Rounding allowance: verify_marginal adds one distribution per
-            # observed context, and each addition rounds by at most half an
-            # ulp of 1.
+            # Rounding allowance: each word's marginal is aggregated from
+            # nonnegative terms of total weight at most 1, and each sum on
+            # the way takes about one term per observed order-k context at
+            # most (a context, its slice column or its parent), so the
+            # result rounds by about half an ulp of 1 per context at most.
             allowance = MARGINAL_ULPS * sys.float_info.epsilon * len(model.levels[k].totals)
             bound = marginal_error_bound(model, k)
             check(f"marginal_order_{k}", verify_marginal(model, k), bound + allowance)
@@ -384,11 +403,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     }
     lines = []
     for c in checks:
-        lines.append(
-            "{name:<26} max {max_violation:.3e}  tol {tolerance:.3e}  {flag}".format(
-                flag="PASS" if c["passed"] else "FAIL", **c
-            )
+        line = "{name:<26} max {max_violation:.3e}  tol {tolerance:.3e}  {flag}".format(
+            flag="PASS" if c["passed"] else "FAIL", **c
         )
+        lines.append(line + (f"  {c['seconds']:.3f}s" if args.verbose else ""))
     lines.append(
         f"verify: {'PASS' if passed else 'FAIL'} "
         f"({sum(c['passed'] for c in checks)}/{len(checks)} checks)"

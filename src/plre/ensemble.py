@@ -579,25 +579,19 @@ class PlreModel:
         self.prob(w, context, counter)
         return counter.muladds
 
-    def dists(self, contexts) -> Iterator[np.ndarray]:
-        """Conditional distribution over the whole vocabulary for each row
-        of ``contexts``, with the rows found in one walk."""
-        contexts = np.asarray(contexts, dtype=np.int64)[:, : self.order - 1]
-        found = self._lookup(contexts)
-        for i in range(len(contexts)):
-            acc = np.zeros(len(self.vocab))
-            mult = 1.0
-            for k in range(contexts.shape[1] + 1, 1, -1):
-                ctx, ok = found[k - 1]
-                if ok[i]:
-                    vec, g = self.levels[k].column(int(ctx[i]))
-                    acc += mult * vec
-                    mult *= g
-            yield acc + mult * self.base
-
     def dist(self, context: Sequence[int] = ()) -> np.ndarray:
         """Conditional distribution over the whole vocabulary."""
-        return next(self.dists([tuple(context)]))
+        contexts = np.asarray([tuple(context)], dtype=np.int64)[:, : self.order - 1]
+        found = self._lookup(contexts)
+        acc = np.zeros(len(self.vocab))
+        mult = 1.0
+        for k in range(contexts.shape[1] + 1, 1, -1):
+            ctx, ok = found[k - 1]
+            if ok[0]:
+                vec, g = self.levels[k].column(int(ctx[0]))
+                acc += mult * vec
+                mult *= g
+        return acc + mult * self.base
 
     def check_discount_bounds(self) -> float:
         """Max violation of 0 <= D_j(w,h) <= c̃(w,h)^rho_j over everything."""
@@ -785,29 +779,115 @@ def build_plre(
     )
 
 
-def verify_marginal(model: PlreModel, order: Optional[int] = None) -> float:
-    """Brute-force marginal-constraint check at one order.
+def _offsets(sizes: np.ndarray) -> np.ndarray:
+    """Position of each element within its run, for runs of the given sizes."""
+    return np.arange(int(sizes.sum())) - np.repeat(_segments(sizes)[:-1], sizes)
 
-    Sums P(w|h) * P̂(h) over every context h observed in the order-k adjusted
-    table (weights = the table's context marginals) and compares, per
-    vocabulary word, against the table's own word marginals.  At the top
-    order the adjusted table is the raw table, so this is exactly the
-    preserve-the-observed-(n-1)-gram-distribution statement; the returned
-    value is the max absolute violation over the vocabulary.
-    """
+
+def _factor_index(z: LowRankCPT) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(rank term, row) of every L entry and (rank term, column) of every R
+    entry, as ids over all of z's slices at once: the concatenated factors
+    then act as one block-diagonal pair, and a product with every slice is
+    a segment sum (``np.bincount``) over them."""
+    rows, cols, ranks = z.dims.astype(np.int64).T
+    per_row, per_term = np.repeat(ranks, rows), np.repeat(cols, ranks)
+    L_term = np.repeat(np.repeat(_segments(ranks)[:-1], rows), per_row) + _offsets(per_row)
+    L_row = np.repeat(np.arange(len(per_row)), per_row)
+    R_term = np.repeat(np.arange(len(per_term)), per_term)
+    R_col = np.repeat(np.repeat(z.col_start[:-1], ranks), per_term) + _offsets(per_term)
+    return L_term, L_row, R_term, R_col
+
+
+def _context_columns(z: LowRankCPT) -> Tuple[np.ndarray, np.ndarray]:
+    """The level's contexts that own a slice column, and that column's id
+    over all slices."""
+    ctx = np.flatnonzero(z.ctx_slice >= 0)
+    return ctx, z.col_start[z.ctx_slice[ctx]] + z.ctx_col[ctx]
+
+
+def _order(model: PlreModel, order: Optional[int]) -> int:
     k = model.order if order is None else order
     if not 2 <= k <= model.order:
         raise ValueError(f"order must be in [2, {model.order}], got {k}")
-    level = model.levels[k]
+    return k
+
+
+def marginal(model: PlreModel, order: Optional[int] = None) -> np.ndarray:
+    """sum_h P̂(h) P(w|h) for every word w, over the contexts h observed at
+    one order, with P̂(h) the contexts' shares of the level total.
+
+    The sum is aggregated level by level, at a cost linear in the stored
+    model: each level scatters its weighted top numerators onto their
+    words, pushes each context's weighted share of every chain step onto
+    its slice column and through the factors of all slices at once, and
+    hands the remaining weight on to the contexts' parents one order lower;
+    the base distribution takes what reaches the empty context.
+    """
+    k = _order(model, order)
     vsize = len(model.vocab)
-    total = float(level.totals.sum())
-    expected = np.zeros(vsize)
-    np.add.at(expected, level.keys[:, 0], level.counts)
-    expected /= total
+    weight = model.levels[k].totals / model.levels[k].totals.sum()
     acc = np.zeros(vsize)
-    for ctx_count, vec in zip(level.totals.tolist(), model.dists(level.contexts)):
-        acc += (ctx_count / total) * vec
-    return float(np.max(np.abs(acc - expected)))
+    for kk in range(k, 1, -1):
+        level = model.levels[kk]
+        share = (weight / level.totals)[level.ctx_of_entry] * level.top
+        acc += np.bincount(level.keys[:, 0], weights=share, minlength=vsize)
+        g = weight * level.gammas[0]
+        for j, z in enumerate(level.z_tables):
+            L_term, L_row, R_term, R_col = _factor_index(z)
+            ctx, col = _context_columns(z)
+            w = np.zeros(len(z.col_ids))
+            w[col] = g[ctx] / z.denominators[ctx]
+            rows = np.bincount(L_row, z.L * np.bincount(R_term, z.R * w[R_col])[L_term])
+            acc += np.bincount(z.row_ids, weights=rows, minlength=vsize)
+            g = g * level.gammas[j + 1]
+        # A context's code is its parent's index one order lower times V
+        # plus its oldest word.
+        parents = len(model.levels[kk - 1].totals) if kk > 2 else 1
+        weight = np.bincount(level.ctx_code // vsize, weights=g, minlength=parents)
+    return acc + weight[0] * model.base
+
+
+def verify_marginal(model: PlreModel, order: Optional[int] = None) -> float:
+    """Marginal-constraint check at one order.
+
+    Compares the ensemble's marginal over the contexts observed in the
+    order-k adjusted table (``marginal``) with the table's own word
+    marginals.  At the top order the adjusted table is the raw table, so
+    this is exactly the preserve-the-observed-(n-1)-gram-distribution
+    statement; the returned value is the max absolute violation over the
+    vocabulary.
+    """
+    k = _order(model, order)
+    level = model.levels[k]
+    expected = np.zeros(len(model.vocab))
+    np.add.at(expected, level.keys[:, 0], level.counts)
+    expected /= float(level.totals.sum())
+    return float(np.max(np.abs(marginal(model, k) - expected)))
+
+
+def normalization_observed(model: PlreModel) -> float:
+    """Max |sum_w P(w|h) - 1| over every observed context h of every order.
+
+    A context's sum is its top numerators over its total, plus per chain
+    step its gamma prefix times its slice column's factor mass
+    (1^T L R[:, col]) over the denominator, plus its hand-off times its
+    parent's sum; the empty context sums the base distribution.
+    """
+    sums = np.array([model.base.sum()])
+    worst = [abs(sums[0] - 1.0)]
+    for k in range(2, model.order + 1):
+        level = model.levels[k]
+        s = np.add.reduceat(level.top, level.ctx_start[:-1]) / level.totals
+        g = level.gammas[0]
+        for j, z in enumerate(level.z_tables):
+            L_term, _, R_term, R_col = _factor_index(z)
+            mass = np.bincount(R_col, z.R * np.bincount(L_term, z.L)[R_term])
+            ctx, col = _context_columns(z)
+            s[ctx] += g[ctx] * mass[col] / z.denominators[ctx]
+            g = g * level.gammas[j + 1]
+        sums = s + g * sums[level.ctx_code // level.vsize]
+        worst.append(np.max(np.abs(sums - 1.0)))
+    return float(np.max(worst))
 
 
 def marginal_error_bound(model: PlreModel, order: Optional[int] = None) -> float:
@@ -820,9 +900,7 @@ def marginal_error_bound(model: PlreModel, order: Optional[int] = None) -> float
     worst-case per word therefore bounds the marginal deviation, and the
     bound is zero for closed-form rank-1 and full-rank slices.
     """
-    k = model.order if order is None else order
-    if not 2 <= k <= model.order:
-        raise ValueError(f"order must be in [2, {model.order}], got {k}")
+    k = _order(model, order)
     bound = 0.0
     lam = 1.0
     upper_total = None
@@ -840,9 +918,9 @@ def marginal_error_bound(model: PlreModel, order: Optional[int] = None) -> float
             v = counts ** chain[j] - level.dstar * counts ** chain[j + 1]
             resid = np.zeros(len(model.vocab))
             np.add.at(resid, level.keys[:, 0], -np.maximum(v, 0.0))
-            for s in range(len(z.slices)):
-                rows, _, L, R = z.factors(s)
-                resid[rows] += L @ R.sum(axis=1)
+            L_term, L_row, R_term, _ = _factor_index(z)
+            rows = np.bincount(L_row, z.L * np.bincount(R_term, z.R)[L_term])
+            np.add.at(resid, z.row_ids, rows)
             bound += lam * (level.dstar ** j) / total * float(np.max(np.abs(resid)))
         upper_total = total
     return bound

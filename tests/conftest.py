@@ -9,6 +9,7 @@ package it checks.
 from collections import Counter
 from typing import Dict, Tuple
 
+import numpy as np
 import pytest
 
 from plre.corpus import Vocabulary, build_vocabulary, count_ngrams
@@ -273,3 +274,39 @@ class ZReader:
         """Multiply-adds the lookup of w after h spends (0 if none)."""
         hit = self._find(w, h)
         return 0 if hit is None else hit[2].shape[1]
+
+
+def dense_marginal(model, order: int) -> np.ndarray:
+    """sum_h P̂(h) P(.|h) over the order-k level's contexts h, adding one
+    whole-vocabulary distribution per context: the tests' oracle for the
+    package's sparse aggregation, at contexts x V cost."""
+    level = model.levels[order]
+    total = float(level.totals.sum())
+    acc = np.zeros(len(model.vocab))
+    for ctx_count, h in zip(level.totals.tolist(), level.context_totals):
+        acc += (ctx_count / total) * model.dist(h)
+    return acc
+
+
+def looped_error_bound(model, order: int) -> float:
+    """marginal_error_bound with each slice's factor row sums taken in its
+    own loop iteration: the tests' oracle for the vectorized segment sums."""
+    bound, lam, upper_total = 0.0, 1.0, None
+    for k in range(order, 1, -1):
+        level = model.levels[k]
+        total = float(level.totals.sum())
+        if upper_total is not None:
+            up = model.levels[k + 1]
+            lam *= (up.dstar ** (up.eta + 1)) * total / upper_total
+        chain = (1.0,) + level.powers + (0.0,)
+        counts = level.counts.astype(np.float64)
+        for j, z in enumerate(level.z_tables, start=1):
+            v = counts ** chain[j] - level.dstar * counts ** chain[j + 1]
+            resid = np.zeros(len(model.vocab))
+            np.add.at(resid, level.keys[:, 0], -np.maximum(v, 0.0))
+            for s in range(len(z.slices)):
+                rows, _, L, R = z.factors(s)
+                resid[rows] += L @ R.sum(axis=1)
+            bound += lam * (level.dstar ** j) / total * float(np.max(np.abs(resid)))
+        upper_total = total
+    return bound

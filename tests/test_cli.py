@@ -3,12 +3,13 @@
 import json
 
 import jsonschema
+import numpy as np
 import pytest
 
 from plre.cli import _normalization_sweep, main
 from plre.container import load_model, save_model
 from plre.corpus import read_sentences
-from plre.ensemble import build_plre
+from plre.ensemble import build_plre, normalization_observed, verify_marginal
 from plre.errors import EvalError
 from plre.evaluation import perplexity
 
@@ -74,12 +75,13 @@ VERIFY_SCHEMA = {
             "minItems": 1,
             "items": {
                 "type": "object",
-                "required": ["name", "max_violation", "tolerance", "passed"],
+                "required": ["name", "max_violation", "tolerance", "passed", "seconds"],
                 "properties": {
                     "name": {"type": "string"},
                     "max_violation": {"type": "number"},
                     "tolerance": {"type": "number"},
                     "passed": {"type": "boolean"},
+                    "seconds": {"type": "number", "minimum": 0},
                 },
             },
         },
@@ -255,12 +257,20 @@ class TestVerify:
         code = main(["verify", "--model", str(ws["plre_model"]), "--json"])
         assert code == 0
         report = json.loads(capsys.readouterr().out)
+        jsonschema.validate(report, VERIFY_SCHEMA)
         names = {c["name"] for c in report["checks"]}
         assert {
-            "normalization_sweep", "marginal_order_2", "marginal_order_3",
-            "gamma_closed_form", "local_discount_identity", "discount_bounds",
+            "normalization_sweep", "normalization_observed", "marginal_order_2",
+            "marginal_order_3", "gamma_closed_form", "local_discount_identity",
+            "discount_bounds",
         } <= names
         assert all(c["passed"] for c in report["checks"])
+
+    def test_verbose_prints_each_check_time(self, ws, capsys):
+        assert main(["verify", "--model", str(ws["plre_model"]), "--verbose"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        marginal = next(line for line in lines if line.startswith("marginal_order_2"))
+        assert marginal.endswith("s") and "PASS" in marginal
 
     def test_eta_zero_model_gets_kn_reduction_check(self, ws, tmp_path, capsys):
         cfg = tmp_path / "eta0.cfg"
@@ -300,8 +310,45 @@ class TestVerify:
         assert not model.check_gamma_closed_form() <= 1e-12
         assert not model.check_local_constraints() <= 1e-12
         assert not _normalization_sweep(model, 0) <= 1e-8
+        assert not normalization_observed(model) <= 1e-8
+        assert not verify_marginal(model, 2) <= 1e-8
         with pytest.raises(EvalError):
             perplexity(model, sents)
+
+    def test_nan_denominator_fails_marginal(self, toy_corpus, toy_top3):
+        # the NaN has to survive the segment sums that spread a context's
+        # share over its slice's factors
+        _, vocab, _ = toy_corpus
+        model = build_plre(toy_top3, vocab, seed=0)
+        z = model.levels[3].z_tables[0]
+        assert verify_marginal(model, 3) <= 1e-6
+        ctx = int(np.flatnonzero(z.ctx_slice >= 0)[0])
+        z.denominators[ctx] = float("nan")
+        assert not verify_marginal(model, 3) <= 1e-6
+
+    def test_top_numerator_outside_sweep_sample_fails_observed_normalization(
+        self, toy_corpus, toy_top3, tmp_path, capsys
+    ):
+        # the sweep samples contexts; the observed-context check sums every one
+        _, vocab, _ = toy_corpus
+        model = build_plre(toy_top3, vocab, seed=0)
+        swept = set()
+        dist = model.dist
+        model.dist = lambda h=(): swept.add(tuple(h)) or dist(h)
+        assert _normalization_sweep(model, 0) <= 1e-8
+        del model.dist
+        level = model.levels[3]
+        ctx = next(
+            i for i, h in enumerate(level.context_totals) if h not in swept
+        )
+        level.top[level.ctx_start[ctx]] += 1e-3 * level.totals[ctx]
+        path = tmp_path / "unswept.plre"
+        save_model(model, str(path))
+        code = main(["verify", "--model", str(path), "--json"])
+        assert code == 7
+        checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert checks["normalization_sweep"]["passed"]
+        assert not checks["normalization_observed"]["passed"]
 
     def test_marginal_error_above_rounding_fails(
         self, toy_corpus, toy_top3, tmp_path, capsys

@@ -13,13 +13,15 @@ from plre.ensemble import (
     compute_discounts,
     compute_z,
     derive_dstar,
+    marginal,
     marginal_error_bound,
+    normalization_observed,
     power_counts,
     verify_marginal,
 )
 from plre.errors import ConfigError
 
-from conftest import ZReader
+from conftest import ZReader, dense_marginal, looped_error_bound
 
 
 def _bigram_table(mat):
@@ -357,6 +359,32 @@ class TestMarginalConstraint:
     def test_order_out_of_range_rejected(self, toy_plre3):
         with pytest.raises(ValueError):
             verify_marginal(toy_plre3, 4)
+
+    def test_sparse_marginal_matches_dense_oracle(
+        self, toy_corpus, toy_top3, toy_plre3_rank1, toy_plre3_eta0
+    ):
+        # the aggregation over levels, slices and hand-offs adds up to the
+        # same marginal as one full distribution per context, word by word,
+        # and the segment-summed error bound to the per-slice loop's
+        _, vocab, enc = toy_corpus
+        nmf = build_plre(toy_top3, vocab, ranks={2: (4,), 3: (4,)}, seed=0)
+        two_powers = build_plre(
+            count_ngrams(enc, 4),
+            vocab,
+            powers={k: (0.6, 0.3) for k in (2, 3, 4)},
+            ranks={k: (2, 2) for k in (2, 3, 4)},
+            seed=0,
+        )
+        for model in (toy_plre3_rank1, nmf, toy_plre3_eta0, two_powers):
+            for order in range(2, model.order + 1):
+                sparse = marginal(model, order)
+                assert np.max(np.abs(sparse - dense_marginal(model, order))) <= 1e-13
+                bound = marginal_error_bound(model, order)
+                assert abs(bound - looped_error_bound(model, order)) <= 1e-15
+
+    def test_every_observed_context_normalizes(self, toy_plre3, toy_plre3_eta0):
+        for model in (toy_plre3, toy_plre3_eta0):
+            assert normalization_observed(model) <= 1e-12
 
 
 class TestKnReduction:
