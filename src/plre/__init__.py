@@ -67,6 +67,7 @@ from .factorization import (
     best_rank1,
     gkl,
     nmf_gkl,
+    nmf_gkl_many,
     sum_residual,
 )
 from .synthetic import synthesize_corpus
@@ -122,6 +123,7 @@ __all__ = [
     "marginal_error_bound",
     "mkn_discounts",
     "nmf_gkl",
+    "nmf_gkl_many",
     "order_sweep",
     "parse_config",
     "perplexity",

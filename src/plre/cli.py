@@ -205,6 +205,30 @@ def _convergence_summary(model) -> Optional[dict]:
         "max_final_gkl": max(r.final_gkl for r in reports),
         "max_row_residual": max(r.max_row_residual for r in reports),
         "max_col_residual": max(r.max_col_residual for r in reports),
+        "levels": [
+            _level_summary(order, step, z.reports)
+            for order, level in sorted(model.levels.items(), reverse=True)
+            for step, z in enumerate(level.z_tables, 1)
+        ],
+    }
+
+
+def _level_summary(order: int, step: int, reports) -> dict:
+    """One chain step's slices: counts by kind, and the iterations and
+    convergence of its iterative slices."""
+    iterative = [r for r in reports if r.kind == "iterative"]
+    iterations = [r.iterations for r in iterative] or [0]
+    return {
+        "order": order,
+        "step": step,
+        "slices": {
+            kind: sum(1 for r in reports if r.kind == kind)
+            for kind in ("exact", "rank1", "iterative")
+        },
+        "iterations_p50": float(np.median(iterations)),
+        "iterations_max": max(iterations),
+        "converged": sum(1 for r in iterative if r.converged),
+        "max_row_residual": max((r.max_row_residual for r in reports), default=0.0),
     }
 
 
@@ -273,6 +297,13 @@ def cmd_train(args: argparse.Namespace) -> int:
                 "max row residual {max_row_residual:.3g}, "
                 "max col residual {max_col_residual:.3g}".format(**conv)
             )
+            for lv in conv["levels"]:
+                lines.append(
+                    "  order {order} step {step}: {n[exact]} exact, {n[rank1]} rank1, "
+                    "{n[iterative]} iterative ({converged} converged, iters p50 "
+                    "{iterations_p50:g} max {iterations_max}), max row residual "
+                    "{max_row_residual:.3g}".format(n=lv["slices"], **lv)
+                )
     _emit(args, report, lines)
     return 0
 

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 from collections import abc
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -54,6 +53,7 @@ from .factorization import (
     FactorPair,
     SparseMatrix,
     nmf_gkl,
+    nmf_gkl_many,
     sum_residual,
 )
 
@@ -252,14 +252,10 @@ class LowRankCPT:
         return out
 
 
-def _factor_slice(
+def _slice_matrix(
     entries: Dict[Tuple[int, int], float],
-    rank: int,
-    max_iters: int,
-    rel_tol: float,
-    eps: float,
-    seed: np.random.SeedSequence,
-) -> Tuple[FactorPair, List[int], List[int], ConvergenceReport]:
+) -> Tuple[SparseMatrix, List[int], List[int]]:
+    """A slice compacted to its nonzero rows and columns, with their ids."""
     row_ids = sorted({w for w, _ in entries})
     col_ids = sorted({x for _, x in entries})
     row_index = {w: i for i, w in enumerate(row_ids)}
@@ -269,30 +265,27 @@ def _factor_slice(
         len(col_ids),
         {(row_index[w], col_index[x]): v for (w, x), v in entries.items()},
     )
-    small = min(M.rows, M.cols)
-    if rank >= small > 1:
-        # Requested rank covers the slice: reproduce it exactly instead of
-        # iterating toward it.  Identity on the smaller side keeps the
-        # stored rank at min(rows, cols).
-        if M.rows <= M.cols:
-            pair = FactorPair(np.eye(M.rows), M.to_dense())
-        else:
-            pair = FactorPair(M.to_dense(), np.eye(M.cols))
-        row_res, col_res = sum_residual(M, pair)
-        report = ConvergenceReport(
-            iterations=0,
-            final_gkl=0.0,
-            max_row_residual=row_res,
-            max_col_residual=col_res,
-            rank=small,
-            converged=True,
-            objective_history=[0.0],
-        )
+    return M, row_ids, col_ids
+
+
+def _exact_copy(M: SparseMatrix) -> Tuple[FactorPair, ConvergenceReport]:
+    """The slice itself at rank min(rows, cols), with an identity on the
+    smaller side, for a requested rank that covers the slice."""
+    if M.rows <= M.cols:
+        pair = FactorPair(np.eye(M.rows), M.to_dense())
     else:
-        pair, report = nmf_gkl(
-            M, rank, max_iters=max_iters, rel_tol=rel_tol, eps=eps, seed=seed
-        )
-    return pair, row_ids, col_ids, report
+        pair = FactorPair(M.to_dense(), np.eye(M.cols))
+    row_res, col_res = sum_residual(M, pair)
+    return pair, ConvergenceReport(
+        iterations=0,
+        final_gkl=0.0,
+        max_row_residual=row_res,
+        max_col_residual=col_res,
+        rank=pair.rank,
+        converged=True,
+        objective_history=[0.0],
+        kind="exact",
+    )
 
 
 def _concat(parts: List[np.ndarray], dtype) -> np.ndarray:
@@ -336,20 +329,41 @@ def compute_z(
         slice_entries.setdefault(key[1:-1], {})[(key[0], key[-1])] = v
 
     interiors = sorted(slice_entries)
+    slices = [_slice_matrix(slice_entries[interior]) for interior in interiors]
 
-    def task(item: Tuple[int, Key]):
-        idx, interior = item
-        seq = np.random.SeedSequence(
-            entropy=seed, spawn_key=(base.order, spec.level, idx)
-        )
-        return _factor_slice(slice_entries[interior], rank, max_iters, rel_tol, eps, seq)
-
-    if threads > 1 and len(interiors) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(task, enumerate(interiors)))
-    else:
-        results = [task(item) for item in enumerate(interiors)]
-    pairs, rows, cols, reports = zip(*results) if results else ((), (), (), ())
+    # Slices the requested rank covers are copied, rank-1 slices take the
+    # closed form, and every other slice is solved in one batch.
+    results: List[Optional[Tuple[FactorPair, ConvergenceReport]]] = []
+    batch: List[int] = []
+    for idx, (M, _, _) in enumerate(slices):
+        small = min(M.rows, M.cols)
+        if rank >= small > 1:
+            results.append(_exact_copy(M))
+        elif small > rank >= 2:
+            results.append(None)
+            batch.append(idx)
+        else:
+            results.append(nmf_gkl(M, rank, max_iters=max_iters, rel_tol=rel_tol, eps=eps))
+    solved = nmf_gkl_many(
+        [slices[idx][0] for idx in batch],
+        rank,
+        [
+            np.random.SeedSequence(entropy=seed, spawn_key=(base.order, spec.level, idx))
+            for idx in batch
+        ],
+        max_iters=max_iters,
+        rel_tol=rel_tol,
+        eps=eps,
+        names=[
+            f"order {base.order}, chain step {spec.level}, interior {interiors[idx]}"
+            for idx in batch
+        ],
+        threads=threads,
+    )
+    for idx, result in zip(batch, solved):
+        results[idx] = result
+    pairs, reports = zip(*results) if results else ((), ())
+    _, rows, cols = zip(*slices) if slices else ((), (), ())
     # Contexts sorted as tuples: the order the level's table keeps them in.
     contexts = sorted(base.context_sums)
     return LowRankCPT(

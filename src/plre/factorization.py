@@ -10,16 +10,24 @@ whole smoothing construction and are what the tests pin down:
   approximation match the input's.  An iterative solver stops short of
   stationarity, so after convergence each column is rescaled to match the
   input column sums exactly and the remaining row-sum deviation is reported.
+
+Higher ranks are solved by ``nmf_gkl_many``: Lee-Seung multiplicative
+updates (Lee & Seung, NIPS 2001) for many matrices at once, as one
+block-diagonal problem over their concatenated supports; ``nmf_gkl`` is a
+batch of one.  Every sum runs within one matrix in a fixed order, so a
+matrix's bytes do not depend on which others share its batch.  That lets
+the batch be cut into groups of bounded memory (``GROUP_WORK``) and spread
+over threads.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import FactorizationError
 
@@ -140,6 +148,8 @@ class ConvergenceReport:
     converged: bool
     objective_history: List[float] = field(default_factory=list)
     warnings: List[str] = field(default_factory=list)
+    # "exact" (a copy of the slice), "rank1" (closed form) or "iterative".
+    kind: str = "iterative"
 
 
 def gkl(A: Union[SparseMatrix, np.ndarray], B) -> float:
@@ -200,17 +210,11 @@ def nmf_gkl(
 ) -> Tuple[FactorPair, ConvergenceReport]:
     """Rank-k nonnegative factorization of M under gKL.
 
-    Lee-Seung multiplicative updates on the sparse support; the objective is
-    non-increasing across iterations and is recorded per iteration in the
-    report.  Stops when the relative objective improvement drops below
-    ``rel_tol`` or after ``max_iters``.  Deterministic for a given seed.
-
     k is clamped (with a report warning) to the number of nonzero rows/
     columns.  k = 1 short-circuits to the closed form, which is the global
-    optimum.  After convergence each column of the approximation is rescaled
-    so its sum matches M's exactly; the row-sum deviation that remains is
-    reported.  The rank-1 closed form preserves both sums to machine
-    precision and is left unscaled.
+    optimum and preserves both sums to machine precision, so it is left
+    unscaled.  Any higher rank is solved as a batch of one by
+    ``nmf_gkl_many``, with the same bytes as in any larger batch.
     """
     if k < 1:
         raise ValueError(f"rank must be >= 1, got {k}")
@@ -239,70 +243,272 @@ def nmf_gkl(
             converged=True,
             objective_history=[obj],
             warnings=warnings,
+            kind="rank1",
         )
 
-    rng = np.random.default_rng(seed)
-    total_m = M.total()
-    # Uniform in (0, 1], then scale so total(W@H) == total(M).
-    W = 1.0 - rng.random((M.rows, k_eff))
-    H = 1.0 - rng.random((k_eff, M.cols))
-    W *= total_m / (W.sum(axis=0) @ H.sum(axis=1))
+    [(pair, report)] = nmf_gkl_many(
+        [M],
+        k_eff,
+        [seed],
+        max_iters=max_iters,
+        rel_tol=rel_tol,
+        eps=eps,
+        enforce_col_sums=enforce_col_sums,
+    )
+    report.warnings[:0] = warnings
+    return pair, report
 
-    ii, jj, vals = M.ii, M.jj, M.vals
-    # Two fixed sparse templates over M's support: row-major for the W
-    # update, column-major (the transpose) for the H update.  Only .data is
-    # rewritten each iteration.
-    S = sp.csr_matrix((vals, (ii, jj)), shape=(M.rows, M.cols))
-    ST = sp.csr_matrix((vals, (jj, ii)), shape=(M.cols, M.rows))
-    order_t = np.lexsort((ii, jj))  # template data order of ST
 
-    def predicted() -> np.ndarray:
-        return np.einsum("nk,kn->n", W[ii], H[:, jj])
+# Most nnz * rank one solver group may hold, unless a single slice holds
+# more.  A group iterates on two gathered factor blocks of nnz * rank
+# floats, so each stays within 16 MiB.
+GROUP_WORK = 1 << 21
 
-    def objective() -> float:
-        pred = np.maximum(predicted(), _TINY)
-        approx_total = W.sum(axis=0) @ H.sum(axis=1)
-        return float(np.dot(vals, np.log(vals / pred)) - total_m + approx_total)
 
-    history = [objective()]
-    iterations = 0
-    converged = False
+def nmf_gkl_many(
+    matrices: Sequence[SparseMatrix],
+    k: int,
+    seeds: Sequence[Union[int, np.random.SeedSequence]],
+    max_iters: int = 200,
+    rel_tol: float = 1e-6,
+    eps: float = 1e-12,
+    enforce_col_sums: bool = True,
+    names: Optional[Sequence[str]] = None,
+    threads: int = 1,
+) -> List[Tuple[FactorPair, ConvergenceReport]]:
+    """Rank-k nonnegative factorizations of many matrices under gKL.
+
+    Each matrix starts from W, H uniform in (0, 1] drawn from its own seed,
+    scaled so total(W @ H) == total(M).  Each iteration updates W, then H,
+    and records the objective; a rise is reported as a warning.  A matrix
+    stops when its relative improvement drops below ``rel_tol`` or after
+    ``max_iters``, and leaves the batch.  Then each column of its product is
+    rescaled to M's column sum, and the row-sum deviation left is reported.
+    k is not clamped: callers pass k <= each matrix's nonzero rows and
+    columns.
+
+    The batch is solved in consecutive groups of at most
+    ``max(GROUP_WORK, largest nnz * k)`` nonzero-rank products, on
+    ``threads`` threads.  A matrix's factors, report and objective history
+    are the same bytes alone, in any batch, group or thread count.  A
+    non-finite factor raises ``FactorizationError`` naming the matrix
+    (``names[i]``, default ``slice i``) and the iteration.
+    """
+    if k < 1:
+        raise ValueError(f"rank must be >= 1, got {k}")
+    if len(seeds) != len(matrices):
+        raise ValueError(f"{len(matrices)} matrices but {len(seeds)} seeds")
+    if any(m.nnz == 0 for m in matrices):
+        raise ValueError("cannot factorize an all-zero matrix")
+    if names is None:
+        names = [f"slice {i}" for i in range(len(matrices))]
+
+    def solve(group: List[int]) -> List[Tuple[FactorPair, ConvergenceReport]]:
+        return _solve_group(
+            [matrices[i] for i in group],
+            k,
+            [seeds[i] for i in group],
+            [names[i] for i in group],
+            max_iters,
+            rel_tol,
+            eps,
+            enforce_col_sums,
+        )
+
+    groups = _groups([m.nnz * k for m in matrices], threads)
+    if threads > 1 and len(groups) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(solve, groups))
+    else:
+        parts = [solve(group) for group in groups]
+    return [result for part in parts for result in part]
+
+
+def _groups(work: List[int], threads: int) -> List[List[int]]:
+    """Consecutive runs of indices whose work sums to at most
+    max(GROUP_WORK, the largest single work), cut to about an equal share
+    per thread when ``threads`` > 1."""
+    if not work:
+        return []
+    budget = max(GROUP_WORK, max(work))
+    if threads > 1:
+        budget = max(max(work), min(budget, -(-sum(work) // threads)))
+    groups: List[List[int]] = [[]]
+    load = 0
+    for i, w in enumerate(work):
+        if groups[-1] and load + w > budget:
+            groups.append([])
+            load = 0
+        groups[-1].append(i)
+        load += w
+    return groups
+
+
+class _Support:
+    """The concatenated supports of some matrices, one block-diagonal matrix.
+
+    Factors are kept term-major, W as k x (all rows) and H as k x (all
+    columns), so each gather at the support reads one contiguous row per
+    rank term, and rank terms are summed one at a time, in order.
+    """
+
+    def __init__(self, mats: List[SparseMatrix]):
+        n = len(mats)
+        ids = np.arange(n)
+        rows = np.array([m.rows for m in mats], dtype=np.int64)
+        cols = np.array([m.cols for m in mats], dtype=np.int64)
+        nnz = np.array([m.nnz for m in mats], dtype=np.int64)
+        self.row_start = np.concatenate(([0], np.cumsum(rows)))
+        self.col_start = np.concatenate(([0], np.cumsum(cols)))
+        self.seg = np.repeat(ids, nnz)
+        self.row_seg = np.repeat(ids, rows)
+        self.col_seg = np.repeat(ids, cols)
+        self.ii = np.concatenate([m.ii for m in mats]) + self.row_start[self.seg]
+        self.jj = np.concatenate([m.jj for m in mats]) + self.col_start[self.seg]
+        self.vals = np.concatenate([m.vals for m in mats])
+        self.totals = np.array([m.total() for m in mats])
+        self.n = n
+
+    def objective(self, pred, Wsum, Hsum) -> np.ndarray:
+        """gKL(M, W @ H) of each matrix, from its prediction at the support."""
+        vals = self.vals
+        log_term = np.bincount(
+            self.seg, vals * np.log(vals / np.maximum(pred, _TINY)), minlength=self.n
+        )
+        return log_term - self.totals + _dot_terms(Wsum, Hsum)
+
+
+def _term_bincount(F: np.ndarray, at: np.ndarray, size: int, weight=None) -> np.ndarray:
+    """k x size: each term's row of F (times ``weight``) summed into bins
+    ``at``, in order, one term at a time.  With the matrices' row or column
+    ids as bins this gives the per-matrix factor sums; with the support's
+    row or column ids and the ratio as weight, an update's numerator."""
+    out = np.empty((len(F), size))
+    for t, row in enumerate(F):
+        out[t] = np.bincount(at, row if weight is None else weight * row, minlength=size)
+    return out
+
+
+def _dot_terms(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """sum_t A[t] * B[t], one rank term at a time."""
+    out = A[0] * B[0]
+    for t in range(1, len(A)):
+        out += A[t] * B[t]
+    return out
+
+
+def _initial_factors(
+    mats: List[SparseMatrix], k: int, seeds: List[Union[int, np.random.SeedSequence]]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Term-major W and H of all matrices, each drawn from its own seed."""
+    W_parts, H_parts = [], []
+    for m, seed in zip(mats, seeds):
+        rng = np.random.default_rng(seed)
+        # Uniform in (0, 1], then scale so total(W@H) == total(M).
+        W = 1.0 - rng.random((m.rows, k))
+        H = 1.0 - rng.random((k, m.cols))
+        W *= m.total() / (W.sum(axis=0) @ H.sum(axis=1))
+        W_parts.append(W.T)
+        H_parts.append(H)
+    return np.concatenate(W_parts, axis=1), np.concatenate(H_parts, axis=1)
+
+
+def _solve_group(
+    mats: List[SparseMatrix],
+    k: int,
+    seeds: List[Union[int, np.random.SeedSequence]],
+    names: List[str],
+    max_iters: int,
+    rel_tol: float,
+    eps: float,
+    enforce_col_sums: bool,
+) -> List[Tuple[FactorPair, ConvergenceReport]]:
+    W, H = _initial_factors(mats, k, seeds)
+    act = np.arange(len(mats))  # the running matrices, in batch order
+    sup = _Support(mats)
+    # The factors gathered at the support, nnz * k floats each.  Each
+    # iteration gathers into the same two blocks (unbuffered with "clip";
+    # every index is in range).
+    Hg = np.take(H, sup.jj, axis=1)
+    Wg = np.take(W, sup.ii, axis=1)
+    pred = _dot_terms(Wg, Hg)
+    Wsum, Hsum = _term_bincount(W, sup.row_seg, sup.n), _term_bincount(H, sup.col_seg, sup.n)
+    last = sup.objective(pred, Wsum, Hsum)
+    history = [[v] for v in last.tolist()]
+    warnings: List[List[str]] = [[] for _ in mats]
+    results: List[Optional[Tuple[FactorPair, ConvergenceReport]]] = [None] * len(mats)
+
+    def finish(i: int, s: int, iterations: int, converged: bool) -> None:
+        M = mats[s]
+        r0, r1 = sup.row_start[i : i + 2]
+        c0, c1 = sup.col_start[i : i + 2]
+        # Copies, so the report keeps no view of the batch's arrays.
+        Ws = W[:, r0:r1].T.copy()
+        Hs = H[:, c0:c1].copy()
+        if enforce_col_sums:
+            target = M.col_sums()
+            approx_cols = Ws.sum(axis=0) @ Hs
+            Hs = Hs * (target / np.maximum(approx_cols, _TINY))[None, :]
+        pair = FactorPair(Ws, Hs)
+        row_res, col_res = sum_residual(M, pair)
+        results[s] = pair, ConvergenceReport(
+            iterations=iterations,
+            final_gkl=gkl(M, pair),
+            max_row_residual=row_res,
+            max_col_residual=col_res,
+            rank=k,
+            converged=converged,
+            objective_history=history[s],
+            warnings=warnings[s],
+        )
+
+    if max_iters < 1:
+        for i in range(len(mats)):
+            finish(i, i, 0, False)
     for it in range(1, max_iters + 1):
-        ratio = vals / np.maximum(predicted(), eps)
-        S.data = ratio
-        W *= (S @ H.T) / np.maximum(H.sum(axis=1), eps)
-
-        ratio = vals / np.maximum(predicted(), eps)
-        ST.data = ratio[order_t]
-        H *= (ST @ W).T / np.maximum(W.sum(axis=0), eps)[:, None]
+        ratio = sup.vals / np.maximum(pred, eps)
+        den = np.take(np.maximum(Hsum, eps), sup.row_seg, axis=1)
+        W *= _term_bincount(Hg, sup.ii, W.shape[1], ratio) / den
+        np.take(W, sup.ii, axis=1, out=Wg, mode="clip")
+        ratio = sup.vals / np.maximum(_dot_terms(Wg, Hg), eps)
+        Wsum = _term_bincount(W, sup.row_seg, sup.n)
+        den = np.take(np.maximum(Wsum, eps), sup.col_seg, axis=1)
+        H *= _term_bincount(Wg, sup.jj, H.shape[1], ratio) / den
 
         if not (np.isfinite(W).all() and np.isfinite(H).all()):
-            raise FactorizationError(f"non-finite factor values at iteration {it}")
+            bad = np.zeros(len(act), dtype=bool)
+            bad[sup.row_seg[~np.isfinite(W).all(axis=0)]] = True
+            bad[sup.col_seg[~np.isfinite(H).all(axis=0)]] = True
+            raise FactorizationError(
+                f"non-finite factor values at iteration {it} in {names[act[bad.argmax()]]}"
+            )
 
-        obj = objective()
-        prev = history[-1]
-        history.append(obj)
-        iterations = it
-        if obj > prev + 1e-9 * max(1.0, abs(prev)):
-            warnings.append(f"objective increased at iteration {it}: {prev} -> {obj}")
-        if prev - obj < rel_tol * max(abs(prev), _TINY):
-            converged = True
+        np.take(H, sup.jj, axis=1, out=Hg, mode="clip")
+        pred = _dot_terms(Wg, Hg)
+        Hsum = _term_bincount(H, sup.col_seg, sup.n)
+        obj = sup.objective(pred, Wsum, Hsum)
+        rose = obj > last + 1e-9 * np.maximum(1.0, np.abs(last))
+        done = last - obj < rel_tol * np.maximum(np.abs(last), _TINY)
+        for s, prev, cur, up in zip(act.tolist(), last.tolist(), obj.tolist(), rose.tolist()):
+            history[s].append(cur)
+            if up:
+                warnings[s].append(f"objective increased at iteration {it}: {prev} -> {cur}")
+        last = obj
+
+        stop = done | (it == max_iters)
+        if not stop.any():
+            continue
+        # Leave the stopped matrices out: the running ones keep every value,
+        # in C order (``compress``; a mask index would transpose the layout).
+        # The gathered blocks shrink first, so finishing adds to less memory.
+        keep = ~stop
+        Hg, pred = Hg.compress(keep[sup.seg], axis=1), pred[keep[sup.seg]]
+        Wg = np.empty_like(Hg)
+        for i in np.flatnonzero(stop).tolist():
+            finish(i, int(act[i]), it, bool(done[i]))
+        if not keep.any():
             break
-
-    if enforce_col_sums:
-        target = M.col_sums()
-        approx_cols = W.sum(axis=0) @ H
-        H = H * (target / np.maximum(approx_cols, _TINY))[None, :]
-
-    pair = FactorPair(W, H)
-    row_res, col_res = sum_residual(M, pair)
-    return pair, ConvergenceReport(
-        iterations=iterations,
-        final_gkl=gkl(M, pair),
-        max_row_residual=row_res,
-        max_col_residual=col_res,
-        rank=k_eff,
-        converged=converged,
-        objective_history=history,
-        warnings=warnings,
-    )
+        act, last, Hsum = act[keep], last[keep], Hsum.compress(keep, axis=1)
+        W, H = W.compress(keep[sup.row_seg], axis=1), H.compress(keep[sup.col_seg], axis=1)
+        sup = _Support([mats[s] for s in act.tolist()])
+    return results

@@ -42,8 +42,39 @@ TRAIN_SCHEMA = {
             "type": "object",
             "required": [
                 "slices", "converged", "max_iterations", "max_final_gkl",
-                "max_row_residual", "max_col_residual",
+                "max_row_residual", "max_col_residual", "levels",
             ],
+            "properties": {
+                "levels": {
+                    "type": "array",
+                    "minItems": 1,
+                    "items": {
+                        "type": "object",
+                        "required": [
+                            "order", "step", "slices", "iterations_p50",
+                            "iterations_max", "converged", "max_row_residual",
+                        ],
+                        "additionalProperties": False,
+                        "properties": {
+                            "order": {"type": "integer", "minimum": 2},
+                            "step": {"type": "integer", "minimum": 1},
+                            "slices": {
+                                "type": "object",
+                                "required": ["exact", "rank1", "iterative"],
+                                "additionalProperties": False,
+                                "properties": {
+                                    kind: {"type": "integer", "minimum": 0}
+                                    for kind in ("exact", "rank1", "iterative")
+                                },
+                            },
+                            "iterations_p50": {"type": "number", "minimum": 0},
+                            "iterations_max": {"type": "integer", "minimum": 0},
+                            "converged": {"type": "integer", "minimum": 0},
+                            "max_row_residual": {"type": "number", "minimum": 0},
+                        },
+                    },
+                },
+            },
         },
     },
 }
@@ -163,6 +194,24 @@ class TestTrain:
         report = json.loads(capsys.readouterr().out)
         jsonschema.validate(report, TRAIN_SCHEMA)
         assert "convergence" in report  # iterative factorizations ran
+        conv = report["convergence"]
+        levels = conv["levels"]
+        assert sum(sum(lv["slices"].values()) for lv in levels) == conv["slices"]
+        assert max(lv["iterations_max"] for lv in levels) == conv["max_iterations"]
+        assert max(lv["max_row_residual"] for lv in levels) == conv["max_row_residual"]
+        for lv in levels:
+            assert lv["converged"] <= lv["slices"]["iterative"]
+            assert lv["iterations_p50"] <= lv["iterations_max"]
+
+    def test_verbose_prints_one_line_per_chain_step(self, ws, tmp_path, capsys):
+        out = tmp_path / "m.plre"
+        assert main(["train", "--corpus", str(ws["train"]), "--model", str(out),
+                     "--config", str(ws["root"] / "plre.cfg"), "--verbose"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        steps = [line for line in lines if line.startswith("  order ")]
+        model = load_model(str(out))
+        assert len(steps) == sum(len(lv.z_tables) for lv in model.levels.values())
+        assert all("iterative" in line and "row residual" in line for line in steps)
 
     def test_verbose_prints_timing(self, ws, tmp_path, capsys):
         out = tmp_path / "m.plre"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from plre.baselines import DiscountParams, NgramLM
+from plre.container import save_model
 from plre.corpus import CountTable, Vocabulary, adjusted_tables, count_ngrams
 from plre.ensemble import (
     OpCounter,
@@ -461,10 +462,14 @@ class TestDeterminism:
             for name in ("slices", "dims", "row_ids", "col_ids", "L", "R"):
                 assert np.array_equal(getattr(z1, name), getattr(z2, name))
 
-    def test_thread_count_does_not_change_results(self, toy_corpus, toy_top3):
+    def test_thread_count_does_not_change_results(self, toy_corpus, toy_top3, tmp_path):
         _, vocab, _ = toy_corpus
         m1 = build_plre(toy_top3, vocab, ranks={2: (3,), 3: (3,)}, seed=5, threads=1)
         m2 = build_plre(toy_top3, vocab, ranks={2: (3,), 3: (3,)}, seed=5, threads=4)
+        paths = [tmp_path / "t1.plre", tmp_path / "t4.plre"]
+        for model, path in zip((m1, m2), paths):
+            save_model(model, str(path))
+        assert paths[0].read_bytes() == paths[1].read_bytes()
         rng = np.random.default_rng(1)
         for _ in range(400):
             w = int(rng.integers(0, len(vocab)))

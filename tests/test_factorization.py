@@ -1,10 +1,14 @@
 """Generalized KL divergence and sum-preserving low-rank factorization."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
+from plre import factorization
+from plre.corpus import CountTable
+from plre.ensemble import compute_discounts, compute_z, power_counts
 from plre.errors import FactorizationError
 from plre.factorization import (
     FactorPair,
@@ -12,6 +16,7 @@ from plre.factorization import (
     best_rank1,
     gkl,
     nmf_gkl,
+    nmf_gkl_many,
     sum_residual,
 )
 
@@ -183,6 +188,85 @@ class TestNmfGkl:
         m = SparseMatrix(2, 2, {(0, 0): 1.0})
         with pytest.raises(ValueError):
             nmf_gkl(m, 0)
+
+
+def _batch_slices():
+    """Five slices for rank 3 at 60 iterations: the first converges at
+    iteration 38, the others stop at the cap."""
+    rng = np.random.default_rng(61)
+    mats = [_random_sparse(rng, r, c) for r, c in ((6, 5), (9, 7), (4, 8), (12, 10))]
+    mats.insert(1, SparseMatrix.from_dense(np.outer(rng.random(5) + 0.1, rng.random(4) + 0.1)))
+    return mats
+
+
+def _fingerprint(result):
+    pair, report = result
+    return (
+        pair.L.tobytes(),
+        pair.R.tobytes(),
+        report.iterations,
+        report.converged,
+        np.array(report.objective_history).tobytes(),
+        report.warnings,
+    )
+
+
+class TestNmfGklMany:
+    SOLVE = dict(max_iters=60, rel_tol=1e-6)
+
+    def test_batch_gives_the_bytes_of_each_slice_alone(self):
+        mats = _batch_slices()
+        seeds = list(range(len(mats)))
+        batch = nmf_gkl_many(mats, 3, seeds, **self.SOLVE)
+        alone = [nmf_gkl(m, 3, seed=s, **self.SOLVE) for m, s in zip(mats, seeds)]
+        iterations = [r.iterations for _, r in batch]
+        assert iterations[0] < 60 and batch[0][1].converged
+        assert 60 in iterations and not all(r.converged for _, r in batch)
+        for got, want in zip(batch, alone):
+            assert _fingerprint(got) == _fingerprint(want)
+
+    def test_group_split_and_threads_give_the_same_bytes(self, monkeypatch):
+        mats = _batch_slices()
+        seeds = list(range(len(mats)))
+        whole = [_fingerprint(r) for r in nmf_gkl_many(mats, 3, seeds, **self.SOLVE)]
+        monkeypatch.setattr(factorization, "GROUP_WORK", 1)
+        assert len(factorization._groups([m.nnz * 3 for m in mats], 1)) > 1
+        split = [_fingerprint(r) for r in nmf_gkl_many(mats, 3, seeds, **self.SOLVE)]
+        threaded = nmf_gkl_many(mats, 3, seeds, threads=3, **self.SOLVE)
+        assert split == whole
+        assert [_fingerprint(r) for r in threaded] == whole
+
+    def test_groups_respect_the_work_budget(self):
+        work = [5, 1 << 20, 1 << 20, 3, 1 << 22, 7]
+        groups = factorization._groups(work, 1)
+        assert [i for g in groups for i in g] == list(range(len(work)))
+        budget = max(factorization.GROUP_WORK, max(work))
+        assert all(sum(work[i] for i in g) <= budget for g in groups)
+        assert factorization._groups([], 1) == []
+
+    def test_non_finite_factor_names_its_slice(self):
+        mats = _batch_slices()[:3]
+        poisoned = dict(zip(zip(mats[1].ii.tolist(), mats[1].jj.tolist()), mats[1].vals))
+        poisoned[next(iter(poisoned))] = math.nan
+        mats[1] = SparseMatrix(mats[1].rows, mats[1].cols, poisoned)
+        with pytest.raises(FactorizationError, match="iteration 1 in second$"):
+            nmf_gkl_many(mats, 3, [0, 1, 2], names=["first", "second", "third"])
+
+    def test_compute_z_error_gives_order_step_and_interior(self):
+        # Two interiors (oldest word 0 and 1), each a full 4 x 4 slice.
+        table = CountTable(
+            3, {(w, h, x): 1 + w + h + x for w in range(4) for h in range(2) for x in range(4)}
+        )
+        base = power_counts(table, 1.0)
+        base.entries[(2, 1, 3)] = math.nan
+        spec = compute_discounts(base, 0.5, 0.0, level=1)
+        message = "non-finite factor values at iteration 1 in order 3, chain step 1, interior (1,)"
+        with pytest.raises(FactorizationError, match=re.escape(message)):
+            compute_z(base, spec, rank=2)
+
+    def test_rejects_mismatched_seeds(self):
+        with pytest.raises(ValueError):
+            nmf_gkl_many(_batch_slices(), 3, [0])
 
 
 class TestSumResidual:
