@@ -14,7 +14,6 @@ from .baselines import (
     NgramLM,
     count_of_counts,
     good_turing_discount,
-    make_base_distribution,
     mkn_discounts,
 )
 from .config import TrainConfig, load_config, parse_config
@@ -70,6 +69,7 @@ from .factorization import (
     nmf_gkl_many,
     sum_residual,
 )
+from .levels import make_base_distribution
 from .synthetic import synthesize_corpus
 
 __version__ = "0.1.0"

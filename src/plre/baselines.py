@@ -10,18 +10,20 @@ the discount schedule (zero for mle, one Good-Turing value for abs/kn, the
 Chen-Goodman triple for mkn).  gamma(h) carries exactly the discounted mass,
 so every smoother is a proper distribution; for a context with zero count the
 discounted term vanishes and gamma is 1 (fall through to the shorter
-history).
+history).  Each order is stored as a sorted-array level and scored by the
+walk PLRE uses (``levels.LevelModel``): a PLRE level with no intermediate
+powers holds exactly these quantities.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Tuple, Union
 
 import numpy as np
 
-from .corpus import CountTable, Key, Vocabulary, adjusted_tables
-from .errors import DataError
+from .corpus import CountTable, Vocabulary, adjusted_tables
+from .levels import Level, LevelModel, _strictly_increasing, context_starts
 
 SMOOTHERS = ("mle", "abs", "kn", "mkn")
 
@@ -83,42 +85,17 @@ class DiscountParams:
     def single(cls, d: float) -> "DiscountParams":
         return cls(d, d, d)
 
-    def for_count(self, c: int) -> float:
-        if c <= 1:
-            return self.d1
-        if c == 2:
-            return self.d2
-        return self.d3plus
+    def for_count(self, c) -> np.ndarray:
+        """The discount of each count in ``c``: d1, d2 or d3plus."""
+        return np.where(c <= 1, self.d1, np.where(c == 2, self.d2, self.d3plus))
 
 
-def make_base_distribution(
-    counts: np.ndarray, bos_id: int = Vocabulary.bos_id
-) -> np.ndarray:
-    """Normalize unigram numerator counts into the base distribution.
-
-    Types (other than bos) with a zero numerator — in practice an unk symbol
-    the training data never produced — get a uniform 1/V floor added before
-    normalizing, so the base is positive everywhere a prediction can be
-    asked for.  bos keeps probability zero: it is never a predicted token.
-    When nothing is floored the distribution is exactly counts/total, which
-    the marginal-preservation identities rely on.
-    """
-    numer = np.asarray(counts, dtype=np.float64).copy()
-    zero = numer == 0.0
-    zero[bos_id] = False
-    if zero.any():
-        numer[zero] = 1.0 / len(numer)
-    return numer / numer.sum()
-
-
-# Per-context numerator statistics: (total, n_count_1, n_count_2, n_count_3plus).
-ContextStats = Tuple[int, int, int, int]
-
-
-class NgramLM:
+class NgramLM(LevelModel):
     """Interpolated n-gram model for one of the SMOOTHERS kinds.
 
-    Immutable after build; queries are lock-free dict/array lookups.
+    Each order above 1 is a sorted-array level with one gamma row and no
+    low-rank tables, so queries go through the walk PLRE uses.  ``tables``
+    maps every order 1..n to a CountTable or to its ``arrays()``.
     """
 
     def __init__(
@@ -126,23 +103,22 @@ class NgramLM:
         vocab: Vocabulary,
         order: int,
         smoother: str,
-        tables: Dict[int, CountTable],
+        tables: Mapping[int, Union[CountTable, Tuple[np.ndarray, np.ndarray]]],
         discounts: Dict[int, DiscountParams],
     ):
         if smoother not in SMOOTHERS:
             raise ValueError(f"unknown smoother {smoother!r}")
-        self.vocab = vocab
-        self.order = order
-        self.smoother = smoother
-        self.tables = tables
-        self.discounts = discounts
-        self.stats: Dict[int, Dict[Key, ContextStats]] = {
-            k: _context_stats(tables[k]) for k in range(2, order + 1)
+        arrays = {
+            k: t.arrays() if isinstance(t, CountTable) else t for k, t in tables.items()
         }
-        self.base_counts = np.zeros(len(vocab), dtype=np.int64)
-        for (w,), c in tables[1].entries.items():
-            self.base_counts[w] = c
-        self.base = make_base_distribution(self.base_counts)
+        levels = {k: _level(k, *arrays[k], discounts[k]) for k in range(2, order + 1)}
+        words, counts = arrays[1]
+        _strictly_increasing(words[:, 0], "order 1 keys")
+        base_counts = np.zeros(len(vocab), dtype=np.int64)
+        base_counts[words[:, 0]] = counts
+        super().__init__(vocab, order, levels, base_counts)
+        self.smoother = smoother
+        self.discounts = discounts
 
     @classmethod
     def build(
@@ -176,66 +152,15 @@ class NgramLM:
                 discounts[k] = DiscountParams.single(good_turing_discount(n1, n2))
         return cls(vocab, order, smoother, tables, discounts)
 
-    def prob(self, w: int, context: Sequence[int]) -> float:
-        """P(w | context) with context ordered most-recent-first.
 
-        Contexts longer than order-1 are truncated to the most recent words.
-        """
-        return self._prob(w, tuple(context)[: self.order - 1])
-
-    def score(self, words, contexts) -> np.ndarray:
-        """prob() for a batch of words and their context rows."""
-        rows = np.asarray(contexts)[:, : self.order - 1].tolist()
-        pairs = zip(np.asarray(words).tolist(), rows)
-        return np.array([self._prob(w, tuple(h)) for w, h in pairs], dtype=np.float64)
-
-    def _prob(self, w: int, context: Key) -> float:
-        if not context:
-            return float(self.base[w])
-        k = len(context) + 1
-        st = self.stats[k].get(context)
-        if st is None:
-            # Unseen context: gamma = 1, nothing discounted at this order.
-            return self._prob(w, context[:-1])
-        total, n1, n2, n3p = st
-        dp = self.discounts[k]
-        c = self.tables[k].entries.get((w,) + context, 0)
-        num = max(c - dp.for_count(c), 0.0) if c else 0.0
-        gamma = (dp.d1 * n1 + dp.d2 * n2 + dp.d3plus * n3p) / total
-        return num / total + gamma * self._prob(w, context[:-1])
-
-    def dist(self, context: Sequence[int]) -> np.ndarray:
-        """Full conditional distribution over the vocabulary (for sweeps)."""
-        return self._dist(tuple(context)[: self.order - 1])
-
-    def _dist(self, context: Key) -> np.ndarray:
-        if not context:
-            return self.base.copy()
-        k = len(context) + 1
-        st = self.stats[k].get(context)
-        if st is None:
-            return self._dist(context[:-1])
-        total, n1, n2, n3p = st
-        dp = self.discounts[k]
-        gamma = (dp.d1 * n1 + dp.d2 * n2 + dp.d3plus * n3p) / total
-        vec = gamma * self._dist(context[:-1])
-        for word, c in self.tables[k].by_context()[context]:
-            vec[word] += max(c - dp.for_count(c), 0.0) / total
-        return vec
-
-
-def _context_stats(table: CountTable) -> Dict[Key, ContextStats]:
-    stats: Dict[Key, ContextStats] = {}
-    for context, members in table.by_context().items():
-        total = 0
-        n1 = n2 = n3p = 0
-        for _, c in members:
-            total += c
-            if c == 1:
-                n1 += 1
-            elif c == 2:
-                n2 += 1
-            else:
-                n3p += 1
-        stats[context] = (total, n1, n2, n3p)
-    return stats
+def _level(order: int, keys: np.ndarray, counts: np.ndarray, dp: DiscountParams) -> Level:
+    """One order as a level: numerators max(c - D(c), 0) and the gamma row
+    (D1 N1(h) + D2 N2(h) + D3+ N3+(h)) / c(h), with D(c) picked per count."""
+    starts = context_starts(keys)[:-1]
+    n1, n2, n3p = (
+        np.add.reduceat(kind.astype(np.int64), starts)
+        for kind in (counts <= 1, counts == 2, counts > 2)
+    )
+    gamma = (dp.d1 * n1 + dp.d2 * n2 + dp.d3plus * n3p) / np.add.reduceat(counts, starts)
+    top = np.maximum(counts - dp.for_count(counts), 0.0)
+    return Level(order, keys, counts, top, gamma[None], [])

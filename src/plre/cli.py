@@ -35,7 +35,6 @@ from .container import load_model, save_model
 from .corpus import (
     CountTable,
     Vocabulary,
-    adjusted_tables,
     build_vocabulary,
     count_all_orders,
     count_ngrams,
@@ -337,11 +336,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _observed_contexts(model, length: int) -> List[Tuple[int, ...]]:
-    if length == 0:
-        return [()]
-    if isinstance(model, PlreModel):
-        return sorted(model.levels[length + 1].context_totals)
-    return sorted(model.stats[length + 1])
+    return sorted(model.levels[length + 1].context_totals) if length else [()]
 
 
 def _normalization_sweep(
@@ -369,15 +364,13 @@ def _kn_reduction_deviation(model: PlreModel, seed: int, n_queries: int = 2000) 
     """Max |PLRE - interpolated KN with D = d*| over sampled queries.
 
     Only meaningful when every level has no intermediate powers; the
-    reference model is rebuilt from the stored top-order table.
+    reference model is rebuilt from the stored count arrays.
     """
-    level = model.levels[model.order]
-    entries = dict(zip(map(tuple, level.keys.tolist()), level.counts.tolist()))
-    tables = adjusted_tables(CountTable(model.order, entries))
     discounts = {
         k: DiscountParams.single(model.dstars[k]) for k in range(2, model.order + 1)
     }
-    ref = NgramLM(model.vocab, model.order, "kn", tables, discounts)
+    ref = NgramLM(model.vocab, model.order, "kn", model.count_arrays(), discounts)
+    level = model.levels[model.order]
     rng = np.random.default_rng(seed)
     contexts = level.contexts[rng.integers(len(level.contexts), size=n_queries)]
     words = rng.integers(len(model.vocab), size=n_queries)

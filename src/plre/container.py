@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .baselines import DiscountParams, NgramLM
-from .corpus import CountTable, Vocabulary
+from .corpus import Vocabulary
 from .ensemble import LowRankCPT, PlreLevel, PlreModel
 from .errors import ContainerError, DataError
 
@@ -135,8 +135,7 @@ def save_model(model, path: str, config_echo: Optional[dict] = None) -> None:
         header["discounts"] = {
             str(k): [dp.d1, dp.d2, dp.d3plus] for k, dp in model.discounts.items()
         }
-        for k in sorted(model.tables):
-            keys, counts = model.tables[k].arrays()
+        for k, (keys, counts) in sorted(model.count_arrays().items()):
             header["entries"][str(k)] = len(keys)
             sections.append((f"counts.{k}", _bytes(keys, "<i4") + _bytes(counts, "<i8")))
 
@@ -250,12 +249,7 @@ def _read_slices(payloads: Dict[str, bytes], name: str, k: int, s: int, vsize: i
 
 def _load_baseline(header: dict, payloads: Dict[str, bytes], vocab: Vocabulary) -> NgramLM:
     order = int(header["order"])
-    tables = {}
-    for k in range(1, order + 1):
-        keys, counts = _read_counts(header, payloads, k, len(vocab))
-        tables[k] = CountTable(k, dict(zip(map(tuple, keys.tolist()), counts.tolist())))
-        if not np.array_equal(tables[k].arrays()[0], keys):
-            raise ContainerError(f"section counts.{k}: keys must be sorted and unique")
+    tables = {k: _read_counts(header, payloads, k, len(vocab)) for k in range(1, order + 1)}
     discounts = {
         int(k): DiscountParams(*map(float, v)) for k, v in header["discounts"].items()
     }

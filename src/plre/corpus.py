@@ -134,7 +134,7 @@ class CountTable:
     the type-count (adjusted) tables derived from them.
     """
 
-    __slots__ = ("order", "entries", "context_totals", "total", "_by_context")
+    __slots__ = ("order", "entries", "context_totals", "total")
 
     def __init__(self, order: int, entries: Dict[Key, int]):
         self.order = order
@@ -144,7 +144,6 @@ class CountTable:
             self.context_totals[key[1:]] += c
         self.context_totals = dict(self.context_totals)
         self.total = sum(self.context_totals.values())
-        self._by_context = None
 
     def arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """(keys as an n x order id array, counts), sorted by context then
@@ -155,19 +154,6 @@ class CountTable:
         # Sort by context (most recent word first), then predicted word.
         perm = np.lexsort([keys[:, c] for c in [0] + list(range(self.order - 1, 0, -1))])
         return keys[perm], counts[perm]
-
-    def by_context(self) -> Dict[Key, List[Tuple[int, int]]]:
-        """Entries grouped by context: context -> [(word, count), ...].
-
-        Built lazily and cached; group members appear in insertion order of
-        the underlying dict, which is deterministic for a given corpus.
-        """
-        if self._by_context is None:
-            grouped: Dict[Key, List[Tuple[int, int]]] = defaultdict(list)
-            for key, c in self.entries.items():
-                grouped[key[1:]].append((key[0], c))
-            self._by_context = dict(grouped)
-        return self._by_context
 
 
 def count_ngrams(

@@ -28,24 +28,19 @@ NMF), and the adjusted tables are derived recursively from support, so the
 discounted mass a level releases is exactly the mass the next level's table
 normalizes over.
 
-Each level is one sorted-array table (the layout of KenLM, Heafield, WMT
-2011), and one vectorized walk, ``PlreModel.score``, answers every query.
+Each level is one sorted-array table, and the walk that answers every
+query is the one all models share (``levels.LevelModel.score``).
 """
 
 from __future__ import annotations
 
 import math
-from collections import abc
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
-from .baselines import (
-    count_of_counts,
-    good_turing_discount,
-    make_base_distribution,
-)
+from .baselines import count_of_counts, good_turing_discount
 from .corpus import CountTable, Key, Vocabulary, adjusted_tables
 from .errors import ConfigError, FactorizationError
 from .factorization import (
@@ -56,15 +51,7 @@ from .factorization import (
     nmf_gkl_many,
     sum_residual,
 )
-
-
-class OpCounter:
-    """Counts multiply-adds spent in low-rank lookups (query-cost probe)."""
-
-    __slots__ = ("muladds",)
-
-    def __init__(self):
-        self.muladds = 0
+from .levels import Level, LevelModel, OpCounter, _find, _segments, _strictly_increasing
 
 
 class PoweredCounts:
@@ -138,24 +125,6 @@ def compute_discounts(
         h: dstar * next_sums[h] / s for h, s in base.context_sums.items()
     }
     return DiscountSpec(level, base.power, next_power, dstar, gamma)
-
-
-def _segments(sizes: np.ndarray) -> np.ndarray:
-    """CSR offsets of consecutive runs with the given sizes."""
-    return np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
-
-
-def _find(table: np.ndarray, codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(position, found) of each code in a strictly increasing code table."""
-    if len(table) == 0:
-        return np.zeros(len(codes), dtype=np.int64), np.zeros(len(codes), dtype=bool)
-    pos = np.minimum(np.searchsorted(table, codes), len(table) - 1)
-    return pos, table[pos] == codes
-
-
-def _strictly_increasing(codes: np.ndarray, what: str) -> None:
-    if np.any(codes[1:] <= codes[:-1]):
-        raise ValueError(f"{what} must be sorted and unique")
 
 
 @dataclass(eq=False)
@@ -320,9 +289,9 @@ def compute_z(
     slice_entries: Dict[Key, Dict[Tuple[int, int], float]] = {}
     for key, powered in base.entries.items():
         v = powered - spec.discount(base.source.entries[key])
-        if v < -1e-9 * max(1.0, powered):
+        if not (math.isfinite(v) and v >= -1e-9 * max(1.0, powered)):
             raise FactorizationError(
-                f"negative discounted count {v} at {key}: discount bound broken"
+                f"negative or non-finite discounted count {v} at {key}: discount bound broken"
             )
         if v <= 0.0:
             continue
@@ -392,138 +361,25 @@ def derive_dstar(d_gt: float, eta: int) -> float:
     return d_gt ** (1.0 / (eta + 1))
 
 
-class ContextTotals(abc.Mapping):
-    """Read-only view of one level's context totals, keyed by context tuple."""
-
-    def __init__(self, level: "PlreLevel"):
-        self._level = level
-
-    def __len__(self) -> int:
-        return len(self._level.totals)
-
-    def __iter__(self) -> Iterator[Key]:
-        return map(tuple, self._level.contexts.tolist())
-
-    def __getitem__(self, context: Key) -> int:
-        level = self._level
-        if len(context) != level.order - 1:
-            raise KeyError(context)
-        idx, found = level.find(np.asarray([context], dtype=np.int64))[-1]
-        if not found[0]:
-            raise KeyError(context)
-        return int(level.totals[idx[0]])
-
-
 @dataclass(eq=False)
-class PlreLevel:
-    """One order's stack as one sorted-array table.
+class PlreLevel(Level):
+    """One order's stack: a level whose chain steps each discount by
+    ``dstar``, with one low-rank table per intermediate power in ``powers``."""
 
-    ``keys`` (n x order, most-recent-first) are sorted by context, then
-    word, and carry ``counts`` and the sparse term's ``top`` numerators.
-    Context c, derived from the keys, owns entries ``ctx_start[c]:
-    ctx_start[c+1]``; ``totals``, ``gammas`` rows and each low-rank table's
-    ``denominators`` are aligned with the contexts.  A context is coded as
-    its parent's index one order lower times V plus its oldest word.
-    """
-
-    order: int
     dstar: float
     powers: Tuple[float, ...]
-    keys: np.ndarray
-    counts: np.ndarray
-    top: np.ndarray
-    gammas: np.ndarray
-    z_tables: List[LowRankCPT]
 
     def __post_init__(self):
-        self.keys = self.keys.astype(np.int64)  # as LowRankCPT's ids
-        n, k, eta = len(self.keys), self.order, len(self.powers)
-        shapes = (self.keys.shape, self.counts.shape, self.top.shape)
-        if n == 0 or shapes != ((n, k), (n,), (n,)):
-            raise ValueError(f"order {k}: table arrays disagree in length")
-        change = np.flatnonzero(np.any(self.keys[1:, 1:] != self.keys[:-1, 1:], axis=1)) + 1
-        self.ctx_start = np.concatenate(([0], change, [n])).astype(np.int64)
-        self.contexts = self.keys[self.ctx_start[:-1], 1:]
-        self.totals = np.add.reduceat(self.counts, self.ctx_start[:-1])
-        m = len(self.contexts)
-        if self.gammas.shape != (eta + 1, m) or len(self.z_tables) != eta or any(
-            z.denominators.shape != (m,) for z in self.z_tables
-        ):
-            raise ValueError(f"order {k}: gamma/z tables disagree with keys or power chain")
-        self.ctx_of_entry = np.repeat(np.arange(m), np.diff(self.ctx_start))
+        super().__post_init__()
+        if len(self.z_tables) != self.eta:
+            raise ValueError(f"order {self.order}: z tables disagree with the power chain")
 
     @property
     def eta(self) -> int:
         return len(self.powers)
 
-    @property
-    def context_totals(self) -> ContextTotals:
-        return ContextTotals(self)
 
-    def link(self, lower: Optional["PlreLevel"], vsize: int) -> None:
-        """Index this level through the level one order lower (None at
-        order 2, whose contexts all extend the empty context)."""
-        self.lower = lower
-        self.vsize = vsize
-
-        def parents(interiors: np.ndarray) -> np.ndarray:
-            if lower is None:
-                return np.zeros(len(interiors), dtype=np.int64)
-            idx, found = lower.find(interiors)[-1]
-            if not found.all():
-                raise ValueError(f"order {self.order}: a context has no lower-order parent")
-            return idx
-
-        ctx_parent = parents(self.contexts[:, :-1])
-        self.ctx_code = ctx_parent * vsize + self.contexts[:, -1]
-        _strictly_increasing(self.ctx_code, f"order {self.order} contexts")
-        self.entry_code = self.ctx_of_entry * vsize + self.keys[:, 0]
-        _strictly_increasing(self.entry_code, f"order {self.order} keys")
-        for z in self.z_tables:
-            z.link(parents(z.slices), ctx_parent, self.contexts[:, -1], vsize)
-
-    def find(self, contexts: np.ndarray) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """(index, found) of the rows of ``contexts`` (n x order-1) and of
-        their prefixes, one per order from the empty context up to this one."""
-        n = len(contexts)
-        root = [(np.zeros(n, dtype=np.int64), np.ones(n, dtype=bool))]
-        chain = self.lower.find(contexts[:, :-1]) if self.lower else root
-        parent, found = chain[-1]
-        oldest = contexts[:, -1]
-        pos, hit = _find(self.ctx_code, parent * self.vsize + oldest)
-        return chain + [(pos, hit & found & (oldest >= 0) & (oldest < self.vsize))]
-
-    def terms(
-        self, ctx: np.ndarray, words: np.ndarray, counter: Optional[OpCounter] = None
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """(level value, gamma hand-off) for a batch of words after the
-        level's contexts ``ctx``."""
-        pos, hit = _find(self.entry_code, ctx * self.vsize + words)
-        value = np.where(hit, self.top[pos], 0.0) / self.totals[ctx]
-        g = self.gammas[0, ctx]
-        for j, z in enumerate(self.z_tables):
-            value += g * z.values(ctx, words, counter)
-            g = g * self.gammas[j + 1, ctx]
-        return value, g
-
-    def column(self, ctx: int) -> Tuple[np.ndarray, float]:
-        """(level value over the vocabulary, gamma hand-off) for one of the
-        level's contexts: its CSR row and one factor block per chain step."""
-        lo, hi = self.ctx_start[ctx : ctx + 2].tolist()
-        vec = np.zeros(self.vsize)
-        vec[self.keys[lo:hi, 0]] = self.top[lo:hi] / self.totals[ctx]
-        gammas = self.gammas[:, ctx].tolist()
-        g = gammas[0]
-        for j, z in enumerate(self.z_tables):
-            s = int(z.ctx_slice[ctx])
-            if s >= 0:
-                rows, _, L, R = z.factors(s)
-                vec[rows] += (g / z.denominators[ctx]) * (L @ R[:, z.ctx_col[ctx]])
-            g *= gammas[j + 1]
-        return vec, g
-
-
-class PlreModel:
+class PlreModel(LevelModel):
     """Assembled ensemble: levels for orders n..2 plus the unigram base."""
 
     def __init__(
@@ -537,75 +393,12 @@ class PlreModel:
         seed: int,
         warnings: Optional[List[str]] = None,
     ):
-        self.vocab = vocab
-        self.order = order
-        self.levels = levels
-        self.base_counts = np.asarray(base_counts, dtype=np.int64)
-        self.base = make_base_distribution(self.base_counts)
+        super().__init__(vocab, order, levels, base_counts)
         self.dstars = dstars
         self.resolved_ranks = resolved_ranks
         self.seed = seed
         self.warnings = warnings or []
         self.smoother = "plre"
-        lower = None
-        for k in range(2, order + 1):
-            levels[k].link(lower, len(vocab))
-            lower = levels[k]
-
-    def _lookup(self, contexts: np.ndarray) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Every level's lookup of the context rows; entry k-1 is order k's."""
-        c = contexts.shape[1]
-        return self.levels[c + 1].find(contexts) if c else []
-
-    def score(
-        self, words, contexts, counter: Optional[OpCounter] = None
-    ) -> np.ndarray:
-        """P(w | h) for a batch: ``words`` (n,) and ``contexts`` (n x c,
-        most recent word first, truncated to order-1).
-
-        Contexts are found level by level from the shortest; then each
-        level, from the longest context down, adds its value weighted by the
-        hand-offs above it, and the base distribution takes what is left.
-        A context a level does not hold adds nothing and hands off with
-        multiplier 1.  Low-rank multiply-adds are added to ``counter``.
-        """
-        words = np.asarray(words, dtype=np.int64)
-        contexts = np.asarray(contexts, dtype=np.int64)[:, : self.order - 1]
-        found = self._lookup(contexts)
-        acc = np.zeros(len(words))
-        mult = np.ones(len(words))
-        for k in range(contexts.shape[1] + 1, 1, -1):
-            ctx, ok = found[k - 1]
-            value, g = self.levels[k].terms(ctx[ok], words[ok], counter)
-            acc[ok] += mult[ok] * value
-            mult[ok] *= g
-        return acc + mult * self.base[words]
-
-    def prob(
-        self, w: int, context: Sequence[int] = (), counter: Optional[OpCounter] = None
-    ) -> float:
-        """P(w | context), context most-recent-first, truncated to order-1."""
-        return float(self.score([w], [tuple(context)], counter)[0])
-
-    def query_cost(self, w: int, context: Sequence[int]) -> int:
-        """Multiply-adds a prob() call spends in low-rank lookups."""
-        counter = OpCounter()
-        self.prob(w, context, counter)
-        return counter.muladds
-
-    def dist(self, context: Sequence[int] = ()) -> np.ndarray:
-        """Conditional distribution over the whole vocabulary."""
-        contexts = np.asarray([tuple(context)], dtype=np.int64)[:, : self.order - 1]
-        found = self._lookup(contexts)
-        acc = np.zeros(len(self.vocab))
-        mult = 1.0
-        for k in range(contexts.shape[1] + 1, 1, -1):
-            ctx, ok = found[k - 1]
-            if ok[0]:
-                vec, g = self.levels[k].column(int(ctx[0]))
-                acc += mult * vec
-                mult *= g
-        return acc + mult * self.base
 
     def check_discount_bounds(self) -> float:
         """Max violation of 0 <= D_j(w,h) <= c̃(w,h)^rho_j over everything."""

@@ -48,8 +48,8 @@ class SparseMatrix:
             raise ValueError("dimensions must be >= 1")
         items = [(i, j, float(v)) for (i, j), v in entries.items() if v != 0.0]
         for i, j, v in items:
-            if v < 0.0:
-                raise ValueError(f"negative entry at ({i}, {j}): {v}")
+            if not (math.isfinite(v) and v > 0.0):
+                raise ValueError(f"negative or non-finite entry at ({i}, {j}): {v}")
             if not (0 <= i < rows and 0 <= j < cols):
                 raise ValueError(f"entry ({i}, {j}) outside {rows}x{cols}")
         items.sort()
@@ -104,8 +104,8 @@ class FactorPair:
         R = np.ascontiguousarray(R, dtype=np.float64)
         if L.ndim != 2 or R.ndim != 2 or L.shape[1] != R.shape[0]:
             raise ValueError(f"incompatible factor shapes {L.shape} x {R.shape}")
-        if (L < 0).any() or (R < 0).any():
-            raise ValueError("factors must be nonnegative")
+        if not (np.all(np.isfinite(L) & (L >= 0)) and np.all(np.isfinite(R) & (R >= 0))):
+            raise ValueError("factors must be finite and nonnegative")
         L.setflags(write=False)
         R.setflags(write=False)
         self.L = L

@@ -208,10 +208,7 @@ def test_every_smoother_normalizes_over_observed_and_unseen_contexts():
         for model in models:
             observed = set()
             for k in range(2, order + 1):
-                if hasattr(model, "levels"):
-                    observed.update(model.levels[k].context_totals)
-                else:
-                    observed.update(model.tables[k].context_totals)
+                observed.update(model.levels[k].context_totals)
             contexts = [()] + sorted(observed)
             rng = np.random.default_rng(1000 * order + checked)
             added = 0

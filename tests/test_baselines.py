@@ -8,7 +8,6 @@ from plre.baselines import (
     NgramLM,
     count_of_counts,
     good_turing_discount,
-    make_base_distribution,
     mkn_discounts,
 )
 from plre.corpus import (
@@ -18,6 +17,7 @@ from plre.corpus import (
     count_all_orders,
     count_ngrams,
 )
+from plre.levels import make_base_distribution
 from plre.synthetic import synthesize_corpus
 
 from conftest import RefInterpolatedLM
@@ -136,7 +136,7 @@ class TestAbsoluteDiscounting:
     def test_unseen_context_passes_through_exactly(self, toy_corpus):
         _, vocab, enc = toy_corpus
         lm = NgramLM.build(vocab, count_all_orders(enc, 3), "abs")
-        seen = set(lm.tables[3].context_totals)
+        seen = set(lm.levels[3].context_totals)
         ctx = next(
             (a, b)
             for a in range(3, 40)
@@ -148,17 +148,17 @@ class TestAbsoluteDiscounting:
 
 
 class TestKneserNey:
-    def test_unigram_is_normalized_continuation_count(self, toy_kn3):
+    def test_unigram_is_normalized_continuation_count(self, toy_kn3, toy_top3):
         lm = toy_kn3
-        ones = lm.tables[1]
+        ones = adjusted_tables(toy_top3)[1]
         for (w,), c in list(ones.entries.items())[:50]:
             assert lm.prob(w, ()) == pytest.approx(c / ones.total, abs=1e-15)
 
-    def test_conditionals_sum_to_one(self, toy_kn3):
+    def test_conditionals_sum_to_one(self, toy_kn3, toy_top3):
         lm = toy_kn3
         vsize = len(lm.vocab)
         contexts = [(), (5,), (5, 7), (9999, 3)]
-        contexts += list(lm.tables[3].context_totals)[:10]
+        contexts += list(toy_top3.context_totals)[:10]
         for ctx in contexts:
             total = sum(lm.prob(w, ctx) for w in range(vsize))
             assert total == pytest.approx(1.0, abs=1e-10)
@@ -167,8 +167,8 @@ class TestKneserNey:
         # sum_v c(v) * P(w|v) should reproduce w's raw frequency: the
         # discounted mass D*N(v) re-enters through the continuation base
         sents, vocab, enc = tiny_setup
-        lm = NgramLM.build(vocab, {2: count_ngrams(enc, 2)}, "kn")
-        bigrams = lm.tables[2]
+        bigrams = count_ngrams(enc, 2)
+        lm = NgramLM.build(vocab, {2: bigrams}, "kn")
         predicted = {}
         for (w, _), c in bigrams.entries.items():
             predicted[w] = predicted.get(w, 0) + c
@@ -210,10 +210,10 @@ class TestModifiedKneserNey:
             ctx = tuple(int(x) for x in rng.integers(0, len(vocab), size=2))
             assert mkn.prob(w, ctx) == kn.prob(w, ctx)
 
-    def test_conditionals_sum_to_one(self, toy_mkn3):
+    def test_conditionals_sum_to_one(self, toy_mkn3, toy_top3):
         lm = toy_mkn3
         vsize = len(lm.vocab)
-        for ctx in [(), (4,)] + list(lm.tables[3].context_totals)[:8]:
+        for ctx in [(), (4,)] + list(toy_top3.context_totals)[:8]:
             total = sum(lm.prob(w, ctx) for w in range(vsize))
             assert total == pytest.approx(1.0, abs=1e-10)
 
@@ -244,16 +244,16 @@ class TestModelAssembly:
             raw = count_all_orders(enc, order)
             for smoother in ("mle", "abs", "kn", "mkn"):
                 lm = NgramLM.build(vocab, raw, smoother)
-                seen = list(lm.tables[order].context_totals)
+                seen = list(raw[order].context_totals)
                 picks = [seen[int(i)] for i in rng.integers(0, len(seen), size=5)]
                 picks.append(tuple(int(x) for x in rng.integers(0, len(vocab), size=order - 1)))
                 for ctx in picks:
                     total = float(lm.dist(ctx).sum())
                     assert total == pytest.approx(1.0, abs=1e-8), (smoother, order)
 
-    def test_dist_agrees_with_prob(self, toy_mkn3):
+    def test_dist_agrees_with_prob(self, toy_mkn3, toy_top3):
         lm = toy_mkn3
-        ctx = next(iter(lm.tables[3].context_totals))
+        ctx = next(iter(toy_top3.context_totals))
         vec = lm.dist(ctx)
         for w in range(0, len(lm.vocab), 37):
             assert vec[w] == pytest.approx(lm.prob(w, ctx), abs=1e-14)

@@ -110,12 +110,16 @@ class TestRoundTrip:
             save_model(model, str(p2))
             assert p1.read_bytes() == p2.read_bytes()
 
-    def test_resaving_a_loaded_model_is_identical(self, toy_plre3, tmp_path):
-        p1 = tmp_path / "a.plre"
-        p2 = tmp_path / "b.plre"
-        save_model(toy_plre3, str(p1))
-        save_model(load_model(str(p1)), str(p2))
-        assert p1.read_bytes() == p2.read_bytes()
+    def test_resaving_a_loaded_model_is_identical(self, toy_plre3, toy_corpus, tmp_path):
+        _, vocab, enc = toy_corpus
+        raw = count_all_orders(enc, 3)
+        models = [toy_plre3] + [NgramLM.build(vocab, raw, s) for s in ("mle", "abs", "kn", "mkn")]
+        for model in models:
+            p1 = tmp_path / f"{model.smoother}-a.plre"
+            p2 = tmp_path / f"{model.smoother}-b.plre"
+            save_model(model, str(p1))
+            save_model(load_model(str(p1)), str(p2))
+            assert p1.read_bytes() == p2.read_bytes(), model.smoother
 
     def test_toy_model_stays_small(self, toy_kn3, tmp_path):
         path = tmp_path / "kn.plre"
@@ -196,6 +200,26 @@ class TestCorruption:
         path.write_bytes(b"")
         with pytest.raises(ContainerError):
             load_model(str(path))
+
+
+class TestBaselineKeyOrder:
+    @pytest.mark.parametrize("name", ["counts.1", "counts.2", "counts.3"])
+    @pytest.mark.parametrize("edit", ["swap", "duplicate"])
+    def test_unsorted_or_duplicate_keys_exit_6(self, toy_kn3, name, edit, tmp_path, capsys):
+        path = tmp_path / "kn.plre"
+        save_model(toy_kn3, str(path))
+        blob = path.read_bytes()
+        header, sections = _split(blob)
+        payload = next(sec for sec in sections if sec[0] == name)[1]
+        k = int(name.split(".")[1])
+        n = header["entries"][str(k)]
+        keys = np.frombuffer(bytes(payload), "<i4", count=n * k).reshape(n, k).copy()
+        keys[[0, 1]] = keys[[1, 0]] if edit == "swap" else keys[[0, 0]]
+        payload[: 4 * n * k] = keys.tobytes()
+        path.write_bytes(_join(blob, header, sections, rehash=True))
+        with pytest.raises(ContainerError, match="sorted and unique"):
+            load_model(str(path))
+        assert main(["verify", "--model", str(path)]) == 6
 
 
 class TestSectionChecks:

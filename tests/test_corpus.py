@@ -116,8 +116,11 @@ class TestCounting:
         vocab = build_vocabulary(sents, 1)
         enc = [vocab.encode(s) for s in sents]
         table = count_ngrams(enc, 3)
-        for ctx, members in table.by_context().items():
-            assert table.context_totals[ctx] == sum(c for _, c in members)
+        keys, counts = table.arrays()
+        # arrays() sorts by context, so each context's entries form one run.
+        cuts = np.flatnonzero(np.any(keys[1:, 1:] != keys[:-1, 1:], axis=1)) + 1
+        for contexts, members in zip(np.split(keys[:, 1:], cuts), np.split(counts, cuts)):
+            assert table.context_totals[tuple(contexts[0].tolist())] == members.sum()
         assert sum(table.context_totals.values()) == table.total
 
     def test_count_all_orders_spans_one_through_n(self):

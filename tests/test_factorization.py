@@ -211,6 +211,15 @@ def _fingerprint(result):
     )
 
 
+def _two_interiors():
+    """Powered counts of an order-3 table with two interiors (oldest word 0
+    and 1), each a full 4 x 4 slice."""
+    table = CountTable(
+        3, {(w, h, x): 1 + w + h + x for w in range(4) for h in range(2) for x in range(4)}
+    )
+    return power_counts(table, 1.0)
+
+
 class TestNmfGklMany:
     SOLVE = dict(max_iters=60, rel_tol=1e-6)
 
@@ -244,29 +253,50 @@ class TestNmfGklMany:
         assert all(sum(work[i] for i in g) <= budget for g in groups)
         assert factorization._groups([], 1) == []
 
+    @pytest.mark.filterwarnings("ignore:overflow")
     def test_non_finite_factor_names_its_slice(self):
         mats = _batch_slices()[:3]
         poisoned = dict(zip(zip(mats[1].ii.tolist(), mats[1].jj.tolist()), mats[1].vals))
-        poisoned[next(iter(poisoned))] = math.nan
+        # A finite entry whose products overflow: SparseMatrix rejects NaN.
+        poisoned[next(iter(poisoned))] = 1.7e308
         mats[1] = SparseMatrix(mats[1].rows, mats[1].cols, poisoned)
         with pytest.raises(FactorizationError, match="iteration 1 in second$"):
             nmf_gkl_many(mats, 3, [0, 1, 2], names=["first", "second", "third"])
 
+    @pytest.mark.filterwarnings("ignore:overflow")
     def test_compute_z_error_gives_order_step_and_interior(self):
-        # Two interiors (oldest word 0 and 1), each a full 4 x 4 slice.
-        table = CountTable(
-            3, {(w, h, x): 1 + w + h + x for w in range(4) for h in range(2) for x in range(4)}
-        )
-        base = power_counts(table, 1.0)
-        base.entries[(2, 1, 3)] = math.nan
+        base = _two_interiors()
+        # Finite, so it passes compute_z's own check, but the solver overflows.
+        base.entries[(2, 1, 3)] = 1.7e308
         spec = compute_discounts(base, 0.5, 0.0, level=1)
         message = "non-finite factor values at iteration 1 in order 3, chain step 1, interior (1,)"
         with pytest.raises(FactorizationError, match=re.escape(message)):
             compute_z(base, spec, rank=2)
 
+    @pytest.mark.parametrize("rank", [1, 4])
+    def test_nan_count_is_rejected_off_the_solver(self, rank):
+        # Rank 1 takes the closed form and rank 4 covers the 4 x 4 slices
+        # (exact copy), so no solver sees the NaN: compute_z must refuse it
+        # rather than store NaN factors.
+        base = _two_interiors()
+        base.entries[(2, 1, 3)] = math.nan
+        spec = compute_discounts(base, 0.5, 0.0, level=1)
+        with pytest.raises(FactorizationError, match="non-finite discounted count nan"):
+            compute_z(base, spec, rank=rank)
+
     def test_rejects_mismatched_seeds(self):
         with pytest.raises(ValueError):
             nmf_gkl_many(_batch_slices(), 3, [0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_matrices_and_factors_reject_non_finite_values(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        SparseMatrix(2, 2, {(0, 0): 1.0, (1, 1): bad})
+    with pytest.raises(ValueError, match="finite"):
+        FactorPair(np.array([[1.0], [bad]]), np.ones((1, 2)))
+    with pytest.raises(ValueError, match="finite"):
+        FactorPair(np.ones((2, 1)), np.array([[bad, 1.0]]))
 
 
 class TestSumResidual:
