@@ -26,8 +26,6 @@ from .corpus import (
     Vocabulary,
     adjusted_tables,
     build_vocabulary,
-    continuation_counts,
-    continuation_table,
     count_all_orders,
     count_ngrams,
     read_sentences,
@@ -37,7 +35,6 @@ from .ensemble import (
     OpCounter,
     PlreLevel,
     PlreModel,
-    PoweredCounts,
     build_plre,
     compute_discounts,
     compute_z,
@@ -95,7 +92,6 @@ __all__ = [
     "PlreError",
     "PlreLevel",
     "PlreModel",
-    "PoweredCounts",
     "SparseMatrix",
     "TrainConfig",
     "VerificationError",
@@ -107,8 +103,6 @@ __all__ = [
     "build_vocabulary",
     "compute_discounts",
     "compute_z",
-    "continuation_counts",
-    "continuation_table",
     "count_all_orders",
     "count_ngrams",
     "count_of_counts",

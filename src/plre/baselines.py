@@ -18,12 +18,12 @@ powers holds exactly these quantities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Tuple, Union
+from typing import Dict, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
-from .corpus import CountTable, Vocabulary, adjusted_tables
-from .levels import Level, LevelModel, _strictly_increasing, context_starts
+from .corpus import CountTable, Vocabulary, adjusted_tables, context_starts
+from .levels import Level, LevelModel, _strictly_increasing, timed
 
 SMOOTHERS = ("mle", "abs", "kn", "mkn")
 
@@ -58,13 +58,10 @@ def mkn_discounts(n1: int, n2: int, n3: int, n4: int) -> Tuple[float, float, flo
     )
 
 
-def count_of_counts(values: Iterable[int], max_k: int = 4) -> Tuple[int, ...]:
+def count_of_counts(counts: np.ndarray, max_k: int = 4) -> Tuple[int, ...]:
     """(n1, ..., n_max_k): how many entries occur exactly k times."""
-    out = [0] * max_k
-    for v in values:
-        if 1 <= v <= max_k:
-            out[v - 1] += 1
-    return tuple(out)
+    counts = np.clip(np.asarray(counts, dtype=np.int64), 0, max_k + 1)
+    return tuple(np.bincount(counts, minlength=max_k + 2)[1 : max_k + 1].tolist())
 
 
 @dataclass(frozen=True)
@@ -95,7 +92,7 @@ class NgramLM(LevelModel):
 
     Each order above 1 is a sorted-array level with one gamma row and no
     low-rank tables, so queries go through the walk PLRE uses.  ``tables``
-    maps every order 1..n to a CountTable or to its ``arrays()``.
+    maps every order 1..n to a CountTable or to its (keys, counts).
     """
 
     def __init__(
@@ -109,7 +106,7 @@ class NgramLM(LevelModel):
         if smoother not in SMOOTHERS:
             raise ValueError(f"unknown smoother {smoother!r}")
         arrays = {
-            k: t.arrays() if isinstance(t, CountTable) else t for k, t in tables.items()
+            k: (t.keys, t.counts) if isinstance(t, CountTable) else t for k, t in tables.items()
         }
         levels = {k: _level(k, *arrays[k], discounts[k]) for k in range(2, order + 1)}
         words, counts = arrays[1]
@@ -122,35 +119,42 @@ class NgramLM(LevelModel):
 
     @classmethod
     def build(
-        cls, vocab: Vocabulary, raw_tables: Dict[int, CountTable], smoother: str
+        cls,
+        vocab: Vocabulary,
+        raw_tables: Dict[int, CountTable],
+        smoother: str,
+        timings: Optional[Dict[str, float]] = None,
     ) -> "NgramLM":
         """Assemble a model from raw per-order count tables.
 
         kn/mkn replace every order below the top with distinct-extension
         type-count tables derived from the order above; mle/abs keep raw
         counts everywhere.  Discounts come from each order's own
-        counts-of-counts (mle: zero).
+        counts-of-counts (mle: zero).  Seconds per build stage are added
+        to ``timings`` (adjusted_tables, discounts).
         """
         order = max(raw_tables)
         if smoother in ("kn", "mkn"):
             # Everything below the top order is derived, so only the raw
             # top-order table is needed.
-            tables = adjusted_tables(raw_tables[order])
+            with timed(timings, "adjusted_tables"):
+                tables = adjusted_tables(raw_tables[order])
         else:
             if sorted(raw_tables) != list(range(1, order + 1)):
                 raise ValueError("raw_tables must cover orders 1..n")
             tables = dict(raw_tables)
-        discounts: Dict[int, DiscountParams] = {}
-        for k in range(2, order + 1):
-            if smoother == "mle":
-                discounts[k] = DiscountParams.single(0.0)
-                continue
-            n1, n2, n3, n4 = count_of_counts(tables[k].entries.values())
-            if smoother == "mkn":
-                discounts[k] = DiscountParams(*mkn_discounts(n1, n2, n3, n4))
-            else:
-                discounts[k] = DiscountParams.single(good_turing_discount(n1, n2))
-        return cls(vocab, order, smoother, tables, discounts)
+        with timed(timings, "discounts"):
+            discounts: Dict[int, DiscountParams] = {}
+            for k in range(2, order + 1):
+                if smoother == "mle":
+                    discounts[k] = DiscountParams.single(0.0)
+                    continue
+                n1, n2, n3, n4 = count_of_counts(tables[k].counts)
+                if smoother == "mkn":
+                    discounts[k] = DiscountParams(*mkn_discounts(n1, n2, n3, n4))
+                else:
+                    discounts[k] = DiscountParams.single(good_turing_discount(n1, n2))
+            return cls(vocab, order, smoother, tables, discounts)
 
 
 def _level(order: int, keys: np.ndarray, counts: np.ndarray, dp: DiscountParams) -> Level:

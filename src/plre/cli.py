@@ -56,8 +56,10 @@ from .errors import (
     VerificationError,
 )
 from .evaluation import order_sweep, perplexity
+from .levels import timed
 
 SMOOTHER_CHOICES = ("mle", "abs", "kn", "mkn", "plre")
+BUILD_STAGES = ("counting", "adjusted_tables", "discounts", "slices", "nmf")
 MARGINAL_ULPS = 1
 
 
@@ -172,7 +174,12 @@ def _load_cfg(args: argparse.Namespace, path: Optional[str]) -> TrainConfig:
     return cfg
 
 
-def _build_model(cfg: TrainConfig, vocab: Vocabulary, raw: Dict[int, CountTable]):
+def _build_model(
+    cfg: TrainConfig,
+    vocab: Vocabulary,
+    raw: Dict[int, CountTable],
+    timings: Optional[Dict[str, float]] = None,
+):
     if cfg.smoother == "plre":
         return build_plre(
             raw[cfg.order],
@@ -185,11 +192,12 @@ def _build_model(cfg: TrainConfig, vocab: Vocabulary, raw: Dict[int, CountTable]
             nmf_eps=cfg.nmf_eps,
             seed=cfg.seed,
             threads=cfg.threads,
+            timings=timings,
         )
     if cfg.smoother in ("kn", "mkn"):
-        return NgramLM.build(vocab, {cfg.order: raw[cfg.order]}, cfg.smoother)
+        return NgramLM.build(vocab, {cfg.order: raw[cfg.order]}, cfg.smoother, timings)
     return NgramLM.build(
-        vocab, {k: raw[k] for k in range(1, cfg.order + 1)}, cfg.smoother
+        vocab, {k: raw[k] for k in range(1, cfg.order + 1)}, cfg.smoother, timings
     )
 
 
@@ -241,25 +249,30 @@ def _emit(args: argparse.Namespace, report: dict, text_lines: List[str]) -> None
 
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _load_cfg(args, args.config)
+    stages: Dict[str, float] = dict.fromkeys(BUILD_STAGES, 0.0)
     t0 = time.perf_counter()
     sentences = read_sentences(args.corpus)
     vocab = build_vocabulary(sentences, cfg.unk_threshold)
     encoded = [vocab.encode(s) for s in sentences]
     tokens = sum(len(s) for s in sentences)
-    if cfg.smoother in ("mle", "abs"):
-        raw = count_all_orders(encoded, cfg.order)
-    else:
-        # kn/mkn/plre derive everything below the top order themselves.
-        raw = {cfg.order: count_ngrams(encoded, cfg.order)}
+    with timed(stages, "counting"):
+        if cfg.smoother in ("mle", "abs"):
+            raw = count_all_orders(encoded, cfg.order)
+        else:
+            # kn/mkn/plre derive everything below the top order themselves.
+            raw = {cfg.order: count_ngrams(encoded, cfg.order)}
     t1 = time.perf_counter()
-    model = _build_model(cfg, vocab, raw)
+    model = _build_model(cfg, vocab, raw, stages)
     t2 = time.perf_counter()
     save_model(model, args.model, config_echo=cfg.echo())
     t3 = time.perf_counter()
 
+    # "factorization" is the low-rank tables' part of "build".
     timing = {
         "counting": t1 - t0,
-        "factorization": t2 - t1,
+        "build": t2 - t1,
+        "factorization": stages["slices"] + stages["nmf"],
+        "stages": stages,
         "assembly": t3 - t2,
         "total": t3 - t0,
     }
@@ -286,8 +299,12 @@ def cmd_train(args: argparse.Namespace) -> int:
         print(f"warning: {w}", file=sys.stderr)
     if args.verbose:
         lines.append(
-            "timing: counting {counting:.2f}s, factorization {factorization:.2f}s, "
-            "assembly {assembly:.2f}s, total {total:.2f}s".format(**timing)
+            "timing: counting {counting:.3f}s, build {build:.3f}s, "
+            "assembly {assembly:.3f}s, total {total:.3f}s".format(**timing)
+        )
+        lines.append(
+            "  stages: counting {counting:.3f}s, adjusted tables {adjusted_tables:.3f}s, "
+            "discounts {discounts:.3f}s, slices {slices:.3f}s, nmf {nmf:.3f}s".format(**stages)
         )
         if conv is not None:
             lines.append(

@@ -1,10 +1,11 @@
-"""Corpus ingestion: vocabulary building, n-gram counting, continuation counts.
+"""Corpus ingestion: vocabulary building, n-gram counting, adjusted tables.
 
 Conventions used throughout the toolkit:
 
 * A sentence is a list of token ids; text input is one sentence per line,
   whitespace-tokenized, UTF-8.
-* N-gram keys are tuples ordered most-recent-word-first:
+* N-gram keys (rows of an id array; tuples in mapping views) are ordered
+  most-recent-word-first:
   ``(w_i, w_{i-1}, ..., w_{i-n+1})``.  The context of a key is ``key[1:]``,
   i.e. ``(w_{i-1}, ..., w_{i-n+1})``.
 * The order-k counter pads each sentence with ``k-1`` bos symbols and one
@@ -14,9 +15,10 @@ Conventions used throughout the toolkit:
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+import functools
+import itertools
+from collections import Counter, abc
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -125,35 +127,128 @@ def build_vocabulary(
     return Vocabulary(words, counts)
 
 
-class CountTable:
-    """Sparse counts for one n-gram order.
+def segments(sizes: np.ndarray) -> np.ndarray:
+    """CSR offsets of consecutive runs with the given sizes."""
+    return np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
 
-    ``entries`` maps most-recent-first keys to counts; ``context_totals``
-    maps ``key[1:]`` to the sum of counts over the predicted word, and
-    ``total`` is the grand total.  Values are ints for raw tables and for
-    the type-count (adjusted) tables derived from them.
+
+def offsets(sizes: np.ndarray) -> np.ndarray:
+    """Position of each element within its run, for runs of the given sizes."""
+    return np.arange(int(sizes.sum())) - np.repeat(segments(sizes)[:-1], sizes)
+
+
+def run_heads(rows: np.ndarray) -> np.ndarray:
+    """True at the first of each run of equal consecutive rows."""
+    heads = np.ones(len(rows), dtype=bool)
+    heads[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    return heads
+
+
+def _runs(rows: np.ndarray) -> np.ndarray:
+    """CSR offsets of the runs of equal consecutive rows."""
+    return np.append(np.flatnonzero(run_heads(rows)), len(rows))
+
+
+def context_starts(keys: np.ndarray) -> np.ndarray:
+    """CSR offsets of the runs of equal contexts (``keys[:, 1:]``) in keys
+    sorted by context."""
+    return _runs(keys[:, 1:])
+
+
+def _key_columns(order: int) -> List[int]:
+    """The columns keys sort by, most significant first: context, then word."""
+    return list(range(1, order)) + [0]
+
+
+def _count_rows(rows: np.ndarray, first: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """(distinct rows sorted by context then word, how often each occurs,
+    the smallest ``first`` among its occurrences), by one sort over the
+    columns: packing a row into one int64 code would overflow."""
+    perm = np.lexsort([rows[:, c] for c in reversed(_key_columns(rows.shape[1]))])
+    rows = rows[perm]
+    starts = _runs(rows)
+    return rows[starts[:-1]], np.diff(starts), np.minimum.reduceat(first[perm], starts[:-1])
+
+
+class RowMap(abc.Mapping):
+    """Read-only map from the rows of a sorted id array, as tuples, to values;
+    ``columns`` lists the sort columns, most significant first."""
+
+    def __init__(self, rows: np.ndarray, values: np.ndarray, columns: Sequence[int] = ()):
+        self._rows = rows
+        self._values = values
+        self._columns = list(columns) or list(range(rows.shape[1]))
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __iter__(self) -> Iterator[Key]:
+        return map(tuple, self._rows.tolist())
+
+    def __getitem__(self, key: Key):
+        if len(key) != self._rows.shape[1]:
+            raise KeyError(key)
+        lo, hi = 0, len(self._rows)
+        for c in self._columns:
+            col = self._rows[lo:hi, c]
+            lo, hi = lo + np.searchsorted(col, key[c]), lo + np.searchsorted(col, key[c], "right")
+            if lo == hi:
+                raise KeyError(key)
+        return self._values[lo].item()
+
+
+class CountTable:
+    """Counts for one n-gram order as sorted arrays.
+
+    ``keys`` (n x order, most-recent-first, int64) are sorted by context,
+    then predicted word, and carry ``counts``.  Context c owns entries
+    ``ctx_start[c]:ctx_start[c+1]`` and has ``totals[c]``.  ``first`` ranks
+    the entries by first occurrence in the corpus (a derived table's entry
+    by that of its first extension; by default, the table's own order).
+    ``entries`` and ``context_totals`` are read-only mapping views keyed by
+    tuples.
     """
 
-    __slots__ = ("order", "entries", "context_totals", "total")
-
-    def __init__(self, order: int, entries: Dict[Key, int]):
+    def __init__(self, order: int, keys: np.ndarray, counts: np.ndarray, first=None):
+        n = len(keys)
+        if n == 0 or keys.shape != (n, order) or counts.shape != (n,):
+            raise ValueError(f"order {order}: table arrays disagree in length")
         self.order = order
-        self.entries = entries
-        self.context_totals: Dict[Key, int] = defaultdict(int)
-        for key, c in entries.items():
-            self.context_totals[key[1:]] += c
-        self.context_totals = dict(self.context_totals)
-        self.total = sum(self.context_totals.values())
+        self.keys = keys.astype(np.int64, copy=False)
+        self.counts = counts.astype(np.int64, copy=False)
+        self.first = np.arange(n) if first is None else first
+        self.ctx_start = context_starts(self.keys)
+        self.contexts = self.keys[self.ctx_start[:-1], 1:]
+        self.totals = np.add.reduceat(self.counts, self.ctx_start[:-1])
+        self.ctx_of_entry = np.repeat(np.arange(len(self.contexts)), np.diff(self.ctx_start))
 
-    def arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(keys as an n x order id array, counts), sorted by context then
-        predicted word."""
-        n = len(self.entries)
-        keys = np.array(list(self.entries), dtype=np.int32).reshape(n, self.order)
-        counts = np.fromiter(self.entries.values(), dtype=np.int64, count=n)
-        # Sort by context (most recent word first), then predicted word.
-        perm = np.lexsort([keys[:, c] for c in [0] + list(range(self.order - 1, 0, -1))])
-        return keys[perm], counts[perm]
+    @property
+    def entries(self) -> RowMap:
+        return RowMap(self.keys, self.counts, _key_columns(self.order))
+
+    @property
+    def context_totals(self) -> RowMap:
+        return RowMap(self.contexts, self.totals)
+
+    @property
+    def total(self) -> int:
+        return int(self.counts.sum())
+
+    @functools.cached_property
+    def distinct_counts(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(the distinct counts, each entry's index among them)."""
+        return np.unique(self.counts, return_inverse=True)
+
+    @functools.cached_property
+    def _by_first(self) -> np.ndarray:
+        return np.argsort(self.first, kind="stable")
+
+    def context_sums(self, values: np.ndarray) -> np.ndarray:
+        """Per context, the sum of ``values`` (one per entry), added in
+        first-occurrence order: the order in which a dict filled while
+        counting would sum them, which fixes the rounding."""
+        by_first = self._by_first
+        return np.bincount(self.ctx_of_entry[by_first], values[by_first], len(self.contexts))
 
 
 def count_ngrams(
@@ -165,22 +260,26 @@ def count_ngrams(
     """Count order-``order`` n-grams over id sentences.
 
     Each sentence is padded with ``order-1`` bos ids and a single eos id;
-    keys are most-recent-word-first.
+    keys are most-recent-word-first.  The windows of the padded stream are
+    sorted, and each run of equal windows is one entry.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    entries: Dict[Key, int] = defaultdict(int)
-    pad = [bos_id] * (order - 1)
-    saw_any = False
-    for sent in sentences:
-        saw_any = True
-        padded = pad + list(sent) + [eos_id]
-        # Walk predicted positions; key = (w_i, w_{i-1}, ..., w_{i-order+1}).
-        for i in range(order - 1, len(padded)):
-            entries[tuple(padded[i - j] for j in range(order))] += 1
-    if not saw_any:
+    sentences = list(sentences)
+    if not sentences:
         raise EmptyCorpusError("no sentences to count")
-    return CountTable(order, dict(entries))
+    lens = np.fromiter(map(len, sentences), dtype=np.int64, count=len(sentences))
+    tokens = np.fromiter(
+        itertools.chain.from_iterable(sentences), dtype=np.int64, count=int(lens.sum())
+    )
+    starts = segments(lens + order)
+    stream = np.full(starts[-1], bos_id, dtype=np.int64)
+    stream[np.repeat(starts[:-1] + order - 1, lens) + offsets(lens)] = tokens
+    stream[starts[1:] - 1] = eos_id
+    body = np.repeat(starts[:-1] + order - 1, lens + 1) + offsets(lens + 1)
+    # Every position after the bos pad is predicted: key = (w_i, ..., w_{i-order+1}).
+    windows = np.stack([stream[body - j] for j in range(order)], axis=1)
+    return CountTable(order, *_count_rows(windows, np.arange(len(windows))))
 
 
 def count_all_orders(
@@ -196,51 +295,18 @@ def count_all_orders(
     }
 
 
-@dataclass
-class ContinuationCounts:
-    """Type counts derived from one table.
-
-    ``n_minus`` maps each (order-1)-gram ``key[:-1]`` to the number of
-    distinct one-word-older extensions it has in the table; ``n_plus`` maps
-    each context ``key[1:]`` to its number of distinct predicted words.
-    """
-
-    n_minus: Dict[Key, int]
-    n_plus: Dict[Key, int]
-
-
-def continuation_counts(table: CountTable) -> ContinuationCounts:
-    n_minus: Dict[Key, int] = defaultdict(int)
-    n_plus: Dict[Key, int] = defaultdict(int)
-    for key in table.entries:
-        n_minus[key[:-1]] += 1
-        n_plus[key[1:]] += 1
-    return ContinuationCounts(dict(n_minus), dict(n_plus))
-
-
-def continuation_table(table: CountTable) -> CountTable:
-    """Order-(k-1) table of distinct-older-extension type counts.
-
-    The value at key ``g`` is the number of distinct words ``x`` such that
-    ``g + (x,)`` is in ``table``.  Applying this repeatedly from the raw
-    top-order table down yields the adjusted count tables the smoothers use
-    below the top order.
-    """
-    if table.order < 2:
-        raise ValueError("cannot derive a lower order from a unigram table")
-    cont = continuation_counts(table)
-    return CountTable(table.order - 1, cont.n_minus)
-
-
 def adjusted_tables(top: CountTable) -> Dict[int, CountTable]:
     """Adjusted tables for all orders 1..top.order.
 
     Raw counts at the top order; each lower order is the type-count table of
-    the adjusted table one order above.
+    the adjusted table one order above: the value at key ``g`` is the number
+    of distinct words ``x`` such that ``g + (x,)`` is in that table, i.e.
+    the size of the run of ``g`` among its keys less their oldest word.
     """
     tables = {top.order: top}
     for k in range(top.order - 1, 0, -1):
-        tables[k] = continuation_table(tables[k + 1])
+        upper = tables[k + 1]
+        tables[k] = CountTable(k, *_count_rows(upper.keys[:, :-1], upper.first))
     return tables
 
 

@@ -36,95 +36,72 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .baselines import count_of_counts, good_turing_discount
-from .corpus import CountTable, Key, Vocabulary, adjusted_tables
+from .corpus import CountTable, Vocabulary, adjusted_tables, offsets, run_heads, segments
 from .errors import ConfigError, FactorizationError
-from .factorization import (
-    ConvergenceReport,
-    FactorPair,
-    SparseMatrix,
-    nmf_gkl,
-    nmf_gkl_many,
-    sum_residual,
-)
-from .levels import Level, LevelModel, OpCounter, _find, _segments, _strictly_increasing
+from .factorization import ConvergenceReport, SparseMatrix, nmf_gkl_many
+from .factorization import nmf_gkl  # noqa: F401  (not called here; bench/run.py traces it)
+from .levels import Level, LevelModel, OpCounter, _find, _strictly_increasing, timed
 
 
-class PoweredCounts:
-    """Element-wise power of a count table over its sparse support.
-
-    Zeros stay absent for every power (0^rho := 0, including rho = 0), so a
-    power-0 table is the binary support pattern and its context sums are the
-    distinct-continuation counts N+.
-    """
-
-    __slots__ = ("order", "power", "entries", "context_sums", "source")
-
-    def __init__(self, source: CountTable, power: float):
-        if not 0.0 <= power <= 1.0:
-            raise ValueError(f"power must be in [0, 1], got {power}")
-        self.source = source
-        self.order = source.order
-        self.power = power
-        if power == 1.0:
-            self.entries = {key: float(c) for key, c in source.entries.items()}
-        elif power == 0.0:
-            self.entries = {key: 1.0 for key in source.entries}
-        else:
-            self.entries = {key: c**power for key, c in source.entries.items()}
-        sums: Dict[Key, float] = {}
-        for key, v in self.entries.items():
-            h = key[1:]
-            sums[h] = sums.get(h, 0.0) + v
-        self.context_sums = sums
+def power_counts(table: CountTable, power: float) -> np.ndarray:
+    """c^power for every entry of a count table: Python's float power once
+    per distinct count, gathered (``np.power`` rounds some differently).
+    Power 0 gives the binary support, whose context sums are N+."""
+    if not 0.0 <= power <= 1.0:
+        raise ValueError(f"power must be in [0, 1], got {power}")
+    distinct, inverse = table.distinct_counts
+    return np.array([float(c) ** power for c in distinct.tolist()])[inverse]
 
 
-def power_counts(table: CountTable, power: float) -> PoweredCounts:
-    return PoweredCounts(table, power)
-
-
-@dataclass
+@dataclass(eq=False)
 class DiscountSpec:
-    """Discount step j of a level's power chain.
+    """Step j of a level's power chain over the table's entries and contexts:
+    ``powered`` c^rho_j loses ``discount`` d* c^rho_{j+1}; ``sums`` are the
+    powered context sums S_j(h), and ``gamma`` = d* S_{j+1}(h) / S_j(h) the
+    share of each context's mass handed to the next step."""
 
-    The implied discount for an entry with count c is d* * c^next_power;
-    gamma maps every observed context to the fraction of this step's powered
-    mass handed to the next step.
-    """
-
+    table: CountTable
     level: int
-    power: float
-    next_power: float
-    dstar: float
-    gamma: Dict[Key, float]
+    powered: np.ndarray
+    discount: np.ndarray
+    sums: np.ndarray
+    gamma: np.ndarray
 
-    def discount(self, count: int) -> float:
-        return self.dstar * count**self.next_power
+    @property
+    def order(self) -> int:
+        return self.table.order
 
 
 def compute_discounts(
-    base: PoweredCounts, next_power: float, dstar: float, level: int = 0
-) -> DiscountSpec:
-    """Discounts and gammas for one chain step (powered counts at rho_j in,
-    target power rho_{j+1})."""
-    if not 0.0 <= next_power <= base.power:
-        raise ValueError(
-            f"next power {next_power} must lie in [0, {base.power}] (descending chain)"
-        )
+    table: CountTable, chain: Sequence[float], dstar: float
+) -> List[DiscountSpec]:
+    """The steps of a power chain rho_0 >= rho_1 >= ... over one table:
+    step j discounts c^rho_j by d* c^rho_{j+1}."""
+    for power, next_power in zip(chain, chain[1:]):
+        if not 0.0 <= next_power <= power:
+            raise ValueError(
+                f"next power {next_power} must lie in [0, {power}] (descending chain)"
+            )
     if not 0.0 <= dstar <= 1.0:
         raise ValueError(f"d* must be in [0, 1], got {dstar}")
-    next_sums: Dict[Key, float] = {}
-    for key, c in base.source.entries.items():
-        h = key[1:]
-        next_sums[h] = next_sums.get(h, 0.0) + float(c) ** next_power
-    gamma = {
-        h: dstar * next_sums[h] / s for h, s in base.context_sums.items()
-    }
-    return DiscountSpec(level, base.power, next_power, dstar, gamma)
+    powered = [power_counts(table, rho) for rho in chain]
+    sums = [table.context_sums(p) for p in powered]
+    return [
+        DiscountSpec(
+            table,
+            j,
+            powered[j],
+            dstar * powered[j + 1],
+            sums[j],
+            dstar * sums[j + 1] / sums[j],
+        )
+        for j in range(len(chain) - 1)
+    ]
 
 
 @dataclass(eq=False)
@@ -159,10 +136,10 @@ class LowRankCPT:
         rows, cols, ranks = self.dims.astype(np.int64).T
         if np.any(ranks < 1) or np.any(ranks > np.minimum(rows, cols).clip(max=self.rank)):
             raise ValueError(f"order {k}: slice ranks outside [1, min(rows, cols, rank)]")
-        self.row_start = _segments(rows)
-        self.col_start = _segments(cols)
-        self.L_start = _segments(rows * ranks)
-        self.R_start = _segments(ranks * cols)
+        self.row_start = segments(rows)
+        self.col_start = segments(cols)
+        self.L_start = segments(rows * ranks)
+        self.R_start = segments(ranks * cols)
         sizes = (self.row_start, self.col_start, self.L_start, self.R_start)
         arrays = (self.row_ids, self.col_ids, self.L, self.R)
         if [len(a) for a in arrays] != [offsets[-1] for offsets in sizes]:
@@ -221,48 +198,20 @@ class LowRankCPT:
         return out
 
 
-def _slice_matrix(
-    entries: Dict[Tuple[int, int], float],
-) -> Tuple[SparseMatrix, List[int], List[int]]:
-    """A slice compacted to its nonzero rows and columns, with their ids."""
-    row_ids = sorted({w for w, _ in entries})
-    col_ids = sorted({x for _, x in entries})
-    row_index = {w: i for i, w in enumerate(row_ids)}
-    col_index = {x: j for j, x in enumerate(col_ids)}
-    M = SparseMatrix(
-        len(row_ids),
-        len(col_ids),
-        {(row_index[w], col_index[x]): v for (w, x), v in entries.items()},
-    )
-    return M, row_ids, col_ids
-
-
-def _exact_copy(M: SparseMatrix) -> Tuple[FactorPair, ConvergenceReport]:
-    """The slice itself at rank min(rows, cols), with an identity on the
-    smaller side, for a requested rank that covers the slice."""
-    if M.rows <= M.cols:
-        pair = FactorPair(np.eye(M.rows), M.to_dense())
-    else:
-        pair = FactorPair(M.to_dense(), np.eye(M.cols))
-    row_res, col_res = sum_residual(M, pair)
-    return pair, ConvergenceReport(
-        iterations=0,
-        final_gkl=0.0,
-        max_row_residual=row_res,
-        max_col_residual=col_res,
-        rank=pair.rank,
-        converged=True,
-        objective_history=[0.0],
-        kind="exact",
-    )
-
-
-def _concat(parts: List[np.ndarray], dtype) -> np.ndarray:
-    return np.concatenate(parts).astype(dtype) if parts else np.zeros(0, dtype=dtype)
+def _run_sums(vals: np.ndarray, start: np.ndarray, which: np.ndarray) -> np.ndarray:
+    """``vals[start[s]:start[s+1]].sum()`` for each run s in ``which``, bit
+    for bit: one row-wise sum per group of runs of equal length (a segment
+    sum would add in another order)."""
+    lengths = np.diff(start)[which]
+    by_length = np.argsort(lengths, kind="stable")
+    sizes, heads = np.unique(lengths[by_length], return_index=True)
+    out = np.empty(len(which))
+    for n, group in zip(sizes.tolist(), np.split(by_length, heads[1:])):
+        out[group] = vals[start[which[group]][:, None] + np.arange(n)].sum(axis=1)
+    return out
 
 
 def compute_z(
-    base: PoweredCounts,
     spec: DiscountSpec,
     rank: int,
     max_iters: int = 200,
@@ -270,8 +219,9 @@ def compute_z(
     eps: float = 1e-12,
     seed: int = 0,
     threads: int = 1,
+    timings: Optional[Dict[str, float]] = None,
 ) -> LowRankCPT:
-    """Factorize the discounted powered counts into a LowRankCPT.
+    """Factorize a chain step's discounted powered counts into a LowRankCPT.
 
     Each interior-context slice (predicted word x oldest context word) is
     compacted to its nonzero rows/columns and factorized at
@@ -279,75 +229,153 @@ def compute_z(
     powered context sums, so column-sum preservation of the factorization
     is exactly what keeps each level's terms summing to gamma-complementary
     mass.  Slices whose entries are all discounted away are skipped (their
-    contexts then contribute only through gamma).  Deterministic for a
-    given seed, regardless of thread count.
+    contexts then contribute only through gamma).  Slices the rank covers
+    are copied and rank-1 slices take the closed form, all at once; the
+    rest go to one batched solver.  Deterministic for a given seed,
+    regardless of thread count.  Seconds are added to
+    ``timings["slices"]`` and ``timings["nmf"]``.
     """
     if rank < 1:
         raise ConfigError(f"rank must be >= 1, got {rank}")
-    if base.order < 2:
+    table, k, j = spec.table, spec.order, spec.level
+    if k < 2:
         raise ValueError("low-rank tables need order >= 2")
-    slice_entries: Dict[Key, Dict[Tuple[int, int], float]] = {}
-    for key, powered in base.entries.items():
-        v = powered - spec.discount(base.source.entries[key])
-        if not (math.isfinite(v) and v >= -1e-9 * max(1.0, powered)):
+    with timed(timings, "slices"):
+        v = spec.powered - spec.discount
+        bad = ~(np.isfinite(v) & (v >= -1e-9 * np.maximum(1.0, spec.powered)))
+        if bad.any():
+            e = int(bad.argmax())
             raise FactorizationError(
-                f"negative or non-finite discounted count {v} at {key}: discount bound broken"
+                f"negative or non-finite discounted count {v[e]} at "
+                f"{tuple(table.keys[e].tolist())}: discount bound broken"
             )
-        if v <= 0.0:
-            continue
-        slice_entries.setdefault(key[1:-1], {})[(key[0], key[-1])] = v
+        keys, v = table.keys[v > 0.0], v[v > 0.0]
+        # Table order runs by interior (key[1:-1]), then oldest word (the
+        # slice's column), then predicted word (its row); ``ss``, ``ii``,
+        # ``jj`` and ``vals`` are the support in (slice, row, column) order,
+        # with rows and columns numbered across all slices.
+        slice_heads, col_heads = run_heads(keys[:, 1:-1]), run_heads(keys[:, 1:])
+        slice_of = np.cumsum(slice_heads) - 1
+        perm = np.lexsort((keys[:, 0], slice_of))
+        ss, words, vals = slice_of[perm], keys[perm, 0], v[perm]
+        row_heads = run_heads(np.stack([ss, words], axis=1))
+        ii, jj = np.cumsum(row_heads) - 1, (np.cumsum(col_heads) - 1)[perm]
+        n = int(slice_heads.sum())
+        row_slice, col_slice = ss[row_heads], slice_of[col_heads]
+        rows, cols = np.bincount(row_slice, minlength=n), np.bincount(col_slice, minlength=n)
+        row_start, col_start = segments(rows), segments(cols)
+        row_local, col_local = offsets(rows), offsets(cols)
+        nnz_start = segments(np.bincount(ss, minlength=n))
 
-    interiors = sorted(slice_entries)
-    slices = [_slice_matrix(slice_entries[interior]) for interior in interiors]
+        small = np.minimum(rows, cols)
+        exact, iterative = (rank >= small) & (small > 1), (small > rank) & (rank >= 2)
+        rank1 = ~(exact | iterative)
+        rank1_ids = np.flatnonzero(rank1)
+        ranks = np.where(exact, small, np.where(iterative, rank, 1))
+        dims = np.stack([rows, cols, ranks], axis=1).tolist()
+        L_start, R_start = segments(rows * ranks), segments(ranks * cols)
+        L, R = np.zeros(L_start[-1]), np.zeros(R_start[-1])
 
-    # Slices the requested rank covers are copied, rank-1 slices take the
-    # closed form, and every other slice is solved in one batch.
-    results: List[Optional[Tuple[FactorPair, ConvergenceReport]]] = []
-    batch: List[int] = []
-    for idx, (M, _, _) in enumerate(slices):
-        small = min(M.rows, M.cols)
-        if rank >= small > 1:
-            results.append(_exact_copy(M))
-        elif small > rank >= 2:
-            results.append(None)
-            batch.append(idx)
-        else:
-            results.append(nmf_gkl(M, rank, max_iters=max_iters, rel_tol=rel_tol, eps=eps))
-    solved = nmf_gkl_many(
-        [slices[idx][0] for idx in batch],
-        rank,
-        [
-            np.random.SeedSequence(entropy=seed, spawn_key=(base.order, spec.level, idx))
-            for idx in batch
-        ],
-        max_iters=max_iters,
-        rel_tol=rel_tol,
-        eps=eps,
-        names=[
-            f"order {base.order}, chain step {spec.level}, interior {interiors[idx]}"
-            for idx in batch
-        ],
-        threads=threads,
-    )
-    for idx, result in zip(batch, solved):
-        results[idx] = result
-    pairs, reports = zip(*results) if results else ((), ())
-    _, rows, cols = zip(*slices) if slices else ((), (), ())
-    # Contexts sorted as tuples: the order the level's table keeps them in.
-    contexts = sorted(base.context_sums)
+        # Rank 1: L = row sums / total and R = column sums, each summed in
+        # the order the slice's own row, column and total sums take.
+        row_sums = np.bincount(ii, vals, minlength=len(row_slice))
+        col_sums = np.bincount(jj, vals, minlength=len(col_slice))
+        total = np.ones(n)
+        total[rank1] = _run_sums(vals, nnz_start, rank1_ids)
+        row_L = row_sums / total[row_slice]
+        at = rank1[row_slice]
+        L[L_start[row_slice[at]] + row_local[at]] = row_L[at]
+        at = rank1[col_slice]
+        R[R_start[col_slice[at]] + col_local[at]] = col_sums[at]
+
+        # Exact copies: the dense slice as the factor on its wider side, an
+        # identity on the other, at rank min(rows, cols).
+        wide, tall = exact & (rows <= cols), exact & (rows > cols)
+        dense = row_local[ii] * cols[ss] + col_local[jj]
+        at = wide[ss]
+        R[R_start[ss[at]] + dense[at]] = vals[at]
+        at = tall[ss]
+        L[L_start[ss[at]] + dense[at]] = vals[at]
+        at = wide[row_slice]
+        L[L_start[row_slice[at]] + row_local[at] * (rows[row_slice[at]] + 1)] = 1.0
+        at = tall[col_slice]
+        R[R_start[col_slice[at]] + col_local[at] * (cols[col_slice[at]] + 1)] = 1.0
+        if not (np.isfinite(L).all() and np.isfinite(R).all()):
+            raise FactorizationError(
+                f"non-finite closed-form factors in order {k}, chain step {j}"
+            )
+
+        # Reports.  A rank-1 slice's residuals are the product's largest row
+        # and column sum deviations, with factor sums taken as L.sum(axis=0)
+        # and R.sum(axis=1) take them; an exact copy reproduces its slice.
+        L_sum, R_sum = np.zeros(n), np.zeros(n)
+        L_sum[rank1] = _run_sums(row_L, row_start, rank1_ids)
+        R_sum[rank1] = _run_sums(col_sums, col_start, rank1_ids)
+        row_dev = np.abs(row_L * R_sum[row_slice] - row_sums)
+        col_dev = np.abs(L_sum[col_slice] * col_sums - col_sums)
+        at = rank1[ss]
+        pred = row_L[ii[at]] * col_sums[jj[at]]
+        logs = np.bincount(ss[at], vals[at] * np.log(vals[at] / pred), minlength=n)
+        gkl, row_res, col_res = (
+            np.where(rank1, x, 0.0).tolist()
+            for x in (
+                logs - total + L_sum * R_sum,
+                np.maximum.reduceat(row_dev, row_start[:-1]),
+                np.maximum.reduceat(col_dev, col_start[:-1]),
+            )
+        )
+        kinds = np.array(["rank1", "exact", "iterative"])[exact + 2 * iterative].tolist()
+        reports: List[ConvergenceReport] = []
+        for s, (kind, (h, w, r)) in enumerate(zip(kinds, dims)):
+            clamped = kind == "rank1" and rank > 1
+            reports.append(
+                ConvergenceReport(
+                    iterations=0,
+                    final_gkl=gkl[s],
+                    max_row_residual=row_res[s],
+                    max_col_residual=col_res[s],
+                    rank=r,
+                    converged=True,
+                    objective_history=[gkl[s]],
+                    warnings=[f"rank {rank} clamped to 1 (effective dims {h}x{w})"] * clamped,
+                    kind=kind,
+                )
+            )
+        interiors = keys[slice_heads, 1:-1]
+        support = (row_local[ii], col_local[jj], vals)
+
+    batch = np.flatnonzero(iterative).tolist()
+    matrices = [
+        SparseMatrix(*dims[s][:2], *(a[nnz_start[s] : nnz_start[s + 1]] for a in support))
+        for s in batch
+    ]
+    names = [f"order {k}, chain step {j}, interior {tuple(interiors[s].tolist())}" for s in batch]
+    with timed(timings, "nmf"):
+        solved = nmf_gkl_many(
+            matrices,
+            rank,
+            [np.random.SeedSequence(entropy=seed, spawn_key=(k, j, s)) for s in batch],
+            max_iters=max_iters,
+            rel_tol=rel_tol,
+            eps=eps,
+            names=names,
+            threads=threads,
+        )
+    for s, (pair, report) in zip(batch, solved):
+        L[L_start[s] : L_start[s + 1]] = pair.L.ravel()
+        R[R_start[s] : R_start[s + 1]] = pair.R.ravel()
+        reports[s] = report
     return LowRankCPT(
-        base.order,
+        k,
         rank,
-        slices=np.array(interiors, dtype=np.int32).reshape(len(interiors), base.order - 2),
-        dims=np.array(
-            [(len(r), len(c), p.rank) for p, r, c in zip(pairs, rows, cols)], dtype=np.int32
-        ).reshape(len(pairs), 3),
-        row_ids=_concat(rows, np.int32),
-        col_ids=_concat(cols, np.int32),
-        L=_concat([p.L.ravel() for p in pairs], np.float64),
-        R=_concat([p.R.ravel() for p in pairs], np.float64),
-        denominators=np.array([base.context_sums[h] for h in contexts]),
-        reports=list(reports),
+        slices=interiors.astype(np.int32),
+        dims=np.array(dims, dtype=np.int32).reshape(len(dims), 3),
+        row_ids=words[row_heads],
+        col_ids=keys[col_heads, -1],
+        L=L,
+        R=R,
+        denominators=spec.sums,
+        reports=reports,
     )
 
 
@@ -479,6 +507,7 @@ def build_plre(
     nmf_eps: float = 1e-12,
     seed: int = 0,
     threads: int = 1,
+    timings: Optional[Dict[str, float]] = None,
 ) -> PlreModel:
     """Build a PLRE model from the top-order raw count table.
 
@@ -487,7 +516,9 @@ def build_plre(
     sparse-plus-handoff level); ``ranks[k]`` gives one rank per intermediate
     power, each either an absolute int or a vocabulary fraction in (0,1).
     ``dstar`` is "gt-root" (per-order Good-Turing estimate through the
-    root rule) or a fixed float in (0,1) used at every order.
+    root rule) or a fixed float in (0,1) used at every order.  Seconds per
+    build stage are added to ``timings`` (adjusted_tables, discounts,
+    slices, nmf).
     """
     top = tables if isinstance(tables, CountTable) else tables[max(tables)]
     order = top.order
@@ -521,7 +552,8 @@ def build_plre(
             resolved.append(r)
         resolved_ranks[k] = tuple(resolved)
 
-    ctabs = adjusted_tables(top)
+    with timed(timings, "adjusted_tables"):
+        ctabs = adjusted_tables(top)
     dstars: Dict[int, float] = {}
     levels: Dict[int, PlreLevel] = {}
     for k in range(order, 1, -1):
@@ -529,27 +561,17 @@ def build_plre(
         chain_mid = tuple(powers.get(k, ()))
         eta = len(chain_mid)
         if dstar == "gt-root":
-            n1, n2, _, _ = count_of_counts(ctab.entries.values())
+            n1, n2, _, _ = count_of_counts(ctab.counts)
             dstars[k] = derive_dstar(good_turing_discount(n1, n2), eta)
         else:
             d = float(dstar)
             if not 0.0 < d < 1.0:
                 raise ConfigError(f"fixed d* must be in (0,1), got {dstar}")
             dstars[k] = d
-        chain = (1.0,) + chain_mid + (0.0,)
-
-        powered = [power_counts(ctab, rho) for rho in chain[:-1]]
-        specs = [
-            compute_discounts(powered[j], chain[j + 1], dstars[k], level=j)
-            for j in range(eta + 1)
-        ]
-        keys, counts = ctab.arrays()
-        top = np.array([float(c) - specs[0].discount(c) for c in counts.tolist()])
-        # Contexts sorted as tuples: the order of the sorted keys' contexts.
-        contexts = sorted(specs[0].gamma)
+        with timed(timings, "discounts"):
+            specs = compute_discounts(ctab, (1.0,) + chain_mid + (0.0,), dstars[k])
         z_tables = [
             compute_z(
-                powered[j],
                 specs[j],
                 resolved_ranks[k][j - 1],
                 max_iters=nmf_max_iters,
@@ -557,6 +579,7 @@ def build_plre(
                 eps=nmf_eps,
                 seed=seed,
                 threads=threads,
+                timings=timings,
             )
             for j in range(1, eta + 1)
         ]
@@ -564,16 +587,15 @@ def build_plre(
             order=k,
             dstar=dstars[k],
             powers=chain_mid,
-            keys=keys,
-            counts=counts,
-            top=top,
-            gammas=np.array([[spec.gamma[h] for h in contexts] for spec in specs]),
+            keys=ctab.keys,
+            counts=ctab.counts,
+            top=specs[0].powered - specs[0].discount,
+            gammas=np.array([spec.gamma for spec in specs]),
             z_tables=z_tables,
         )
 
     base_counts = np.zeros(vsize, dtype=np.int64)
-    for (w,), c in ctabs[1].entries.items():
-        base_counts[w] = c
+    base_counts[ctabs[1].keys[:, 0]] = ctabs[1].counts
     return PlreModel(
         vocab,
         order,
@@ -586,11 +608,6 @@ def build_plre(
     )
 
 
-def _offsets(sizes: np.ndarray) -> np.ndarray:
-    """Position of each element within its run, for runs of the given sizes."""
-    return np.arange(int(sizes.sum())) - np.repeat(_segments(sizes)[:-1], sizes)
-
-
 def _factor_index(z: LowRankCPT) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(rank term, row) of every L entry and (rank term, column) of every R
     entry, as ids over all of z's slices at once: the concatenated factors
@@ -598,10 +615,10 @@ def _factor_index(z: LowRankCPT) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np
     a segment sum (``np.bincount``) over them."""
     rows, cols, ranks = z.dims.astype(np.int64).T
     per_row, per_term = np.repeat(ranks, rows), np.repeat(cols, ranks)
-    L_term = np.repeat(np.repeat(_segments(ranks)[:-1], rows), per_row) + _offsets(per_row)
+    L_term = np.repeat(np.repeat(segments(ranks)[:-1], rows), per_row) + offsets(per_row)
     L_row = np.repeat(np.arange(len(per_row)), per_row)
     R_term = np.repeat(np.arange(len(per_term)), per_term)
-    R_col = np.repeat(np.repeat(z.col_start[:-1], ranks), per_term) + _offsets(per_term)
+    R_col = np.repeat(np.repeat(z.col_start[:-1], ranks), per_term) + offsets(per_term)
     return L_term, L_row, R_term, R_col
 
 

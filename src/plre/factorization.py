@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -38,34 +38,38 @@ _TINY = 1e-300
 class SparseMatrix:
     """Sparse nonnegative matrix with explicit dimensions.
 
-    Stored entries are strictly positive; zeros are dropped on construction.
+    Entries (``ii``, ``jj``, ``vals``) are strictly positive and sorted by
+    row, then column.
     """
 
     __slots__ = ("rows", "cols", "ii", "jj", "vals")
 
-    def __init__(self, rows: int, cols: int, entries: Dict[Tuple[int, int], float]):
+    def __init__(self, rows: int, cols: int, ii, jj, vals):
         if rows < 1 or cols < 1:
             raise ValueError("dimensions must be >= 1")
-        items = [(i, j, float(v)) for (i, j), v in entries.items() if v != 0.0]
-        for i, j, v in items:
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"negative or non-finite entry at ({i}, {j}): {v}")
-            if not (0 <= i < rows and 0 <= j < cols):
-                raise ValueError(f"entry ({i}, {j}) outside {rows}x{cols}")
-        items.sort()
+        ii, jj = np.asarray(ii, dtype=np.int64), np.asarray(jj, dtype=np.int64)
+        vals = np.asarray(vals, dtype=np.float64)
+        bad = ~(np.isfinite(vals) & (vals > 0.0))
+        if bad.any():
+            at = int(bad.argmax())
+            raise ValueError(f"negative or non-finite entry at ({ii[at]}, {jj[at]}): {vals[at]}")
+        inside = (0 <= ii) & (ii < rows) & (0 <= jj) & (jj < cols)
+        if not inside.all():
+            raise ValueError(f"an entry lies outside {rows}x{cols}")
+        code = ii * cols + jj
+        if np.any(code[1:] <= code[:-1]):
+            raise ValueError("entries must be sorted by row, then column, and unique")
         self.rows = rows
         self.cols = cols
-        self.ii = np.array([i for i, _, _ in items], dtype=np.int64)
-        self.jj = np.array([j for _, j, _ in items], dtype=np.int64)
-        self.vals = np.array([v for _, _, v in items], dtype=np.float64)
+        self.ii = ii
+        self.jj = jj
+        self.vals = vals
 
     @classmethod
     def from_dense(cls, arr) -> "SparseMatrix":
         arr = np.asarray(arr, dtype=np.float64)
-        entries = {
-            (int(i), int(j)): arr[i, j] for i, j in zip(*np.nonzero(arr))
-        }
-        return cls(arr.shape[0], arr.shape[1], entries)
+        ii, jj = np.nonzero(arr)
+        return cls(arr.shape[0], arr.shape[1], ii, jj, arr[ii, jj])
 
     @property
     def nnz(self) -> int:

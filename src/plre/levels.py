@@ -12,13 +12,14 @@ one gamma row and no low-rank tables.  One vectorized walk,
 
 from __future__ import annotations
 
-from collections import abc
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .corpus import Key, Vocabulary
+from .corpus import CountTable, Vocabulary
 
 
 class OpCounter:
@@ -30,9 +31,16 @@ class OpCounter:
         self.muladds = 0
 
 
-def _segments(sizes: np.ndarray) -> np.ndarray:
-    """CSR offsets of consecutive runs with the given sizes."""
-    return np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
+@contextmanager
+def timed(seconds: Optional[Dict[str, float]], stage: str) -> Iterator[None]:
+    """Add the wall time of the block to ``seconds[stage]``, if a dict is
+    given (build-stage timing for reports; never stored in a model)."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        if seconds is not None:
+            seconds[stage] = seconds.get(stage, 0.0) + time.perf_counter() - start
 
 
 def _find(table: np.ndarray, codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -46,13 +54,6 @@ def _find(table: np.ndarray, codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]
 def _strictly_increasing(codes: np.ndarray, what: str) -> None:
     if np.any(codes[1:] <= codes[:-1]):
         raise ValueError(f"{what} must be sorted and unique")
-
-
-def context_starts(keys: np.ndarray) -> np.ndarray:
-    """CSR offsets of the runs of equal contexts (``keys[:, 1:]``) in keys
-    sorted by context."""
-    change = np.flatnonzero(np.any(keys[1:, 1:] != keys[:-1, 1:], axis=1)) + 1
-    return np.concatenate(([0], change, [len(keys)])).astype(np.int64)
 
 
 def make_base_distribution(
@@ -75,39 +76,15 @@ def make_base_distribution(
     return numer / numer.sum()
 
 
-class ContextTotals(abc.Mapping):
-    """Read-only view of one level's context totals, keyed by context tuple."""
-
-    def __init__(self, level: "Level"):
-        self._level = level
-
-    def __len__(self) -> int:
-        return len(self._level.totals)
-
-    def __iter__(self) -> Iterator[Key]:
-        return map(tuple, self._level.contexts.tolist())
-
-    def __getitem__(self, context: Key) -> int:
-        level = self._level
-        if len(context) != level.order - 1:
-            raise KeyError(context)
-        idx, found = level.find(np.asarray([context], dtype=np.int64))[-1]
-        if not found[0]:
-            raise KeyError(context)
-        return int(level.totals[idx[0]])
-
-
 @dataclass(eq=False)
-class Level:
-    """One order's table as sorted arrays.
+class Level(CountTable):
+    """One order's count table with its smoothing terms.
 
-    ``keys`` (n x order, most-recent-first) are sorted by context, then
-    word, and carry ``counts`` and the sparse term's ``top`` numerators.
-    Context c, derived from the keys, owns entries ``ctx_start[c]:
-    ctx_start[c+1]``; ``totals``, ``gammas`` rows (one per chain step, the
-    last one the hand-off to the order below) and each low-rank table's
-    ``denominators`` are aligned with the contexts.  A context is coded as
-    its parent's index one order lower times V plus its oldest word.
+    The table's entries carry the sparse term's ``top`` numerators;
+    ``gammas`` rows (one per chain step, the last one the hand-off to the
+    order below) and each low-rank table's ``denominators`` are aligned
+    with its contexts.  A context is coded as its parent's index one order
+    lower times V plus its oldest word.
     """
 
     order: int
@@ -118,24 +95,14 @@ class Level:
     z_tables: List
 
     def __post_init__(self):
-        self.keys = self.keys.astype(np.int64)  # as the low-rank tables' ids
-        n, k = len(self.keys), self.order
-        shapes = (self.keys.shape, self.counts.shape, self.top.shape)
-        if n == 0 or shapes != ((n, k), (n,), (n,)):
+        super().__init__(self.order, self.keys, self.counts)
+        m, k = len(self.contexts), self.order
+        if self.top.shape != self.counts.shape:
             raise ValueError(f"order {k}: table arrays disagree in length")
-        self.ctx_start = context_starts(self.keys)
-        self.contexts = self.keys[self.ctx_start[:-1], 1:]
-        self.totals = np.add.reduceat(self.counts, self.ctx_start[:-1])
-        m = len(self.contexts)
         if self.gammas.shape != (len(self.z_tables) + 1, m) or any(
             z.denominators.shape != (m,) for z in self.z_tables
         ):
             raise ValueError(f"order {k}: gamma/z tables disagree with keys")
-        self.ctx_of_entry = np.repeat(np.arange(m), np.diff(self.ctx_start))
-
-    @property
-    def context_totals(self) -> ContextTotals:
-        return ContextTotals(self)
 
     def link(self, lower: Optional["Level"], vsize: int) -> None:
         """Index this level through the level one order lower (None at

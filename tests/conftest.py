@@ -12,9 +12,10 @@ from typing import Dict, Tuple
 import numpy as np
 import pytest
 
-from plre.corpus import Vocabulary, build_vocabulary, count_ngrams
-from plre.ensemble import build_plre
-from plre.baselines import NgramLM
+from plre.corpus import CountTable, Vocabulary, build_vocabulary, count_ngrams
+from plre.ensemble import build_plre, derive_dstar
+from plre.baselines import NgramLM, good_turing_discount
+from plre.factorization import FactorPair, SparseMatrix, nmf_gkl, nmf_gkl_many
 from plre.synthetic import synthesize_corpus
 
 TINY_TEXT = """\
@@ -310,3 +311,149 @@ def looped_error_bound(model, order: int) -> float:
             bound += lam * (level.dstar ** j) / total * float(np.max(np.abs(resid)))
         upper_total = total
     return bound
+
+
+def count_table(order: int, entries: Dict[Key, int]) -> CountTable:
+    """A CountTable from most-recent-first keys to counts, the keys ranked
+    by first occurrence in the dict's order."""
+    keys = sorted(entries, key=lambda key: (key[1:], key[0]))
+    rank = {key: i for i, key in enumerate(entries)}
+    return CountTable(
+        order,
+        np.array(keys, dtype=np.int64).reshape(len(keys), order),
+        np.array([entries[key] for key in keys], dtype=np.int64),
+        np.array([rank[key] for key in keys], dtype=np.int64),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Reference PLRE build over tuple-keyed dicts, entry by entry and slice by
+# slice: the tests' oracle for the package's array build, which must give
+# the same bytes.
+# ---------------------------------------------------------------------------
+
+
+def dict_counts(encoded, order: int) -> Dict[Key, int]:
+    """Most-recent-first order-k windows, in first-occurrence order."""
+    entries: Dict[Key, int] = {}
+    for sent in encoded:
+        padded = [Vocabulary.bos_id] * (order - 1) + list(sent) + [Vocabulary.eos_id]
+        for i in range(order - 1, len(padded)):
+            key = tuple(padded[i - j] for j in range(order))
+            entries[key] = entries.get(key, 0) + 1
+    return entries
+
+
+def _dict_powered(entries: Dict[Key, int], power: float):
+    """(c^power per key, its sum per context), summed in dict order."""
+    if power == 1.0:
+        powered = {key: float(c) for key, c in entries.items()}
+    elif power == 0.0:
+        powered = {key: 1.0 for key in entries}
+    else:
+        powered = {key: c**power for key, c in entries.items()}
+    sums: Dict[Key, float] = {}
+    for key, v in powered.items():
+        sums[key[1:]] = sums.get(key[1:], 0.0) + v
+    return powered, sums
+
+
+def _dict_slice_matrix(entries: Dict[Tuple[int, int], float]):
+    """A slice compacted to its nonzero rows and columns, with their ids."""
+    row_ids = sorted({w for w, _ in entries})
+    col_ids = sorted({x for _, x in entries})
+    row_index = {w: i for i, w in enumerate(row_ids)}
+    col_index = {x: j for j, x in enumerate(col_ids)}
+    items = sorted((row_index[w], col_index[x], v) for (w, x), v in entries.items())
+    ii, jj, vals = zip(*items)
+    return SparseMatrix(len(row_ids), len(col_ids), ii, jj, vals), row_ids, col_ids
+
+
+def _dict_exact_copy(M: SparseMatrix) -> FactorPair:
+    """The slice itself, with an identity on its smaller side."""
+    if M.rows <= M.cols:
+        return FactorPair(np.eye(M.rows), M.to_dense())
+    return FactorPair(M.to_dense(), np.eye(M.cols))
+
+
+def _dict_z(entries, powered, sums, next_power, dstar, rank, level, seed, threads):
+    order = len(next(iter(entries)))
+    slice_entries: Dict[Key, Dict[Tuple[int, int], float]] = {}
+    for key, p in powered.items():
+        v = p - dstar * entries[key] ** next_power
+        if v > 0.0:
+            slice_entries.setdefault(key[1:-1], {})[(key[0], key[-1])] = v
+    interiors = sorted(slice_entries)
+    slices = [_dict_slice_matrix(slice_entries[h]) for h in interiors]
+    pairs, batch = [], []
+    for idx, (M, _, _) in enumerate(slices):
+        small = min(M.rows, M.cols)
+        if rank >= small > 1:
+            pairs.append(_dict_exact_copy(M))
+        elif small > rank >= 2:
+            pairs.append(None)
+            batch.append(idx)
+        else:
+            pairs.append(nmf_gkl(M, rank)[0])
+    solved = nmf_gkl_many(
+        [slices[idx][0] for idx in batch],
+        rank,
+        [np.random.SeedSequence(entropy=seed, spawn_key=(order, level, idx)) for idx in batch],
+        threads=threads,
+    )
+    for idx, (pair, _) in zip(batch, solved):
+        pairs[idx] = pair
+
+    def cat(parts, dtype):
+        return np.concatenate(parts).astype(dtype) if parts else np.zeros(0, dtype=dtype)
+
+    return {
+        "slices": np.array(interiors, dtype=np.int32).reshape(len(interiors), order - 2),
+        "dims": np.array(
+            [(len(r), len(c), p.rank) for p, (_, r, c) in zip(pairs, slices)], dtype=np.int32
+        ).reshape(len(pairs), 3),
+        "row_ids": cat([r for _, r, _ in slices], np.int64),
+        "col_ids": cat([c for _, _, c in slices], np.int64),
+        "L": cat([p.L.ravel() for p in pairs], np.float64),
+        "R": cat([p.R.ravel() for p in pairs], np.float64),
+        "denominators": np.array([sums[h] for h in sorted(sums)]),
+    }
+
+
+def dict_plre_levels(encoded, order, powers, ranks, dstar="gt-root", seed=0, threads=1):
+    """Per order k: the level's keys, counts, top numerators and gammas,
+    and each low-rank table's arrays, built through dicts."""
+    tables = {order: dict_counts(encoded, order)}
+    for k in range(order - 1, 0, -1):
+        lower: Dict[Key, int] = {}
+        for key in tables[k + 1]:
+            lower[key[:-1]] = lower.get(key[:-1], 0) + 1
+        tables[k] = lower
+    out = {}
+    for k in range(order, 1, -1):
+        entries = tables[k]
+        chain = (1.0,) + tuple(powers[k]) + (0.0,)
+        if dstar == "gt-root":
+            n1 = sum(1 for c in entries.values() if c == 1)
+            n2 = sum(1 for c in entries.values() if c == 2)
+            d = derive_dstar(good_turing_discount(n1, n2), len(chain) - 2)
+        else:
+            d = dstar
+        powered = [_dict_powered(entries, rho) for rho in chain]
+        gammas = [
+            {h: d * powered[j + 1][1][h] / s for h, s in powered[j][1].items()}
+            for j in range(len(chain) - 1)
+        ]
+        keys = sorted(entries, key=lambda key: (key[1:], key[0]))
+        contexts = sorted(powered[0][1])
+        out[k] = {
+            "keys": np.array(keys, dtype=np.int64),
+            "counts": np.array([entries[key] for key in keys], dtype=np.int64),
+            "top": np.array([float(entries[key]) - d * entries[key] ** chain[1] for key in keys]),
+            "gammas": np.array([[g[h] for h in contexts] for g in gammas]),
+            "z": [
+                _dict_z(entries, *powered[j], chain[j + 1], d, ranks[k][j - 1], j, seed, threads)
+                for j in range(1, len(chain) - 1)
+            ],
+        }
+    return out

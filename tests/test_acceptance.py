@@ -25,7 +25,6 @@ from plre.ensemble import (
     compute_discounts,
     compute_z,
     marginal_error_bound,
-    power_counts,
     verify_marginal,
 )
 from plre.evaluation import perplexity
@@ -110,22 +109,20 @@ def test_rank_one_members_reproduce_unigram_and_continuation_bases(toy_corpus):
     # vocabulary; 1e-15 covers the differing division order only.
     _, vocab, enc = toy_corpus
     raw = count_ngrams(enc, 2)
-    pc1 = power_counts(raw, 1.0)
-    z1 = compute_z(pc1, compute_discounts(pc1, 1.0, 0.0, level=1), rank=1)
-    z1 = ZReader(z1, sorted(pc1.context_sums))
+    [spec1] = compute_discounts(raw, (1.0, 1.0), 0.0)
+    z1 = ZReader(compute_z(spec1, rank=1), list(raw.context_totals))
     row = {}
     for (w, _), c in raw.entries.items():
         row[w] = row.get(w, 0) + c
     adj = adjusted_tables(raw)[2]
-    pc0 = power_counts(adj, 0.0)
-    z0 = compute_z(pc0, compute_discounts(pc0, 0.0, 0.0, level=1), rank=1)
-    z0 = ZReader(z0, sorted(pc0.context_sums))
+    [spec0] = compute_discounts(adj, (0.0, 0.0), 0.0)
+    z0 = ZReader(compute_z(spec0, rank=1), list(adj.context_totals))
     n_minus = {}
     for (w, _) in adj.entries:
         n_minus[w] = n_minus.get(w, 0) + 1
 
-    contexts1 = list(pc1.context_sums)[:20]
-    contexts0 = list(pc0.context_sums)[:20]
+    contexts1 = list(raw.context_totals)[:20]
+    contexts0 = list(adj.context_totals)[:20]
     worst = 0.0
     for w in range(len(vocab)):
         mle = row.get(w, 0) / raw.total

@@ -15,11 +15,21 @@ from plre.evaluation import perplexity
 
 from conftest import write_corpus
 
+BUILD_STAGES = ("counting", "adjusted_tables", "discounts", "slices", "nmf")
+
 TIMING_SCHEMA = {
     "type": "object",
-    "required": ["counting", "factorization", "assembly", "total"],
-    "properties": {k: {"type": "number", "minimum": 0} for k in
-                   ("counting", "factorization", "assembly", "total")},
+    "required": ["counting", "build", "factorization", "stages", "assembly", "total"],
+    "properties": {
+        **{k: {"type": "number", "minimum": 0} for k in
+           ("counting", "build", "factorization", "assembly", "total")},
+        "stages": {
+            "type": "object",
+            "required": list(BUILD_STAGES),
+            "additionalProperties": False,
+            "properties": {k: {"type": "number", "minimum": 0} for k in BUILD_STAGES},
+        },
+    },
 }
 
 TRAIN_SCHEMA = {
@@ -202,6 +212,21 @@ class TestTrain:
         for lv in levels:
             assert lv["converged"] <= lv["slices"]["iterative"]
             assert lv["iterations_p50"] <= lv["iterations_max"]
+        timing, stages = report["timing"], report["timing"]["stages"]
+        assert timing["factorization"] == stages["slices"] + stages["nmf"] > 0.0
+        assert sum(stages[k] for k in BUILD_STAGES[1:]) <= timing["build"]
+        assert 0.0 < stages["counting"] <= timing["counting"]
+
+    @pytest.mark.parametrize("smoother", ["mle", "kn"])
+    def test_baseline_json_report_times_its_stages(self, ws, tmp_path, capsys, smoother):
+        out = tmp_path / "m.plre"
+        assert main(["train", "--corpus", str(ws["train"]), "--model", str(out),
+                     "--smoother", smoother, "--order", "3", "--json"]) == 0
+        timing = json.loads(capsys.readouterr().out)["timing"]
+        jsonschema.validate(timing, TIMING_SCHEMA)
+        stages = timing["stages"]
+        assert stages["discounts"] > 0.0 and stages["slices"] == stages["nmf"] == 0.0
+        assert (stages["adjusted_tables"] > 0.0) == (smoother == "kn")
 
     def test_verbose_prints_one_line_per_chain_step(self, ws, tmp_path, capsys):
         out = tmp_path / "m.plre"
@@ -217,7 +242,8 @@ class TestTrain:
         out = tmp_path / "m.plre"
         main(["train", "--corpus", str(ws["train"]), "--model", str(out),
               "--smoother", "kn", "--order", "2", "--verbose"])
-        assert "timing:" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "timing:" in out and "stages: counting" in out
 
     def test_same_seed_gives_byte_identical_containers(self, ws, tmp_path):
         outs = []

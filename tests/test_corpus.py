@@ -3,16 +3,15 @@
 import numpy as np
 import pytest
 
+from collections import Counter
+
 from plre.corpus import (
     BOS,
     EOS,
     UNK,
-    CountTable,
     Vocabulary,
     adjusted_tables,
     build_vocabulary,
-    continuation_counts,
-    continuation_table,
     count_all_orders,
     count_ngrams,
     read_sentences,
@@ -20,7 +19,7 @@ from plre.corpus import (
 from plre.errors import DataError, EmptyCorpusError
 from plre.synthetic import synthesize_corpus
 
-from conftest import ref_adjusted_counts, ref_raw_counts
+from conftest import count_table, ref_adjusted_counts, ref_raw_counts
 
 
 class TestVocabulary:
@@ -116,12 +115,28 @@ class TestCounting:
         vocab = build_vocabulary(sents, 1)
         enc = [vocab.encode(s) for s in sents]
         table = count_ngrams(enc, 3)
-        keys, counts = table.arrays()
-        # arrays() sorts by context, so each context's entries form one run.
+        keys, counts = table.keys, table.counts
+        # Keys are sorted by context, so each context's entries form one run.
         cuts = np.flatnonzero(np.any(keys[1:, 1:] != keys[:-1, 1:], axis=1)) + 1
         for contexts, members in zip(np.split(keys[:, 1:], cuts), np.split(counts, cuts)):
             assert table.context_totals[tuple(contexts[0].tolist())] == members.sum()
         assert sum(table.context_totals.values()) == table.total
+
+    def test_ids_whose_ngram_space_exceeds_int64(self):
+        # With ids near 3e6, V^3 > 2^63: packing a trigram into one int64
+        # code would overflow, so counting must compare the ids themselves.
+        rng = np.random.default_rng(12)
+        big = 3_000_000 + rng.integers(0, 6, size=4000)
+        cuts = np.sort(rng.choice(np.arange(1, len(big)), size=300, replace=False))
+        sents = [s.tolist() for s in np.split(big, cuts)]
+        assert (int(big.max()) + 1) ** 3 > 2**63
+        table = count_ngrams(sents, 3)
+        ref = Counter()
+        for sent in sents:
+            padded = [Vocabulary.bos_id] * 2 + sent + [Vocabulary.eos_id]
+            ref.update(tuple(padded[i - j] for j in range(3)) for i in range(2, len(padded)))
+        assert table.entries == dict(ref)
+        assert list(table.entries) == sorted(ref, key=lambda key: (key[1:], key[0]))
 
     def test_count_all_orders_spans_one_through_n(self):
         table = count_all_orders([[4, 5]], 3)
@@ -144,7 +159,7 @@ def _table_from_matrix(mat):
         for j, v in enumerate(row):
             if v:
                 entries[(i, j)] = v
-    return CountTable(2, entries)
+    return count_table(2, entries)
 
 
 class TestContinuationCounts:
@@ -158,27 +173,23 @@ class TestContinuationCounts:
             row_sums[w] += c
         assert row_sums == [4, 5, 2]
 
+    # N-(w): the continuation counts of the unigram table one order down.
+    # N+(h): the entries of context h, one run of the sorted keys.
+
     def test_distinct_predecessor_counts(self):
-        table = _table_from_matrix(self.B)
-        cont = continuation_counts(table)
-        assert [cont.n_minus[(w,)] for w in range(3)] == [3, 1, 1]
+        n_minus = adjusted_tables(_table_from_matrix(self.B))[1].entries
+        assert [n_minus[(w,)] for w in range(3)] == [3, 1, 1]
 
     def test_diagonal_matrix_has_single_extensions(self):
         table = _table_from_matrix([[7, 0, 0], [0, 7, 0], [0, 0, 7]])
-        cont = continuation_counts(table)
-        assert set(cont.n_minus.values()) == {1}
-        assert set(cont.n_plus.values()) == {1}
+        assert set(adjusted_tables(table)[1].entries.values()) == {1}
+        assert set(np.diff(table.ctx_start).tolist()) == {1}
 
     def test_dense_matrix_extensions_equal_dimension(self):
         k = 4
         table = _table_from_matrix([[1] * k for _ in range(k)])
-        cont = continuation_counts(table)
-        assert set(cont.n_minus.values()) == {k}
-        assert set(cont.n_plus.values()) == {k}
-
-    def test_continuation_of_unigram_rejected(self):
-        with pytest.raises(ValueError):
-            continuation_table(CountTable(1, {(3,): 2}))
+        assert set(adjusted_tables(table)[1].entries.values()) == {k}
+        assert set(np.diff(table.ctx_start).tolist()) == {k}
 
 
 class TestAdjustedTables:

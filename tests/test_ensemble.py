@@ -22,7 +22,7 @@ from plre.ensemble import (
 )
 from plre.errors import ConfigError
 
-from conftest import ZReader, dense_marginal, looped_error_bound
+from conftest import ZReader, count_table, dense_marginal, dict_plre_levels, looped_error_bound
 
 
 def _bigram_table(mat):
@@ -32,18 +32,20 @@ def _bigram_table(mat):
         for j, v in enumerate(row):
             if v:
                 entries[(i, j)] = v
-    return CountTable(2, entries)
+    return count_table(2, entries)
 
 
 B_COUNTS = [[1, 2, 1], [0, 5, 0], [2, 0, 0]]
 
 
+def _row_sums(table, values):
+    return np.bincount(table.keys[:, 0], values, minlength=3).tolist()
+
+
 class TestPoweredCounts:
     def test_square_root_row_sums(self):
-        pc = power_counts(_bigram_table(B_COUNTS), 0.5)
-        row_sums = [0.0, 0.0, 0.0]
-        for (w, _), v in pc.entries.items():
-            row_sums[w] += v
+        table = _bigram_table(B_COUNTS)
+        row_sums = _row_sums(table, power_counts(table, 0.5))
         assert row_sums[0] == pytest.approx(3.414213562373095, abs=1e-12)
         assert row_sums[1] == pytest.approx(2.23606797749979, abs=1e-12)
         assert row_sums[2] == pytest.approx(1.4142135623730951, abs=1e-12)
@@ -51,28 +53,41 @@ class TestPoweredCounts:
     def test_power_one_is_identity(self):
         table = _bigram_table(B_COUNTS)
         pc = power_counts(table, 1.0)
-        assert pc.entries == {k: float(v) for k, v in table.entries.items()}
+        assert pc.tolist() == [float(c) for c in table.counts.tolist()]
 
     def test_power_zero_is_binary_support(self):
-        pc = power_counts(_bigram_table(B_COUNTS), 0.0)
-        assert set(pc.entries.values()) == {1.0}
-        row_sums = [0.0, 0.0, 0.0]
-        for (w, _), v in pc.entries.items():
-            row_sums[w] += v
-        assert row_sums == [3.0, 1.0, 1.0]
+        table = _bigram_table(B_COUNTS)
+        pc = power_counts(table, 0.0)
+        assert set(pc.tolist()) == {1.0}
+        assert _row_sums(table, pc) == [3.0, 1.0, 1.0]
 
     def test_zeros_stay_absent(self):
+        # one positive value per stored entry at every power, none added
         table = _bigram_table(B_COUNTS)
         for rho in (0.0, 0.3, 1.0):
-            assert set(power_counts(table, rho).entries) == set(table.entries)
+            pc = power_counts(table, rho)
+            assert pc.shape == table.counts.shape and (pc > 0.0).all()
 
     def test_context_sums_are_powered_column_sums(self):
-        pc = power_counts(_bigram_table(B_COUNTS), 0.5)
-        assert pc.context_sums[(0,)] == pytest.approx(1.0 + math.sqrt(2.0), abs=1e-12)
+        table = _bigram_table(B_COUNTS)
+        sums = table.context_sums(power_counts(table, 0.5))
+        ctx = list(table.context_totals).index((0,))
+        assert sums[ctx] == pytest.approx(1.0 + math.sqrt(2.0), abs=1e-12)
 
     def test_power_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             power_counts(_bigram_table(B_COUNTS), 1.5)
+
+    def test_bit_equal_to_python_power(self):
+        # np.power rounds thousands of counts in 1..50000 differently at
+        # these powers; the table's values must be Python's float power
+        rng = np.random.default_rng(3)
+        counts = np.concatenate([np.arange(1, 50001), rng.integers(1, 50001, size=20000)])
+        n = len(counts)
+        table = CountTable(1, np.arange(n)[:, None], counts, np.arange(n))
+        for rho in (0.3, 0.5, 0.6):
+            want = np.array([float(c) ** rho for c in counts.tolist()])
+            assert power_counts(table, rho).tobytes() == want.tobytes()
 
 
 class TestComputeDiscounts:
@@ -80,49 +95,46 @@ class TestComputeDiscounts:
         # counts [4, 1] under one context, rho 1 -> 0.5, d* 0.5:
         # discounts [1.0, 0.5], gamma = 0.5*(2+1)/5 = 0.3, and the
         # discounted conditionals 0.6 + 0.1 close to 1 with gamma
-        table = CountTable(2, {(5, 3): 4, (6, 3): 1})
-        spec = compute_discounts(power_counts(table, 1.0), 0.5, 0.5)
-        assert spec.discount(4) == pytest.approx(1.0, abs=1e-15)
-        assert spec.discount(1) == pytest.approx(0.5, abs=1e-15)
-        assert spec.gamma[(3,)] == pytest.approx(0.3, abs=1e-15)
+        table = count_table(2, {(5, 3): 4, (6, 3): 1})
+        [spec] = compute_discounts(table, (1.0, 0.5), 0.5)
+        discounts = spec.discount.tolist()
+        assert discounts == [pytest.approx(1.0, abs=1e-15), pytest.approx(0.5, abs=1e-15)]
+        assert spec.gamma[0] == pytest.approx(0.3, abs=1e-15)
         total = table.context_totals[(3,)]
-        conds = [(4 - spec.discount(4)) / total, (1 - spec.discount(1)) / total]
+        conds = ((table.counts - spec.discount) / total).tolist()
         assert conds == [pytest.approx(0.6), pytest.approx(0.1)]
-        assert sum(conds) + spec.gamma[(3,)] == pytest.approx(1.0, abs=1e-15)
+        assert sum(conds) + spec.gamma[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_zero_dstar_moves_nothing(self, toy_top3):
-        spec = compute_discounts(power_counts(toy_top3, 1.0), 0.5, 0.0)
-        assert spec.discount(17) == 0.0
-        assert all(g == 0.0 for g in spec.gamma.values())
+        [spec] = compute_discounts(toy_top3, (1.0, 0.5), 0.0)
+        assert not spec.discount.any()
+        assert not spec.gamma.any()
 
     def test_equal_powers_scale_proportionally(self, toy_top3):
         # rho_j = rho_{j+1} degenerates to Jelinek-Mercer style scaling
-        pc = power_counts(toy_top3, 0.5)
-        spec = compute_discounts(pc, 0.5, 0.3)
-        for g in spec.gamma.values():
+        [spec] = compute_discounts(toy_top3, (0.5, 0.5), 0.3)
+        for g in spec.gamma:
             assert g == pytest.approx(0.3, abs=1e-12)
-        for key, v in list(pc.entries.items())[:20]:
-            c = toy_top3.entries[key]
-            assert v - spec.discount(c) == pytest.approx(0.7 * v, abs=1e-12)
+        for v, d in zip(spec.powered[:20], spec.discount[:20]):
+            assert v - d == pytest.approx(0.7 * v, abs=1e-12)
 
     def test_ascending_powers_rejected(self, toy_top3):
         with pytest.raises(ValueError):
-            compute_discounts(power_counts(toy_top3, 0.5), 0.9, 0.5)
+            compute_discounts(toy_top3, (0.5, 0.9), 0.5)
 
     def test_dstar_out_of_range_rejected(self, toy_top3):
         with pytest.raises(ValueError):
-            compute_discounts(power_counts(toy_top3, 1.0), 0.5, 1.1)
+            compute_discounts(toy_top3, (1.0, 0.5), 1.1)
 
 
 class TestComputeZ:
     def test_full_rank_reproduces_discounted_conditionals(self, toy_corpus):
         _, vocab, enc = toy_corpus
         table = count_ngrams(enc, 2)
-        pc = power_counts(table, 0.5)
-        spec = compute_discounts(pc, 0.0, 0.4, level=1)
-        z = ZReader(compute_z(pc, spec, rank=len(vocab)), sorted(pc.context_sums))
-        for key, v in list(pc.entries.items())[:200]:
-            want = (v - spec.discount(table.entries[key])) / pc.context_sums[key[1:]]
+        spec = compute_discounts(table, (1.0, 0.5, 0.0), 0.4)[1]
+        z = ZReader(compute_z(spec, rank=len(vocab)), list(table.context_totals))
+        for e, key in enumerate(list(table.entries)[:200]):
+            want = (spec.powered[e] - spec.discount[e]) / spec.sums[table.ctx_of_entry[e]]
             assert z.cond(key[0], key[1:]) == pytest.approx(want, abs=1e-8)
 
     def test_power_zero_rank_one_gives_continuation_unigram(self, toy_corpus):
@@ -130,14 +142,13 @@ class TestComputeZ:
         # observed context, which is exactly the continuation base
         _, vocab, enc = toy_corpus
         table = adjusted_tables(count_ngrams(enc, 2))[2]
-        pc = power_counts(table, 0.0)
-        spec = compute_discounts(pc, 0.0, 0.0, level=1)
-        z = ZReader(compute_z(pc, spec, rank=1), sorted(pc.context_sums))
+        [spec] = compute_discounts(table, (0.0, 0.0), 0.0)
+        z = ZReader(compute_z(spec, rank=1), list(table.context_totals))
         n_minus = {}
         for (w, _) in table.entries:
             n_minus[w] = n_minus.get(w, 0) + 1
         n_entries = len(table.entries)
-        contexts = list(pc.context_sums)[:25]
+        contexts = list(table.context_totals)[:25]
         for w, nm in list(n_minus.items())[:25]:
             for h in contexts:
                 assert z.cond(w, h) == pytest.approx(nm / n_entries, abs=1e-12)
@@ -145,37 +156,81 @@ class TestComputeZ:
     def test_power_one_rank_one_gives_unigram_mle(self, toy_corpus):
         _, vocab, enc = toy_corpus
         table = count_ngrams(enc, 2)
-        pc = power_counts(table, 1.0)
-        spec = compute_discounts(pc, 1.0, 0.0, level=1)
-        z = ZReader(compute_z(pc, spec, rank=1), sorted(pc.context_sums))
+        [spec] = compute_discounts(table, (1.0, 1.0), 0.0)
+        z = ZReader(compute_z(spec, rank=1), list(table.context_totals))
         row = {}
         for (w, _), c in table.entries.items():
             row[w] = row.get(w, 0) + c
         for w, c in list(row.items())[:25]:
-            for h in list(pc.context_sums)[:25]:
+            for h in list(table.context_totals)[:25]:
                 assert z.cond(w, h) == pytest.approx(c / table.total, abs=1e-12)
 
     def test_fully_discounted_slice_is_skipped(self):
         # with d* = 1 and target power 0, singleton entries vanish; a
         # context made only of singletons then contributes nothing here
-        table = CountTable(2, {(5, 3): 1, (6, 3): 1, (5, 4): 3})
-        pc = power_counts(table, 1.0)
-        spec = compute_discounts(pc, 0.0, 1.0, level=1)
-        z = ZReader(compute_z(pc, spec, rank=2), sorted(pc.context_sums))
+        table = count_table(2, {(5, 3): 1, (6, 3): 1, (5, 4): 3})
+        [spec] = compute_discounts(table, (1.0, 0.0), 1.0)
+        z = ZReader(compute_z(spec, rank=2), list(table.context_totals))
         assert z.cond(5, (3,)) == 0.0
         assert z.cond(5, (4,)) > 0.0
 
     def test_unknown_word_or_context_is_zero(self, toy_corpus):
         _, vocab, enc = toy_corpus
         table = count_ngrams(enc, 2)
-        pc = power_counts(table, 0.5)
-        z = compute_z(pc, compute_discounts(pc, 0.0, 0.5, level=1), rank=2)
-        assert ZReader(z, sorted(pc.context_sums)).cond(3, (99999,)) == 0.0
+        [spec] = compute_discounts(table, (0.5, 0.0), 0.5)
+        z = compute_z(spec, rank=2)
+        assert ZReader(z, list(table.context_totals)).cond(3, (99999,)) == 0.0
 
     def test_invalid_rank_rejected(self, toy_top3):
-        pc = power_counts(toy_top3, 0.5)
+        [spec] = compute_discounts(toy_top3, (0.5, 0.0), 0.5)
         with pytest.raises(ConfigError):
-            compute_z(pc, compute_discounts(pc, 0.0, 0.5), rank=0)
+            compute_z(spec, rank=0)
+
+
+ORACLE_CONFIGS = {
+    "rank1": dict(order=3, powers={2: (0.5,), 3: (0.5,)}, ranks={2: (1,), 3: (1,)}),
+    "rank4": dict(order=3, powers={2: (0.5,), 3: (0.5,)}, ranks={2: (4,), 3: (4,)}),
+    "rank4-threads2": dict(
+        order=3, powers={2: (0.5,), 3: (0.5,)}, ranks={2: (4,), 3: (4,)}, threads=2
+    ),
+    "eta0": dict(order=3, powers={2: (), 3: ()}, ranks={2: (), 3: ()}),
+    "order4-two-powers": dict(
+        order=4, powers={k: (0.6, 0.3) for k in (2, 3, 4)}, ranks={k: (2, 2) for k in (2, 3, 4)}
+    ),
+    "fixed-dstar": dict(
+        order=3, powers={2: (0.5,), 3: (0.5,)}, ranks={2: (3,), 3: (3,)}, dstar=0.6
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_CONFIGS))
+def test_array_build_is_byte_equal_to_the_dict_build(toy_corpus, name):
+    # counting, adjusted tables, powered sums, gammas, slicing, closed forms
+    # and exact copies, all as arrays, against the entry-by-entry build
+    _, vocab, enc = toy_corpus
+    cfg = dict(ORACLE_CONFIGS[name])
+    order = cfg.pop("order")
+    model = build_plre(count_ngrams(enc, order), vocab, seed=0, **cfg)
+    want = dict_plre_levels(enc, order, seed=0, **cfg)
+
+    def same(got, expected):
+        got = np.asarray(got)
+        return got.shape == expected.shape and (
+            got.astype(expected.dtype).tobytes() == expected.tobytes()
+        )
+
+    kinds = set()
+    for k, level in model.levels.items():
+        ref = want[k]
+        for field in ("keys", "counts", "top", "gammas"):
+            assert same(getattr(level, field), ref[field]), (k, field)
+        assert len(level.z_tables) == len(ref["z"])
+        for z, zref in zip(level.z_tables, ref["z"]):
+            for field in ("denominators", "slices", "dims", "row_ids", "col_ids", "L", "R"):
+                assert same(getattr(z, field), zref[field]), (k, field)
+            kinds.update(r.kind for r in z.reports)
+    if name.startswith("rank4"):
+        assert kinds == {"exact", "rank1", "iterative"}
 
 
 class TestDeriveDstar:

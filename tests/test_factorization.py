@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from plre import factorization
-from plre.corpus import CountTable
-from plre.ensemble import compute_discounts, compute_z, power_counts
+from plre.ensemble import compute_discounts, compute_z
 from plre.errors import FactorizationError
 from plre.factorization import (
     FactorPair,
@@ -19,6 +18,8 @@ from plre.factorization import (
     nmf_gkl_many,
     sum_residual,
 )
+
+from conftest import count_table
 
 # The 3x3 bigram matrix used throughout: rows are the predicted word,
 # columns the preceding one.  Row sums [4, 5, 2], col sums [3, 7, 1],
@@ -116,7 +117,7 @@ class TestBestRank1:
 
     def test_all_zero_matrix_rejected(self):
         with pytest.raises(ValueError):
-            best_rank1(SparseMatrix(2, 2, {}))
+            best_rank1(SparseMatrix.from_dense(np.zeros((2, 2))))
 
 
 class TestNmfGkl:
@@ -178,14 +179,13 @@ class TestNmfGkl:
 
     def test_rank_clamped_to_effective_dimensions(self):
         # only two distinct rows carry mass, so rank 3 cannot be meaningful
-        entries = {(0, 0): 2.0, (0, 2): 1.0, (3, 1): 4.0}
-        m = SparseMatrix(4, 3, entries)
+        m = SparseMatrix(4, 3, [0, 0, 3], [0, 2, 1], [2.0, 1.0, 4.0])
         _, report = nmf_gkl(m, 3, max_iters=50, seed=0)
         assert report.rank == 2
         assert any("clamped" in w for w in report.warnings)
 
     def test_invalid_rank_rejected(self):
-        m = SparseMatrix(2, 2, {(0, 0): 1.0})
+        m = SparseMatrix(2, 2, [0], [0], [1.0])
         with pytest.raises(ValueError):
             nmf_gkl(m, 0)
 
@@ -211,13 +211,16 @@ def _fingerprint(result):
     )
 
 
-def _two_interiors():
-    """Powered counts of an order-3 table with two interiors (oldest word 0
-    and 1), each a full 4 x 4 slice."""
-    table = CountTable(
+def _two_interiors(poison):
+    """Chain step 1 (power 1, next power 0.5, d* 0) of an order-3 table with
+    two interiors (oldest word 0 and 1), each a full 4 x 4 slice, with the
+    powered count of (2, 1, 3) set to ``poison``."""
+    table = count_table(
         3, {(w, h, x): 1 + w + h + x for w in range(4) for h in range(2) for x in range(4)}
     )
-    return power_counts(table, 1.0)
+    spec = compute_discounts(table, (1.0, 1.0, 0.5), 0.0)[1]
+    spec.powered[list(table.entries).index((2, 1, 3))] = poison
+    return spec
 
 
 class TestNmfGklMany:
@@ -256,33 +259,29 @@ class TestNmfGklMany:
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_non_finite_factor_names_its_slice(self):
         mats = _batch_slices()[:3]
-        poisoned = dict(zip(zip(mats[1].ii.tolist(), mats[1].jj.tolist()), mats[1].vals))
+        poisoned = mats[1].vals.copy()
         # A finite entry whose products overflow: SparseMatrix rejects NaN.
-        poisoned[next(iter(poisoned))] = 1.7e308
-        mats[1] = SparseMatrix(mats[1].rows, mats[1].cols, poisoned)
+        poisoned[0] = 1.7e308
+        mats[1] = SparseMatrix(mats[1].rows, mats[1].cols, mats[1].ii, mats[1].jj, poisoned)
         with pytest.raises(FactorizationError, match="iteration 1 in second$"):
             nmf_gkl_many(mats, 3, [0, 1, 2], names=["first", "second", "third"])
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_compute_z_error_gives_order_step_and_interior(self):
-        base = _two_interiors()
         # Finite, so it passes compute_z's own check, but the solver overflows.
-        base.entries[(2, 1, 3)] = 1.7e308
-        spec = compute_discounts(base, 0.5, 0.0, level=1)
+        spec = _two_interiors(1.7e308)
         message = "non-finite factor values at iteration 1 in order 3, chain step 1, interior (1,)"
         with pytest.raises(FactorizationError, match=re.escape(message)):
-            compute_z(base, spec, rank=2)
+            compute_z(spec, rank=2)
 
     @pytest.mark.parametrize("rank", [1, 4])
     def test_nan_count_is_rejected_off_the_solver(self, rank):
         # Rank 1 takes the closed form and rank 4 covers the 4 x 4 slices
         # (exact copy), so no solver sees the NaN: compute_z must refuse it
         # rather than store NaN factors.
-        base = _two_interiors()
-        base.entries[(2, 1, 3)] = math.nan
-        spec = compute_discounts(base, 0.5, 0.0, level=1)
+        spec = _two_interiors(math.nan)
         with pytest.raises(FactorizationError, match="non-finite discounted count nan"):
-            compute_z(base, spec, rank=rank)
+            compute_z(spec, rank=rank)
 
     def test_rejects_mismatched_seeds(self):
         with pytest.raises(ValueError):
@@ -292,7 +291,7 @@ class TestNmfGklMany:
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_matrices_and_factors_reject_non_finite_values(bad):
     with pytest.raises(ValueError, match="non-finite"):
-        SparseMatrix(2, 2, {(0, 0): 1.0, (1, 1): bad})
+        SparseMatrix(2, 2, [0, 1], [0, 1], [1.0, bad])
     with pytest.raises(ValueError, match="finite"):
         FactorPair(np.array([[1.0], [bad]]), np.ones((1, 2)))
     with pytest.raises(ValueError, match="finite"):
