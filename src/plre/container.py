@@ -253,6 +253,11 @@ def _load_baseline(header: dict, payloads: Dict[str, bytes], vocab: Vocabulary) 
     discounts = {
         int(k): DiscountParams(*map(float, v)) for k, v in header["discounts"].items()
     }
+    # The header has no hash: bound each D_k to [0, k], as mkn_discounts
+    # clamps it (a NaN fails the comparison too).
+    for k, d in discounts.items():
+        if not all(0.0 <= x <= c for c, x in enumerate((d.d1, d.d2, d.d3plus), 1)):
+            raise ContainerError(f"order {k}: a discount D_c outside [0, c] in {d}")
     return NgramLM(vocab, order, header["smoother"], tables, discounts)
 
 

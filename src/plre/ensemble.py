@@ -689,8 +689,9 @@ def verify_marginal(model: PlreModel, order: Optional[int] = None) -> float:
     return float(np.max(np.abs(marginal(model, k) - expected)))
 
 
-def normalization_observed(model: PlreModel) -> float:
-    """Max |sum_w P(w|h) - 1| over every observed context h of every order.
+def normalization_observed(model: LevelModel) -> float:
+    """Max |sum_w P(w|h) - 1| over every observed context h of every order,
+    for any level model: PLRE or a classical smoother (no chain steps).
 
     A context's sum is its top numerators over its total, plus per chain
     step its gamma prefix times its slice column's factor mass

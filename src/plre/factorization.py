@@ -210,7 +210,6 @@ def nmf_gkl(
     rel_tol: float = 1e-6,
     eps: float = 1e-12,
     seed: Union[int, np.random.SeedSequence] = 0,
-    enforce_col_sums: bool = True,
 ) -> Tuple[FactorPair, ConvergenceReport]:
     """Rank-k nonnegative factorization of M under gKL.
 
@@ -257,7 +256,6 @@ def nmf_gkl(
         max_iters=max_iters,
         rel_tol=rel_tol,
         eps=eps,
-        enforce_col_sums=enforce_col_sums,
     )
     report.warnings[:0] = warnings
     return pair, report
@@ -276,7 +274,6 @@ def nmf_gkl_many(
     max_iters: int = 200,
     rel_tol: float = 1e-6,
     eps: float = 1e-12,
-    enforce_col_sums: bool = True,
     names: Optional[Sequence[str]] = None,
     threads: int = 1,
 ) -> List[Tuple[FactorPair, ConvergenceReport]]:
@@ -316,7 +313,6 @@ def nmf_gkl_many(
             max_iters,
             rel_tol,
             eps,
-            enforce_col_sums,
         )
 
     groups = _groups([m.nnz * k for m in matrices], threads)
@@ -425,7 +421,6 @@ def _solve_group(
     max_iters: int,
     rel_tol: float,
     eps: float,
-    enforce_col_sums: bool,
 ) -> List[Tuple[FactorPair, ConvergenceReport]]:
     W, H = _initial_factors(mats, k, seeds)
     act = np.arange(len(mats))  # the running matrices, in batch order
@@ -449,10 +444,8 @@ def _solve_group(
         # Copies, so the report keeps no view of the batch's arrays.
         Ws = W[:, r0:r1].T.copy()
         Hs = H[:, c0:c1].copy()
-        if enforce_col_sums:
-            target = M.col_sums()
-            approx_cols = Ws.sum(axis=0) @ Hs
-            Hs = Hs * (target / np.maximum(approx_cols, _TINY))[None, :]
+        approx_cols = Ws.sum(axis=0) @ Hs
+        Hs = Hs * (M.col_sums() / np.maximum(approx_cols, _TINY))[None, :]
         pair = FactorPair(Ws, Hs)
         row_res, col_res = sum_residual(M, pair)
         results[s] = pair, ConvergenceReport(

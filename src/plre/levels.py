@@ -150,22 +150,6 @@ class Level(CountTable):
             g = g * self.gammas[j + 1, ctx]
         return value, g
 
-    def column(self, ctx: int) -> Tuple[np.ndarray, float]:
-        """(level value over the vocabulary, gamma hand-off) for one of the
-        level's contexts: its CSR row and one factor block per chain step."""
-        lo, hi = self.ctx_start[ctx : ctx + 2].tolist()
-        vec = np.zeros(self.vsize)
-        vec[self.keys[lo:hi, 0]] = self.top[lo:hi] / self.totals[ctx]
-        gammas = self.gammas[:, ctx].tolist()
-        g = gammas[0]
-        for j, z in enumerate(self.z_tables):
-            s = int(z.ctx_slice[ctx])
-            if s >= 0:
-                rows, _, L, R = z.factors(s)
-                vec[rows] += (g / z.denominators[ctx]) * (L @ R[:, z.ctx_col[ctx]])
-            g *= gammas[j + 1]
-        return vec, g
-
 
 class LevelModel:
     """Levels for orders n..2 over the unigram base, queried by one walk."""
@@ -189,11 +173,6 @@ class LevelModel:
         out.update((k, (level.keys, level.counts)) for k, level in self.levels.items())
         return out
 
-    def _lookup(self, contexts: np.ndarray) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Every level's lookup of the context rows; entry k-1 is order k's."""
-        c = contexts.shape[1]
-        return self.levels[c + 1].find(contexts) if c else []
-
     def score(
         self, words, contexts, counter: Optional[OpCounter] = None
     ) -> np.ndarray:
@@ -208,10 +187,12 @@ class LevelModel:
         """
         words = np.asarray(words, dtype=np.int64)
         contexts = np.asarray(contexts, dtype=np.int64)[:, : self.order - 1]
-        found = self._lookup(contexts)
+        c = contexts.shape[1]
+        # Every level's lookup of the contexts; entry k-1 is order k's.
+        found = self.levels[c + 1].find(contexts) if c else []
         acc = np.zeros(len(words))
         mult = np.ones(len(words))
-        for k in range(contexts.shape[1] + 1, 1, -1):
+        for k in range(c + 1, 1, -1):
             ctx, ok = found[k - 1]
             value, g = self.levels[k].terms(ctx[ok], words[ok], counter)
             acc[ok] += mult[ok] * value
@@ -231,15 +212,9 @@ class LevelModel:
         return counter.muladds
 
     def dist(self, context: Sequence[int] = ()) -> np.ndarray:
-        """Conditional distribution over the whole vocabulary."""
-        contexts = np.asarray([tuple(context)], dtype=np.int64)[:, : self.order - 1]
-        found = self._lookup(contexts)
-        acc = np.zeros(len(self.vocab))
-        mult = 1.0
-        for k in range(contexts.shape[1] + 1, 1, -1):
-            ctx, ok = found[k - 1]
-            if ok[0]:
-                vec, g = self.levels[k].column(int(ctx[0]))
-                acc += mult * vec
-                mult *= g
-        return acc + mult * self.base
+        """P(w | context) for every word w: ``score`` over the whole
+        vocabulary for the one context, so each entry is bit-identical to
+        ``prob(w, context)``."""
+        words = np.arange(len(self.vocab))
+        contexts = np.asarray([tuple(context)], dtype=np.int64)
+        return self.score(words, np.repeat(contexts, len(words), axis=0))

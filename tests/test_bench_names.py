@@ -19,7 +19,7 @@ def _load(monkeypatch, name):
     return module
 
 
-def test_traced_names_resolve_and_unwrap(monkeypatch, toy_corpus):
+def test_traced_names_resolve_and_unwrap(monkeypatch, toy_corpus, tmp_path, capsys):
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, "1")
     monkeypatch.setattr(sys, "path", list(sys.path))
@@ -32,8 +32,11 @@ def test_traced_names_resolve_and_unwrap(monkeypatch, toy_corpus):
     try:
         _, vocab, enc = toy_corpus
         top = prog["corpus"].count_ngrams(enc, 3)
-        prog["ensemble"].build_plre(top, vocab, ranks={2: (1,), 3: (4,)}, seed=0)
+        model = prog["ensemble"].build_plre(top, vocab, ranks={2: (1,), 3: (4,)}, seed=0)
         prog["baselines"].NgramLM.build(vocab, {3: top}, "kn")
+        path = tmp_path / "toy.plre"
+        prog["container"].save_model(model, str(path))
+        assert prog["cli"].main(["verify", "--model", str(path), "--json"]) == 0
     finally:
         tracer.unwrap()
     assert (corpus.count_ngrams, ensemble.compute_z, baselines.NgramLM.build) == originals
@@ -53,3 +56,16 @@ def test_traced_names_resolve_and_unwrap(monkeypatch, toy_corpus):
         "baselines.NgramLM.build",
     ):
         assert named[name], name
+    # the traced verify metrics read these spans: one marginal check per
+    # level, the bound, and PLRE's three local checks
+    capsys.readouterr()
+    [verify] = named["cli.main"]
+    assert sorted(s["level"] for s in named["ensemble.verify_marginal"]) == [2, 3]
+    assert len(named["ensemble.marginal_error_bound"]) == 2
+    assert len(named["ensemble.local_check"]) == 3
+    for name in (
+        "ensemble.verify_marginal",
+        "ensemble.marginal_error_bound",
+        "ensemble.local_check",
+    ):
+        assert all(s["parent"] == verify["id"] for s in named[name]), name

@@ -6,9 +6,10 @@ import jsonschema
 import numpy as np
 import pytest
 
+from plre.baselines import NgramLM
 from plre.cli import _normalization_sweep, main
 from plre.container import load_model, save_model
-from plre.corpus import read_sentences
+from plre.corpus import count_all_orders, read_sentences
 from plre.ensemble import build_plre, normalization_observed, verify_marginal
 from plre.errors import EvalError
 from plre.evaluation import perplexity
@@ -328,6 +329,26 @@ class TestVerify:
         names = [c["name"] for c in report["checks"]]
         assert "normalization_sweep" in names
 
+    @pytest.mark.parametrize("smoother", ["mle", "abs", "kn", "mkn"])
+    def test_every_smoother_passes_observed_normalization(
+        self, ws, smoother, tmp_path, capsys
+    ):
+        path = tmp_path / f"{smoother}.plre"
+        assert main(["train", "--corpus", str(ws["train"]), "--model", str(path),
+                     "--smoother", smoother, "--order", "3"]) == 0
+        capsys.readouterr()
+        assert main(["verify", "--model", str(path), "--json"]) == 0
+        checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert checks["normalization_observed"]["passed"]
+        assert checks["normalization_observed"]["max_violation"] <= 1e-12
+
+    def test_nan_baseline_gamma_fails_observed_normalization(self, toy_corpus):
+        _, vocab, enc = toy_corpus
+        lm = NgramLM.build(vocab, count_all_orders(enc, 3), "abs")
+        assert normalization_observed(lm) <= 1e-12
+        lm.levels[2].gammas[0, 0] = float("nan")
+        assert not normalization_observed(lm) <= 1e-8
+
     def test_plre_model_runs_full_check_set(self, ws, capsys):
         code = main(["verify", "--model", str(ws["plre_model"]), "--json"])
         assert code == 0
@@ -379,9 +400,17 @@ class TestVerify:
         sents, vocab, _ = toy_corpus
         model = build_plre(toy_top3, vocab, seed=0)
         assert model.check_gamma_closed_form() <= 1e-12
+        # poison a bigram context that one of the sweep's random contexts
+        # reaches, recorded by wrapping the query walk
+        swept = []
+        score = model.score
+        model.score = lambda words, contexts: swept.append(contexts) or score(words, contexts)
+        assert _normalization_sweep(model, 0) <= 1e-8
+        del model.score
         level = model.levels[2]
-        ctx = list(level.context_totals).index((3,))
-        level.gammas[1, ctx] = float("nan")
+        ctx, found = level.find(np.concatenate(swept)[:, :1])[-1]
+        assert found.any()
+        level.gammas[1, ctx[found][0]] = float("nan")
         assert not model.check_gamma_closed_form() <= 1e-12
         assert not model.check_local_constraints() <= 1e-12
         assert not _normalization_sweep(model, 0) <= 1e-8
@@ -404,14 +433,17 @@ class TestVerify:
     def test_top_numerator_outside_sweep_sample_fails_observed_normalization(
         self, toy_corpus, toy_top3, tmp_path, capsys
     ):
-        # the sweep samples contexts; the observed-context check sums every one
+        # the sweep scores random contexts; the observed-context check sums
+        # every observed one
         _, vocab, _ = toy_corpus
         model = build_plre(toy_top3, vocab, seed=0)
         swept = set()
-        dist = model.dist
-        model.dist = lambda h=(): swept.add(tuple(h)) or dist(h)
+        score = model.score
+        model.score = lambda words, contexts: (
+            swept.update(map(tuple, contexts.tolist())) or score(words, contexts)
+        )
         assert _normalization_sweep(model, 0) <= 1e-8
-        del model.dist
+        del model.score
         level = model.levels[3]
         ctx = next(
             i for i, h in enumerate(level.context_totals) if h not in swept

@@ -13,6 +13,8 @@ from plre.container import FORMAT_VERSION, load_model, save_model
 from plre.corpus import count_all_orders
 from plre.errors import ContainerError
 
+from conftest import write_corpus
+
 
 def _read_header(path):
     blob = open(path, "rb").read()
@@ -219,6 +221,28 @@ class TestBaselineKeyOrder:
         path.write_bytes(_join(blob, header, sections, rehash=True))
         with pytest.raises(ContainerError, match="sorted and unique"):
             load_model(str(path))
+        assert main(["verify", "--model", str(path)]) == 6
+
+
+class TestBaselineDiscounts:
+    # The header carries no hash.  Unchecked, a discount of -0.5 loads and
+    # verifies but fails at eval, and 7.0 evaluates an unnormalized model.
+    @pytest.mark.parametrize("model", ["toy_kn3", "toy_mkn3"])
+    @pytest.mark.parametrize("value", [-0.5, 7.0, float("nan"), float("inf")])
+    def test_discount_outside_its_count_exits_6(
+        self, model, value, request, toy_corpus, tmp_path, capsys
+    ):
+        path = tmp_path / "lm.plre"
+        save_model(request.getfixturevalue(model), str(path))
+        blob = path.read_bytes()
+        header, sections = _split(blob)
+        header["discounts"] = {k: [value] * 3 for k in header["discounts"]}
+        path.write_bytes(_join(blob, header, sections, rehash=False))
+        with pytest.raises(ContainerError, match="discount"):
+            load_model(str(path))
+        test = tmp_path / "test.txt"
+        write_corpus(str(test), toy_corpus[0][:5])
+        assert main(["eval", "--model", str(path), "--corpus", str(test)]) == 6
         assert main(["verify", "--model", str(path)]) == 6
 
 
