@@ -4,8 +4,9 @@ All four share one recursion
 
     P(w | h) = max(c(w,h) - D(c), 0) / c(h) + gamma(h) * P(w | shorter h)
 
-and differ only in which count tables feed each order (raw counts for
-mle/abs; at lower orders, distinct-extension type counts for kn/mkn), and in
+and differ only in which count tables feed each order, all derived from
+the top order's raw counts (at lower orders, their marginals for mle/abs and
+distinct-extension type counts for kn/mkn), and in
 the discount schedule (zero for mle, one Good-Turing value for abs/kn, the
 Chen-Goodman triple for mkn).  gamma(h) carries exactly the discounted mass,
 so every smoother is a proper distribution; for a context with zero count the
@@ -22,7 +23,7 @@ from typing import Dict, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
-from .corpus import CountTable, Vocabulary, adjusted_tables, context_starts
+from .corpus import CountTable, Vocabulary, adjusted_tables, context_starts, marginal_tables
 from .levels import Level, LevelModel, _strictly_increasing, timed
 
 SMOOTHERS = ("mle", "abs", "kn", "mkn")
@@ -125,27 +126,24 @@ class NgramLM(LevelModel):
         smoother: str,
         timings: Optional[Dict[str, float]] = None,
     ) -> "NgramLM":
-        """Assemble a model from raw per-order count tables.
+        """Assemble a model from the top-order raw count table, the highest
+        order in ``raw_tables``; every lower order is derived from it.
 
-        kn/mkn replace every order below the top with distinct-extension
-        type-count tables derived from the order above; mle/abs keep raw
-        counts everywhere.  Discounts come from each order's own
+        kn/mkn take distinct-extension type counts below the top
+        (``adjusted_tables``), mle/abs its marginals, which are the raw
+        counts (``marginal_tables``).  Discounts come from each order's own
         counts-of-counts (mle: zero).  Seconds per build stage are added
         to ``timings`` (adjusted_tables, discounts).
         """
-        order = max(raw_tables)
+        top = raw_tables[max(raw_tables)]
         if smoother in ("kn", "mkn"):
-            # Everything below the top order is derived, so only the raw
-            # top-order table is needed.
             with timed(timings, "adjusted_tables"):
-                tables = adjusted_tables(raw_tables[order])
+                tables = adjusted_tables(top)
         else:
-            if sorted(raw_tables) != list(range(1, order + 1)):
-                raise ValueError("raw_tables must cover orders 1..n")
-            tables = dict(raw_tables)
+            tables = marginal_tables(top)
         with timed(timings, "discounts"):
             discounts: Dict[int, DiscountParams] = {}
-            for k in range(2, order + 1):
+            for k in range(2, top.order + 1):
                 if smoother == "mle":
                     discounts[k] = DiscountParams.single(0.0)
                     continue
@@ -154,7 +152,7 @@ class NgramLM(LevelModel):
                     discounts[k] = DiscountParams(*mkn_discounts(n1, n2, n3, n4))
                 else:
                     discounts[k] = DiscountParams.single(good_turing_discount(n1, n2))
-            return cls(vocab, order, smoother, tables, discounts)
+            return cls(vocab, top.order, smoother, tables, discounts)
 
 
 def _level(order: int, keys: np.ndarray, counts: np.ndarray, dp: DiscountParams) -> Level:

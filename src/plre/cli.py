@@ -177,12 +177,12 @@ def _load_cfg(args: argparse.Namespace, path: Optional[str]) -> TrainConfig:
 def _build_model(
     cfg: TrainConfig,
     vocab: Vocabulary,
-    raw: Dict[int, CountTable],
+    top: CountTable,
     timings: Optional[Dict[str, float]] = None,
 ):
     if cfg.smoother == "plre":
         return build_plre(
-            raw[cfg.order],
+            top,
             vocab,
             powers=cfg.resolved_powers(),
             ranks=cfg.resolved_rank_values(),
@@ -194,11 +194,7 @@ def _build_model(
             threads=cfg.threads,
             timings=timings,
         )
-    if cfg.smoother in ("kn", "mkn"):
-        return NgramLM.build(vocab, {cfg.order: raw[cfg.order]}, cfg.smoother, timings)
-    return NgramLM.build(
-        vocab, {k: raw[k] for k in range(1, cfg.order + 1)}, cfg.smoother, timings
-    )
+    return NgramLM.build(vocab, {cfg.order: top}, cfg.smoother, timings)
 
 
 def _convergence_summary(model) -> Optional[dict]:
@@ -256,13 +252,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     encoded = [vocab.encode(s) for s in sentences]
     tokens = sum(len(s) for s in sentences)
     with timed(stages, "counting"):
-        if cfg.smoother in ("mle", "abs"):
-            raw = count_all_orders(encoded, cfg.order)
-        else:
-            # kn/mkn/plre derive everything below the top order themselves.
-            raw = {cfg.order: count_ngrams(encoded, cfg.order)}
+        top = count_ngrams(encoded, cfg.order)
     t1 = time.perf_counter()
-    model = _build_model(cfg, vocab, raw, stages)
+    model = _build_model(cfg, vocab, top, stages)
     t2 = time.perf_counter()
     save_model(model, args.model, config_echo=cfg.echo())
     t3 = time.perf_counter()
@@ -374,9 +366,7 @@ def _kn_reduction_deviation(model: PlreModel, seed: int, n_queries: int = 2000) 
     Only meaningful when every level has no intermediate powers; the
     reference model is rebuilt from the stored count arrays.
     """
-    discounts = {
-        k: DiscountParams.single(model.dstars[k]) for k in range(2, model.order + 1)
-    }
+    discounts = {k: DiscountParams.single(d) for k, d in model.dstars.items()}
     ref = NgramLM(model.vocab, model.order, "kn", model.count_arrays(), discounts)
     level = model.levels[model.order]
     rng = np.random.default_rng(seed)
@@ -476,7 +466,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     models: List[Tuple[TrainConfig, object]] = []
     for name, cfg in cfgs:
         t1 = time.perf_counter()
-        model = _build_model(cfg, vocab, raw)
+        model = _build_model(cfg, vocab, raw[cfg.order])
         build_secs = time.perf_counter() - t1
         rep = perplexity(model, test)
         rows.append(

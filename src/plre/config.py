@@ -23,6 +23,7 @@ power chain (no low-rank term) unless power.K says otherwise.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field, asdict
 from typing import Dict, Optional, Tuple, Union
@@ -34,10 +35,13 @@ _SMOOTHERS = ("mle", "abs", "kn", "mkn", "plre")
 
 
 def _parse_rank_value(text: str) -> Union[int, float]:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
     if 0.0 < value < 1.0:
         return value
-    if value != int(value) or value < 1:
+    if not math.isfinite(value) or value != int(value) or value < 1:
         raise ConfigError(f"rank must be a positive int or a fraction in (0,1): {text}")
     return int(value)
 
@@ -78,6 +82,13 @@ class TrainConfig:
             raise ConfigError(f"dstar must be 'gt-root' or a float in (0,1): {self.dstar}")
         if isinstance(self.dstar, float) and not 0.0 < self.dstar < 1.0:
             raise ConfigError(f"fixed dstar must be in (0,1): {self.dstar}")
+        if self.nmf_max_iters < 1:
+            raise ConfigError(f"nmf.max_iters must be >= 1: {self.nmf_max_iters}")
+        # NaN fails every comparison, so these reject it too.
+        if not 0.0 <= self.nmf_rel_tol < math.inf:
+            raise ConfigError(f"nmf.rel_tol must be finite and >= 0: {self.nmf_rel_tol}")
+        if not 0.0 < self.nmf_eps < math.inf:
+            raise ConfigError(f"nmf.eps must be finite and > 0: {self.nmf_eps}")
 
     def resolved_powers(self) -> Dict[int, Tuple[float, ...]]:
         """Per-order power chains after defaults and overrides."""

@@ -14,11 +14,12 @@ model stores, per order k with n entries and m contexts:
                 then all row ids, column ids, L and R factors, concatenated
     zden.k.j    m powered context sums
 
-then ``base_counts``.  A baseline model stores ``counts.k`` per order.
-Contexts are derived from the keys on load, so each key array is stored
-once.  Every float that a query can touch is stored verbatim rather than
-recomputed, so a loaded model answers queries bit-identically and a rebuild
-with the same seed produces byte-identical files.
+then ``base_counts``.  Contexts are derived from the keys on load, so each
+key array is stored once.  Every float that a PLRE query can touch is stored
+verbatim rather than recomputed.  A baseline model stores only ``counts.n``,
+its top order's raw counts, and is rebuilt on load by ``NgramLM.build``, the
+build that trained it.  So a loaded model answers queries bit-identically,
+and a rebuild with the same seed produces byte-identical files.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .baselines import DiscountParams, NgramLM
-from .corpus import Vocabulary
+from .baselines import NgramLM
+from .corpus import CountTable, Vocabulary
 from .ensemble import LowRankCPT, PlreLevel, PlreModel
 from .errors import ContainerError, DataError
 
@@ -107,13 +108,11 @@ def save_model(model, path: str, config_echo: Optional[dict] = None) -> None:
     if isinstance(model, PlreModel):
         header["kind"] = "plre"
         header["seed"] = model.seed
-        header["dstars"] = {str(k): model.dstars[k] for k in model.dstars}
+        header["dstars"] = {str(k): d for k, d in model.dstars.items()}
         header["powers"] = {
             str(k): list(level.powers) for k, level in model.levels.items()
         }
-        header["ranks"] = {
-            str(k): list(model.resolved_ranks[k]) for k in model.resolved_ranks
-        }
+        header["ranks"] = {str(k): list(r) for k, r in model.resolved_ranks.items()}
         header["warnings"] = list(model.warnings)
         header["slices"] = {}
         for k in range(model.order, 1, -1):
@@ -132,12 +131,9 @@ def save_model(model, path: str, config_echo: Optional[dict] = None) -> None:
         sections.append(("base_counts", _bytes(model.base_counts, "<i8")))
     else:
         header["kind"] = "baseline"
-        header["discounts"] = {
-            str(k): [dp.d1, dp.d2, dp.d3plus] for k, dp in model.discounts.items()
-        }
-        for k, (keys, counts) in sorted(model.count_arrays().items()):
-            header["entries"][str(k)] = len(keys)
-            sections.append((f"counts.{k}", _bytes(keys, "<i4") + _bytes(counts, "<i8")))
+        keys, counts = model.count_arrays()[model.order]
+        header["entries"][str(model.order)] = len(keys)
+        sections.append((f"counts.{model.order}", _bytes(keys, "<i4") + _bytes(counts, "<i8")))
 
     with open(path, "wb") as fh:
         fh.write(_assemble(header, sections))
@@ -249,34 +245,26 @@ def _read_slices(payloads: Dict[str, bytes], name: str, k: int, s: int, vsize: i
 
 def _load_baseline(header: dict, payloads: Dict[str, bytes], vocab: Vocabulary) -> NgramLM:
     order = int(header["order"])
-    tables = {k: _read_counts(header, payloads, k, len(vocab)) for k in range(1, order + 1)}
-    discounts = {
-        int(k): DiscountParams(*map(float, v)) for k, v in header["discounts"].items()
-    }
-    # The header has no hash: bound each D_k to [0, k], as mkn_discounts
-    # clamps it (a NaN fails the comparison too).
-    for k, d in discounts.items():
-        if not all(0.0 <= x <= c for c, x in enumerate((d.d1, d.d2, d.d3plus), 1)):
-            raise ContainerError(f"order {k}: a discount D_c outside [0, c] in {d}")
-    return NgramLM(vocab, order, header["smoother"], tables, discounts)
+    top = CountTable(order, *_read_counts(header, payloads, order, len(vocab)))
+    return NgramLM.build(vocab, {order: top}, header["smoother"])
 
 
 def _load_plre(header: dict, payloads: Dict[str, bytes], vocab: Vocabulary) -> PlreModel:
     order = int(header["order"])
     vsize = len(vocab)
-    dstars = {int(k): float(v) for k, v in header["dstars"].items()}
-    if not all(0.0 < d < 1.0 for d in dstars.values()):
-        raise ContainerError("discount d* outside (0, 1)")
-    powers = {int(k): tuple(map(float, v)) for k, v in header["powers"].items()}
-    ranks = {int(k): tuple(map(int, v)) for k, v in header["ranks"].items()}
     levels: Dict[int, PlreLevel] = {}
     for k in range(order, 1, -1):
+        dstar = float(header["dstars"][str(k)])
+        if not 0.0 < dstar < 1.0:
+            raise ContainerError(f"order {k}: discount d* outside (0, 1)")
+        powers = tuple(map(float, header["powers"][str(k)]))
+        ranks = header["ranks"][str(k)]
         keys, counts = _read_counts(header, payloads, k, vsize)
-        eta = len(powers[k])
+        eta = len(powers)
         z_tables = [
             LowRankCPT(
                 k,
-                ranks[k][j - 1],
+                int(ranks[j - 1]),
                 denominators=_read_floats(payloads, f"zden.{k}.{j}"),
                 **_read_slices(
                     payloads, f"z.{k}.{j}", k, int(header["slices"][f"{k}.{j}"]), vsize
@@ -286,8 +274,8 @@ def _load_plre(header: dict, payloads: Dict[str, bytes], vocab: Vocabulary) -> P
         ]
         levels[k] = PlreLevel(
             order=k,
-            dstar=dstars[k],
-            powers=powers[k],
+            dstar=dstar,
+            powers=powers,
             keys=keys,
             counts=counts,
             top=_read_floats(payloads, f"top.{k}"),
@@ -299,13 +287,5 @@ def _load_plre(header: dict, payloads: Dict[str, bytes], vocab: Vocabulary) -> P
     cur.done()
     if base_counts.min() < 0:
         raise ContainerError("section base_counts: negative count")
-    return PlreModel(
-        vocab,
-        order,
-        levels,
-        base_counts,
-        dstars,
-        ranks,
-        int(header.get("seed", 0)),
-        list(header.get("warnings", [])),
-    )
+    seed, warnings = int(header.get("seed", 0)), list(header.get("warnings", []))
+    return PlreModel(vocab, order, levels, base_counts, seed, warnings)

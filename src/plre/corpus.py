@@ -160,14 +160,16 @@ def _key_columns(order: int) -> List[int]:
     return list(range(1, order)) + [0]
 
 
-def _count_rows(rows: np.ndarray, first: np.ndarray) -> Tuple[np.ndarray, ...]:
-    """(distinct rows sorted by context then word, how often each occurs,
-    the smallest ``first`` among its occurrences), by one sort over the
-    columns: packing a row into one int64 code would overflow."""
+def _count_rows(rows: np.ndarray, first: np.ndarray, weights=None) -> Tuple[np.ndarray, ...]:
+    """(distinct rows sorted by context then word, how often each occurs or
+    the sum of its ``weights``, the smallest ``first`` among its
+    occurrences), by one sort over the columns: packing a row into one int64
+    code would overflow."""
     perm = np.lexsort([rows[:, c] for c in reversed(_key_columns(rows.shape[1]))])
     rows = rows[perm]
     starts = _runs(rows)
-    return rows[starts[:-1]], np.diff(starts), np.minimum.reduceat(first[perm], starts[:-1])
+    counts = np.diff(starts) if weights is None else np.add.reduceat(weights[perm], starts[:-1])
+    return rows[starts[:-1]], counts, np.minimum.reduceat(first[perm], starts[:-1])
 
 
 class RowMap(abc.Mapping):
@@ -288,11 +290,28 @@ def count_all_orders(
     bos_id: int = Vocabulary.bos_id,
     eos_id: int = Vocabulary.eos_id,
 ) -> Dict[int, CountTable]:
-    """Raw count tables for every order 1..max_order over the same sentences."""
-    return {
-        k: count_ngrams(sentences, k, bos_id, eos_id)
-        for k in range(1, max_order + 1)
-    }
+    """Raw count tables for every order 1..max_order over the same sentences:
+    the top order counted, the others its marginals."""
+    return marginal_tables(count_ngrams(sentences, max_order, bos_id, eos_id))
+
+
+def _lower_tables(top: CountTable, summed: bool) -> Dict[int, CountTable]:
+    """``top`` and each lower order from the runs of the keys one order up
+    less their oldest word: a run's size, or with ``summed`` its count."""
+    tables = {top.order: top}
+    for k in range(top.order - 1, 0, -1):
+        upper = tables[k + 1]
+        weights = upper.counts if summed else None
+        tables[k] = CountTable(k, *_count_rows(upper.keys[:, :-1], upper.first, weights))
+    return tables
+
+
+def marginal_tables(top: CountTable) -> Dict[int, CountTable]:
+    """Raw count tables for all orders 1..top.order, each equal to
+    ``count_ngrams`` at its order: a position's order-(k-1) window is its
+    order-k window less the oldest word, and every order pads a sentence so
+    that each position is counted once."""
+    return _lower_tables(top, summed=True)
 
 
 def adjusted_tables(top: CountTable) -> Dict[int, CountTable]:
@@ -303,11 +322,7 @@ def adjusted_tables(top: CountTable) -> Dict[int, CountTable]:
     of distinct words ``x`` such that ``g + (x,)`` is in that table, i.e.
     the size of the run of ``g`` among its keys less their oldest word.
     """
-    tables = {top.order: top}
-    for k in range(top.order - 1, 0, -1):
-        upper = tables[k + 1]
-        tables[k] = CountTable(k, *_count_rows(upper.keys[:, :-1], upper.first))
-    return tables
+    return _lower_tables(top, summed=False)
 
 
 def read_sentences(path: str) -> List[List[str]]:

@@ -416,17 +416,23 @@ class PlreModel(LevelModel):
         order: int,
         levels: Dict[int, PlreLevel],
         base_counts: np.ndarray,
-        dstars: Dict[int, float],
-        resolved_ranks: Dict[int, Tuple[int, ...]],
         seed: int,
         warnings: Optional[List[str]] = None,
     ):
         super().__init__(vocab, order, levels, base_counts)
-        self.dstars = dstars
-        self.resolved_ranks = resolved_ranks
         self.seed = seed
         self.warnings = warnings or []
         self.smoother = "plre"
+
+    @property
+    def dstars(self) -> Dict[int, float]:
+        """d* of each level."""
+        return {k: level.dstar for k, level in self.levels.items()}
+
+    @property
+    def resolved_ranks(self) -> Dict[int, Tuple[int, ...]]:
+        """Each level's rank per intermediate power."""
+        return {k: tuple(z.rank for z in level.z_tables) for k, level in self.levels.items()}
 
     def check_discount_bounds(self) -> float:
         """Max violation of 0 <= D_j(w,h) <= c̃(w,h)^rho_j over everything."""
@@ -531,7 +537,7 @@ def build_plre(
 
     warnings: List[str] = []
     vsize = len(vocab)
-    resolved_ranks: Dict[int, Tuple[int, ...]] = {}
+    resolved_ranks: Dict[int, List[int]] = {}
     for k in range(2, order + 1):
         chain = tuple(powers.get(k, ()))
         for lo, hi in zip(chain[1:], chain[:-1]):
@@ -544,17 +550,15 @@ def build_plre(
             raise ConfigError(
                 f"order {k}: {len(chain)} power(s) but {len(rk)} rank(s)"
             )
-        resolved = []
+        resolved_ranks[k] = []
         for value in rk:
             r, warn = _resolve_rank(value, vsize)
             if warn:
                 warnings.append(f"order {k}: {warn}")
-            resolved.append(r)
-        resolved_ranks[k] = tuple(resolved)
+            resolved_ranks[k].append(r)
 
     with timed(timings, "adjusted_tables"):
         ctabs = adjusted_tables(top)
-    dstars: Dict[int, float] = {}
     levels: Dict[int, PlreLevel] = {}
     for k in range(order, 1, -1):
         ctab = ctabs[k]
@@ -562,14 +566,13 @@ def build_plre(
         eta = len(chain_mid)
         if dstar == "gt-root":
             n1, n2, _, _ = count_of_counts(ctab.counts)
-            dstars[k] = derive_dstar(good_turing_discount(n1, n2), eta)
+            d = derive_dstar(good_turing_discount(n1, n2), eta)
         else:
             d = float(dstar)
             if not 0.0 < d < 1.0:
                 raise ConfigError(f"fixed d* must be in (0,1), got {dstar}")
-            dstars[k] = d
         with timed(timings, "discounts"):
-            specs = compute_discounts(ctab, (1.0,) + chain_mid + (0.0,), dstars[k])
+            specs = compute_discounts(ctab, (1.0,) + chain_mid + (0.0,), d)
         z_tables = [
             compute_z(
                 specs[j],
@@ -585,7 +588,7 @@ def build_plre(
         ]
         levels[k] = PlreLevel(
             order=k,
-            dstar=dstars[k],
+            dstar=d,
             powers=chain_mid,
             keys=ctab.keys,
             counts=ctab.counts,
@@ -596,16 +599,7 @@ def build_plre(
 
     base_counts = np.zeros(vsize, dtype=np.int64)
     base_counts[ctabs[1].keys[:, 0]] = ctabs[1].counts
-    return PlreModel(
-        vocab,
-        order,
-        levels,
-        base_counts,
-        dstars,
-        resolved_ranks,
-        seed,
-        warnings,
-    )
+    return PlreModel(vocab, order, levels, base_counts, seed, warnings)
 
 
 def _factor_index(z: LowRankCPT) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

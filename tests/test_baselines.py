@@ -268,7 +268,29 @@ class TestModelAssembly:
         with pytest.raises(ValueError):
             NgramLM.build(vocab, count_all_orders(enc, 2), "katz")
 
-    def test_missing_orders_rejected(self, toy_corpus):
+    @pytest.mark.parametrize("smoother", ["mle", "abs", "kn", "mkn"])
+    def test_top_order_build_equals_the_all_orders_build(self, toy_corpus, smoother):
         _, vocab, enc = toy_corpus
-        with pytest.raises(ValueError):
-            NgramLM.build(vocab, {3: count_ngrams(enc, 3)}, "abs")
+        for order in (1, 2, 3, 4):
+            lm = NgramLM.build(vocab, {order: count_ngrams(enc, order)}, smoother)
+            _assert_same_model(lm, NgramLM.build(vocab, count_all_orders(enc, order), smoother))
+            if smoother in ("kn", "mkn"):
+                continue
+            # every raw order counted on its own, with its own discount
+            own = {k: count_ngrams(enc, k) for k in range(1, order + 1)}
+            for k in range(2, order + 1):
+                n1, n2, _, _ = count_of_counts(own[k].counts)
+                d = 0.0 if smoother == "mle" else good_turing_discount(n1, n2)
+                assert lm.discounts[k] == DiscountParams.single(d)
+            _assert_same_model(lm, NgramLM(vocab, order, smoother, own, lm.discounts))
+
+
+def _assert_same_model(a, b):
+    """The same tables and floats, bit for bit."""
+    assert (a.order, a.smoother, a.discounts) == (b.order, b.smoother, b.discounts)
+    assert np.array_equal(a.base_counts, b.base_counts)
+    assert np.array_equal(a.base, b.base)
+    assert sorted(a.levels) == sorted(b.levels)
+    for k, level in a.levels.items():
+        for field in ("keys", "counts", "top", "gammas"):
+            assert np.array_equal(getattr(level, field), getattr(b.levels[k], field)), (k, field)

@@ -56,6 +56,11 @@ def test_traced_names_resolve_and_unwrap(monkeypatch, toy_corpus, tmp_path, caps
         "baselines.NgramLM.build",
     ):
         assert named[name], name
+    # the kn build derives its lower orders under its own span, where the
+    # benchmark's wrap of baselines.adjusted_tables finds them
+    [kn_build] = named["baselines.NgramLM.build"]
+    parents = [s["parent"] for s in named["corpus.adjusted_tables"]]
+    assert parents.count(kn_build["id"]) == 1
     # the traced verify metrics read these spans: one marginal check per
     # level, the bound, and PLRE's three local checks
     capsys.readouterr()

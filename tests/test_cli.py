@@ -564,6 +564,28 @@ class TestExitCodes:
                      "--smoother", "plre", "--dstar", "huge"]) == 3
         capsys.readouterr()
 
+    @pytest.mark.parametrize("value", ["abc", "nan", "inf"])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_malformed_rank_exits_3(self, ws, tmp_path, capsys, via, value):
+        cfg = tmp_path / "rank.cfg"
+        cfg.write_text(f"rank = {value}\n")
+        how = ["--rank", value] if via == "flag" else ["--config", str(cfg)]
+        assert main(["train", "--corpus", str(ws["train"]),
+                     "--model", str(tmp_path / "m.plre"), *how]) == 3
+        assert "rank must be" in capsys.readouterr().err
+
+    # The NMF settings have no flags: a config file is their only way in.
+    @pytest.mark.parametrize("key,value", [
+        ("max_iters", "-5"), ("max_iters", "0"), ("rel_tol", "-1"), ("rel_tol", "nan"),
+        ("rel_tol", "inf"), ("eps", "nan"), ("eps", "0"), ("eps", "inf"),
+    ])
+    def test_malformed_nmf_setting_exits_3(self, ws, tmp_path, capsys, key, value):
+        cfg = tmp_path / "nmf.cfg"
+        cfg.write_text(f"nmf.{key} = {value}\n")
+        assert main(["train", "--corpus", str(ws["train"]),
+                     "--model", str(tmp_path / "m.plre"), "--config", str(cfg)]) == 3
+        assert f"nmf.{key} must be" in capsys.readouterr().err
+
     def test_empty_corpus_exits_4(self, tmp_path, capsys):
         empty = tmp_path / "empty.txt"
         empty.write_text("\n\n")

@@ -205,7 +205,7 @@ class TestCorruption:
 
 
 class TestBaselineKeyOrder:
-    @pytest.mark.parametrize("name", ["counts.1", "counts.2", "counts.3"])
+    @pytest.mark.parametrize("name", ["counts.3"])
     @pytest.mark.parametrize("edit", ["swap", "duplicate"])
     def test_unsorted_or_duplicate_keys_exit_6(self, toy_kn3, name, edit, tmp_path, capsys):
         path = tmp_path / "kn.plre"
@@ -224,26 +224,99 @@ class TestBaselineKeyOrder:
         assert main(["verify", "--model", str(path)]) == 6
 
 
-class TestBaselineDiscounts:
-    # The header carries no hash.  Unchecked, a discount of -0.5 loads and
-    # verifies but fails at eval, and 7.0 evaluates an unnormalized model.
+class TestBaselineLayout:
+    @pytest.mark.parametrize("smoother", ["mle", "abs", "kn", "mkn"])
+    def test_only_the_top_order_is_stored(self, smoother, toy_corpus, tmp_path):
+        _, vocab, enc = toy_corpus
+        for order in (1, 2, 3):
+            model = NgramLM.build(vocab, count_all_orders(enc, order), smoother)
+            p1, p2 = tmp_path / "a.plre", tmp_path / "b.plre"
+            save_model(model, str(p1))
+            header = _read_header(str(p1))
+            assert header["sections"] == ["vocab", f"counts.{order}"]
+            assert header["entries"] == {str(order): len(model.count_arrays()[order][0])}
+            assert "discounts" not in header
+            save_model(load_model(str(p1)), str(p2))
+            assert p1.read_bytes() == p2.read_bytes(), (smoother, order)
+
+
+def _save_every_order(model, path):
+    """Save a baseline in the layout that also stored every lower order's
+    counts and the discounts, which loading now derives instead."""
+    save_model(model, str(path))
+    blob = path.read_bytes()
+    header, sections = _split(blob)
+    arrays = sorted(model.count_arrays().items())
+    sections[1:1] = [
+        [f"counts.{k}", bytearray(keys.astype("<i4").tobytes() + counts.astype("<i8").tobytes())]
+        for k, (keys, counts) in arrays[:-1]
+    ]
+    header["sections"] = [name for name, _ in sections]
+    header["entries"] = {str(k): len(keys) for k, (keys, _) in arrays}
+    header["discounts"] = {str(k): [d.d1, d.d2, d.d3plus] for k, d in model.discounts.items()}
+    path.write_bytes(_join(blob, header, sections, rehash=True))
+
+
+class TestBaselineTamper:
+    # A baseline is rebuilt from its top-order counts, so a container that
+    # also stores lower orders and discounts answers from the top order
+    # alone: rewriting the rest cannot change the model.
+    @staticmethod
+    def _perplexity(path, test, capsys):
+        capsys.readouterr()
+        assert main(["eval", "--model", str(path), "--corpus", str(test), "--json"]) == 0
+        return json.loads(capsys.readouterr().out)["perplexity"]
+
+    @pytest.fixture()
+    def test_text(self, toy_corpus, tmp_path):
+        path = tmp_path / "test.txt"
+        write_corpus(str(path), toy_corpus[0][:40])
+        return path
+
+    @pytest.mark.parametrize("smoother", ["mle", "abs", "kn", "mkn"])
+    def test_every_order_layout_loads_to_the_same_answers(
+        self, smoother, toy_top3, toy_corpus, tmp_path
+    ):
+        _, vocab, _ = toy_corpus
+        model = NgramLM.build(vocab, {3: toy_top3}, smoother)
+        path = tmp_path / "lm.plre"
+        _save_every_order(model, path)
+        loaded = load_model(str(path))
+        rng = np.random.default_rng(9)
+        for w, ctx in _sample_queries(len(vocab), rng):
+            assert loaded.prob(w, ctx) == model.prob(w, ctx), (smoother, w, ctx)
+
     @pytest.mark.parametrize("model", ["toy_kn3", "toy_mkn3"])
-    @pytest.mark.parametrize("value", [-0.5, 7.0, float("nan"), float("inf")])
-    def test_discount_outside_its_count_exits_6(
-        self, model, value, request, toy_corpus, tmp_path, capsys
+    @pytest.mark.parametrize("value", [-0.5, 0.05, 7.0, float("nan"), float("inf")])
+    def test_rewritten_discounts_leave_perplexity_unchanged(
+        self, model, value, request, test_text, tmp_path, capsys
     ):
         path = tmp_path / "lm.plre"
-        save_model(request.getfixturevalue(model), str(path))
+        _save_every_order(request.getfixturevalue(model), path)
+        untouched = self._perplexity(path, test_text, capsys)
         blob = path.read_bytes()
         header, sections = _split(blob)
         header["discounts"] = {k: [value] * 3 for k in header["discounts"]}
         path.write_bytes(_join(blob, header, sections, rehash=False))
-        with pytest.raises(ContainerError, match="discount"):
-            load_model(str(path))
-        test = tmp_path / "test.txt"
-        write_corpus(str(test), toy_corpus[0][:5])
-        assert main(["eval", "--model", str(path), "--corpus", str(test)]) == 6
-        assert main(["verify", "--model", str(path)]) == 6
+        assert self._perplexity(path, test_text, capsys) == untouched
+        assert main(["verify", "--model", str(path)]) == 0
+
+    @pytest.mark.parametrize("model", ["toy_kn3", "toy_mkn3"])
+    def test_tripled_lower_order_counts_leave_perplexity_unchanged(
+        self, model, request, test_text, tmp_path, capsys
+    ):
+        path = tmp_path / "lm.plre"
+        _save_every_order(request.getfixturevalue(model), path)
+        untouched = self._perplexity(path, test_text, capsys)
+        blob = path.read_bytes()
+        header, sections = _split(blob)
+        payload = next(sec for sec in sections if sec[0] == "counts.2")[1]
+        n = header["entries"]["2"]
+        counts = np.frombuffer(bytes(payload), "<i8", count=n, offset=4 * 2 * n)
+        payload[4 * 2 * n :] = (3 * counts).astype("<i8").tobytes()
+        path.write_bytes(_join(blob, header, sections, rehash=True))
+        assert self._perplexity(path, test_text, capsys) == untouched
+        assert main(["verify", "--model", str(path)]) == 0
 
 
 class TestSectionChecks:
