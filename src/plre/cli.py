@@ -333,12 +333,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
         "oov_rate": oov_rate,
         "total_logprob": rep.total_logprob,
         "perplexity": rep.perplexity,
+        "distinct_queries": rep.distinct,
     }
     lines = [
         f"perplexity {rep.perplexity:.4f} over {rep.tokens} tokens "
         f"({model.smoother} order {model.order}, oov rate {oov_rate:.4%})"
     ]
     if args.verbose:
+        lines.append(f"queries: {rep.distinct} distinct of {rep.tokens} scored")
         lines.append(f"timing: eval {elapsed:.2f}s")
     _emit(args, report, lines)
     return 0

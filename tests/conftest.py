@@ -6,6 +6,9 @@ plain dicts, so it shares no code paths (or key conventions) with the
 package it checks.
 """
 
+import functools
+import math
+import operator
 from collections import Counter
 from typing import Dict, Tuple
 
@@ -15,6 +18,8 @@ import pytest
 from plre.corpus import CountTable, Vocabulary, build_vocabulary, count_ngrams
 from plre.ensemble import build_plre, derive_dstar
 from plre.baselines import NgramLM, good_turing_discount
+from plre.errors import EvalError
+from plre.evaluation import EvalReport
 from plre.factorization import FactorPair, SparseMatrix, nmf_gkl, nmf_gkl_many
 from plre.synthetic import synthesize_corpus
 
@@ -287,6 +292,36 @@ def dense_marginal(model, order: int) -> np.ndarray:
     for ctx_count, h in zip(level.totals.tolist(), level.context_totals):
         acc += (ctx_count / total) * model.dist(h)
     return acc
+
+
+def sequential_logprobs(model, sentences):
+    """Each sentence's natural-log probability, its tokens scored in text
+    order by one ``score`` call and their logs added left to right."""
+    vocab = model.vocab
+    bos, eos, pad = vocab.bos_id, vocab.eos_id, model.order - 1
+    sentence_logprobs = []
+    for sent in sentences:
+        ids = vocab.encode(sent) + [eos]
+        padded = [bos] * pad + ids
+        contexts = [padded[i : i + pad][::-1] for i in range(len(ids))]
+        probs = model.score(
+            np.array(ids, dtype=np.int64), np.array(contexts, dtype=np.int64).reshape(-1, pad)
+        ).tolist()
+        for w, h, p in zip(ids, contexts, probs):
+            if not 0.0 < p < math.inf:
+                raise EvalError(f"probability {p} for id {w} after {h}")
+        sentence_logprobs.append(functools.reduce(operator.add, map(math.log, probs), 0.0))
+    return sentence_logprobs
+
+
+def sequential_perplexity(model, sentences) -> EvalReport:
+    """Perplexity as the exact sum of ``sequential_logprobs``: the tests'
+    oracle for the package's chunked, deduplicated and sorted scoring,
+    which must give the same bits."""
+    oov = sum(1 for sent in sentences for tok in sent if tok not in model.vocab)
+    tokens = sum(len(sent) + 1 for sent in sentences)
+    total = math.fsum(sequential_logprobs(model, sentences))
+    return EvalReport(tokens, oov, total, math.exp(-total / tokens))
 
 
 def looped_error_bound(model, order: int) -> float:

@@ -94,10 +94,11 @@ EVAL_SCHEMA = {
     "type": "object",
     "required": [
         "command", "model", "smoother", "order", "tokens", "oov",
-        "oov_rate", "total_logprob", "perplexity",
+        "oov_rate", "total_logprob", "perplexity", "distinct_queries",
     ],
     "properties": {
         "command": {"const": "eval"},
+        "distinct_queries": {"type": "integer", "minimum": 1},
         "tokens": {"type": "integer", "minimum": 1},
         "oov": {"type": "integer", "minimum": 0},
         "oov_rate": {"type": "number", "minimum": 0, "maximum": 1},
@@ -289,6 +290,15 @@ class TestEval:
         direct = perplexity(model, read_sentences(str(ws["test"])))
         assert report["perplexity"] == direct.perplexity
         assert report["tokens"] == direct.tokens
+        assert report["distinct_queries"] == direct.distinct <= direct.tokens
+
+    def test_verbose_prints_distinct_queries(self, ws, capsys):
+        assert main(["eval", "--model", str(ws["kn_model"]),
+                     "--corpus", str(ws["test"]), "--verbose"]) == 0
+        model = load_model(str(ws["kn_model"]))
+        direct = perplexity(model, read_sentences(str(ws["test"])))
+        out = capsys.readouterr().out
+        assert f"queries: {direct.distinct} distinct of {direct.tokens} scored" in out
 
     def test_training_data_perplexity_is_sandwiched(self, ws, tmp_path, capsys):
         # on its own training data, interpolated KN cannot beat the

@@ -1,10 +1,12 @@
 """Perplexity evaluation and model comparison."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
+from plre import evaluation
 from plre.baselines import NgramLM
 from plre.corpus import Vocabulary, build_vocabulary, count_all_orders, count_ngrams
 from plre.ensemble import build_plre
@@ -12,7 +14,7 @@ from plre.errors import EvalError, VocabMismatchError
 from plre.evaluation import log_prob_sentence, order_sweep, perplexity
 from plre.synthetic import synthesize_corpus
 
-from conftest import RefInterpolatedLM
+from conftest import RefInterpolatedLM, sequential_logprobs, sequential_perplexity
 
 
 class _StubModel:
@@ -76,8 +78,16 @@ class TestLogProbSentence:
         enc = [vocab.encode(["a", "b"])]
         lm = NgramLM.build(vocab, count_all_orders(enc, 2), "mle")
         a = vocab.word_to_id["a"]
-        with pytest.raises(EvalError):
+        # a after a and eos after a both score 0; the message names the
+        # first in text order, though eos (id 2) sorts first
+        with pytest.raises(EvalError, match=rf"^probability 0\.0 for id {a} after \[{a}\]$"):
             log_prob_sentence(lm, [a, a])
+
+    def test_word_id_outside_the_vocabulary_rejected(self, toy_kn3):
+        with pytest.raises(EvalError, match="outside the vocabulary"):
+            log_prob_sentence(toy_kn3, [5, len(toy_kn3.vocab)])
+        with pytest.raises(EvalError, match="outside the vocabulary"):
+            log_prob_sentence(toy_kn3, [-1])
 
 
 class TestPerplexity:
@@ -136,6 +146,128 @@ class TestPerplexity:
     def test_empty_test_set_rejected(self, toy_kn3):
         with pytest.raises(EvalError):
             perplexity(toy_kn3, [])
+
+
+def _spy_scores(monkeypatch, model):
+    """Record the (words, contexts) of every model.score call."""
+    calls = []
+    score = model.score
+
+    def spy(words, contexts, counter=None):
+        calls.append((np.array(words), np.array(contexts)))
+        return score(words, contexts, counter)
+
+    monkeypatch.setattr(model, "score", spy)
+    return calls
+
+
+def _packed(model, words, contexts):
+    """Each query's code, most recent context word first and the word
+    last, packed in unbounded Python integers."""
+    vsize = len(model.vocab)
+    return [
+        functools.reduce(lambda code, x: code * vsize + x, [*h, w], 0)
+        for w, h in zip(words.tolist(), contexts.tolist())
+    ]
+
+
+@pytest.fixture(scope="module")
+def toy_models(toy_corpus):
+    """Every smoother at orders 2-4 on the toy corpus, built on first use."""
+    _, vocab, encoded = toy_corpus
+    built = {}
+
+    def get(smoother, order):
+        if (smoother, order) not in built:
+            top = count_ngrams(encoded, order)
+            built[smoother, order] = (
+                build_plre(top, vocab, seed=0)
+                if smoother == "plre"
+                else NgramLM.build(vocab, {order: top}, smoother)
+            )
+        return built[smoother, order]
+
+    return get
+
+
+@pytest.fixture(scope="module")
+def heldout_with_oov(toy_corpus):
+    """Training sentences, unseen ones with OOV words, and one sentence
+    many times over."""
+    train, vocab, _ = toy_corpus
+    unseen = synthesize_corpus(60, vocab_size=400, n_topics=8, seed=12)
+    assert any(t not in vocab for s in unseen for t in s)
+    return train[:40] + unseen + [train[3]] * 20
+
+
+class TestChunkedScoring:
+    @pytest.mark.parametrize("chunk", [1, 5, evaluation.SCORE_CHUNK])
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    @pytest.mark.parametrize("smoother", ["mle", "abs", "kn", "mkn", "plre"])
+    def test_bit_identical_to_sequential_scoring(
+        self, monkeypatch, toy_corpus, toy_models, heldout_with_oov, smoother, order, chunk
+    ):
+        model = toy_models(smoother, order)
+        # mle gives unseen events probability 0, so it reads its training text
+        test = toy_corpus[0] if smoother == "mle" else heldout_with_oov
+        monkeypatch.setattr(evaluation, "SCORE_CHUNK", chunk)
+        got, want = perplexity(model, test), sequential_perplexity(model, test)
+        assert (got.tokens, got.oov) == (want.tokens, want.oov)
+        assert got.total_logprob.hex() == want.total_logprob.hex()
+        assert got.perplexity.hex() == want.perplexity.hex()
+        assert 0 < got.distinct <= got.tokens
+
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    @pytest.mark.parametrize("smoother", ["abs", "kn", "mkn", "plre"])
+    def test_each_sentence_bit_identical_to_sequential_scoring(
+        self, toy_models, heldout_with_oov, smoother, order
+    ):
+        # per sentence, before the exact total rounds a last-bit difference
+        # in one log (np.log against math.log, say) away
+        model = toy_models(smoother, order)
+        got = [log_prob_sentence(model, model.vocab.encode(s)) for s in heldout_with_oov]
+        want = sequential_logprobs(model, heldout_with_oov)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+
+    def test_codes_past_int64_are_compacted(self, monkeypatch, toy_corpus, heldout_with_oov):
+        # order 8 packs 8 ids: V^8 > 2^63, so the codes must be compacted
+        # before the last step, or they wrap and lose their order
+        _, vocab, encoded = toy_corpus
+        assert len(vocab) ** 8 > 2**63
+        model = NgramLM.build(vocab, {8: count_ngrams(encoded, 8)}, "kn")
+        want = sequential_perplexity(model, heldout_with_oov)
+        calls = _spy_scores(monkeypatch, model)
+        got = perplexity(model, heldout_with_oov)
+        assert (got.tokens, got.oov) == (want.tokens, want.oov)
+        assert got.total_logprob.hex() == want.total_logprob.hex()
+        assert got.perplexity.hex() == want.perplexity.hex()
+        for words, contexts in calls:
+            codes = _packed(model, words, contexts)
+            assert codes == sorted(set(codes))
+
+    def test_each_call_scores_distinct_queries_in_sorted_order(
+        self, monkeypatch, toy_kn3, heldout_with_oov
+    ):
+        monkeypatch.setattr(evaluation, "SCORE_CHUNK", 64)
+        calls = _spy_scores(monkeypatch, toy_kn3)
+        report = perplexity(toy_kn3, heldout_with_oov)
+        longest = max(len(s) + 1 for s in heldout_with_oov)
+        assert len(calls) > 1
+        for words, contexts in calls:
+            codes = _packed(toy_kn3, words, contexts)
+            assert codes == sorted(set(codes))
+            assert len(words) < 64 + longest
+        assert report.distinct == sum(len(words) for words, _ in calls)
+
+    def test_a_repeated_sentence_is_scored_once(self, monkeypatch, toy_kn3, toy_corpus):
+        sentence = toy_corpus[0][3]
+        calls = _spy_scores(monkeypatch, toy_kn3)
+        report = perplexity(toy_kn3, [sentence] * 50)
+        ids = [Vocabulary.bos_id] * 2 + toy_kn3.vocab.encode(sentence) + [Vocabulary.eos_id]
+        queries = {tuple(ids[i - 2 : i + 1]) for i in range(2, len(ids))}
+        assert len(calls) == 1
+        assert len(calls[0][0]) == report.distinct == len(queries)
+        assert report.tokens == 50 * (len(sentence) + 1)
 
 
 class TestOrderSweep:
