@@ -24,6 +24,7 @@ import csv
 import json
 import sys
 import time
+from collections import Counter
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -217,17 +218,18 @@ def _convergence_summary(model) -> Optional[dict]:
 
 
 def _level_summary(order: int, step: int, reports) -> dict:
-    """One chain step's slices: counts by kind, and the iterations and
-    convergence of its iterative slices."""
+    """One chain step's slices: counts by kind, the slice count per rank,
+    and the iterations and convergence of its iterative slices."""
     iterative = [r for r in reports if r.kind == "iterative"]
     iterations = [r.iterations for r in iterative] or [0]
+    ranks = Counter(r.rank for r in reports)
     return {
         "order": order,
         "step": step,
         "slices": {
-            kind: sum(1 for r in reports if r.kind == kind)
-            for kind in ("exact", "rank1", "iterative")
+            kind: sum(1 for r in reports if r.kind == kind) for kind in ("rank1", "iterative")
         },
+        "ranks": {str(r): ranks[r] for r in sorted(ranks)},
         "iterations_p50": float(np.median(iterations)),
         "iterations_max": max(iterations),
         "converged": sum(1 for r in iterative if r.converged),
@@ -307,10 +309,14 @@ def cmd_train(args: argparse.Namespace) -> int:
             )
             for lv in conv["levels"]:
                 lines.append(
-                    "  order {order} step {step}: {n[exact]} exact, {n[rank1]} rank1, "
+                    "  order {order} step {step}: {n[rank1]} rank1, "
                     "{n[iterative]} iterative ({converged} converged, iters p50 "
-                    "{iterations_p50:g} max {iterations_max}), max row residual "
-                    "{max_row_residual:.3g}".format(n=lv["slices"], **lv)
+                    "{iterations_p50:g} max {iterations_max}), ranks {hist}, max row "
+                    "residual {max_row_residual:.3g}".format(
+                        n=lv["slices"],
+                        hist=" ".join(f"{r}:{c}" for r, c in lv["ranks"].items()),
+                        **lv,
+                    )
                 )
     _emit(args, report, lines)
     return 0

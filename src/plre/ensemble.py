@@ -23,8 +23,8 @@ and ends at the base distribution.
 
 Two facts make the whole ensemble preserve the observed lower-order
 marginals: the factorization preserves per-slice row sums (exactly for the
-closed-form rank-1 and full-rank paths, to reported tolerance for iterative
-NMF), and the adjusted tables are derived recursively from support, so the
+closed-form rank-1 path, to reported tolerance for iterative NMF), and
+the adjusted tables are derived recursively from support, so the
 discounted mass a level releases is exactly the mass the next level's table
 normalizes over.
 
@@ -224,15 +224,17 @@ def compute_z(
     """Factorize a chain step's discounted powered counts into a LowRankCPT.
 
     Each interior-context slice (predicted word x oldest context word) is
-    compacted to its nonzero rows/columns and factorized at
-    min(rank, slice dims); conditional queries divide by the undiscounted
-    powered context sums, so column-sum preservation of the factorization
-    is exactly what keeps each level's terms summing to gamma-complementary
-    mass.  Slices whose entries are all discounted away are skipped (their
-    contexts then contribute only through gamma).  Slices the rank covers
-    are copied and rank-1 slices take the closed form, all at once; the
-    rest go to one batched solver.  Deterministic for a given seed,
-    regardless of thread count.  Seconds are added to
+    compacted to its nonzero rows/columns and factorized at rank
+    min(rank, max(1, nnz // (rows + cols))), so its factors hold no more
+    floats than it has nonzeros; ``rank`` is only the upper bound.
+    Conditional queries divide by the undiscounted powered context sums, so
+    column-sum preservation of the factorization is exactly what keeps each
+    level's terms summing to gamma-complementary mass.  Slices whose entries
+    are all discounted away are skipped (their contexts then contribute only
+    through gamma).  Rank-1 slices take the closed form, all at once; the
+    rest go to the batched solver, one batch per rank, each slice seeded by
+    ``SeedSequence(seed, (order, step, slice))``.  Deterministic for a given
+    seed, regardless of thread count.  Seconds are added to
     ``timings["slices"]`` and ``timings["nmf"]``.
     """
     if rank < 1:
@@ -267,11 +269,13 @@ def compute_z(
         row_local, col_local = offsets(rows), offsets(cols)
         nnz_start = segments(np.bincount(ss, minlength=n))
 
-        small = np.minimum(rows, cols)
-        exact, iterative = (rank >= small) & (small > 1), (small > rank) & (rank >= 2)
-        rank1 = ~(exact | iterative)
+        # Each slice stores no more factor floats than it has nonzeros:
+        # rank * (rows + cols) <= nnz, at least rank 1, at most ``rank``.
+        # As nnz <= rows * cols, that rank is below min(rows, cols) whenever
+        # the smaller side exceeds 1.
+        ranks = np.minimum(rank, np.maximum(1, np.diff(nnz_start) // (rows + cols)))
+        rank1 = ranks == 1
         rank1_ids = np.flatnonzero(rank1)
-        ranks = np.where(exact, small, np.where(iterative, rank, 1))
         dims = np.stack([rows, cols, ranks], axis=1).tolist()
         L_start, R_start = segments(rows * ranks), segments(ranks * cols)
         L, R = np.zeros(L_start[-1]), np.zeros(R_start[-1])
@@ -287,19 +291,6 @@ def compute_z(
         L[L_start[row_slice[at]] + row_local[at]] = row_L[at]
         at = rank1[col_slice]
         R[R_start[col_slice[at]] + col_local[at]] = col_sums[at]
-
-        # Exact copies: the dense slice as the factor on its wider side, an
-        # identity on the other, at rank min(rows, cols).
-        wide, tall = exact & (rows <= cols), exact & (rows > cols)
-        dense = row_local[ii] * cols[ss] + col_local[jj]
-        at = wide[ss]
-        R[R_start[ss[at]] + dense[at]] = vals[at]
-        at = tall[ss]
-        L[L_start[ss[at]] + dense[at]] = vals[at]
-        at = wide[row_slice]
-        L[L_start[row_slice[at]] + row_local[at] * (rows[row_slice[at]] + 1)] = 1.0
-        at = tall[col_slice]
-        R[R_start[col_slice[at]] + col_local[at] * (cols[col_slice[at]] + 1)] = 1.0
         if not (np.isfinite(L).all() and np.isfinite(R).all()):
             raise FactorizationError(
                 f"non-finite closed-form factors in order {k}, chain step {j}"
@@ -307,7 +298,7 @@ def compute_z(
 
         # Reports.  A rank-1 slice's residuals are the product's largest row
         # and column sum deviations, with factor sums taken as L.sum(axis=0)
-        # and R.sum(axis=1) take them; an exact copy reproduces its slice.
+        # and R.sum(axis=1) take them.
         L_sum, R_sum = np.zeros(n), np.zeros(n)
         L_sum[rank1] = _run_sums(row_L, row_start, rank1_ids)
         R_sum[rank1] = _run_sums(col_sums, col_start, rank1_ids)
@@ -317,54 +308,53 @@ def compute_z(
         pred = row_L[ii[at]] * col_sums[jj[at]]
         logs = np.bincount(ss[at], vals[at] * np.log(vals[at] / pred), minlength=n)
         gkl, row_res, col_res = (
-            np.where(rank1, x, 0.0).tolist()
+            x[rank1_ids].tolist()
             for x in (
                 logs - total + L_sum * R_sum,
                 np.maximum.reduceat(row_dev, row_start[:-1]),
                 np.maximum.reduceat(col_dev, col_start[:-1]),
             )
         )
-        kinds = np.array(["rank1", "exact", "iterative"])[exact + 2 * iterative].tolist()
-        reports: List[ConvergenceReport] = []
-        for s, (kind, (h, w, r)) in enumerate(zip(kinds, dims)):
-            clamped = kind == "rank1" and rank > 1
-            reports.append(
-                ConvergenceReport(
-                    iterations=0,
-                    final_gkl=gkl[s],
-                    max_row_residual=row_res[s],
-                    max_col_residual=col_res[s],
-                    rank=r,
-                    converged=True,
-                    objective_history=[gkl[s]],
-                    warnings=[f"rank {rank} clamped to 1 (effective dims {h}x{w})"] * clamped,
-                    kind=kind,
-                )
+        reports: List[Optional[ConvergenceReport]] = [None] * n
+        for s, obj, row, col in zip(rank1_ids.tolist(), gkl, row_res, col_res):
+            reports[s] = ConvergenceReport(
+                iterations=0,
+                final_gkl=obj,
+                max_row_residual=row,
+                max_col_residual=col,
+                rank=1,
+                converged=True,
+                objective_history=[obj],
+                kind="rank1",
             )
         interiors = keys[slice_heads, 1:-1]
         support = (row_local[ii], col_local[jj], vals)
 
-    batch = np.flatnonzero(iterative).tolist()
-    matrices = [
-        SparseMatrix(*dims[s][:2], *(a[nnz_start[s] : nnz_start[s + 1]] for a in support))
-        for s in batch
-    ]
-    names = [f"order {k}, chain step {j}, interior {tuple(interiors[s].tolist())}" for s in batch]
+    # The other slices go to the solver in one batch per rank.
     with timed(timings, "nmf"):
-        solved = nmf_gkl_many(
-            matrices,
-            rank,
-            [np.random.SeedSequence(entropy=seed, spawn_key=(k, j, s)) for s in batch],
-            max_iters=max_iters,
-            rel_tol=rel_tol,
-            eps=eps,
-            names=names,
-            threads=threads,
-        )
-    for s, (pair, report) in zip(batch, solved):
-        L[L_start[s] : L_start[s + 1]] = pair.L.ravel()
-        R[R_start[s] : R_start[s + 1]] = pair.R.ravel()
-        reports[s] = report
+        for r in np.unique(ranks[~rank1]).tolist():
+            batch = np.flatnonzero(ranks == r).tolist()
+            matrices = [
+                SparseMatrix(*dims[s][:2], *(a[nnz_start[s] : nnz_start[s + 1]] for a in support))
+                for s in batch
+            ]
+            solved = nmf_gkl_many(
+                matrices,
+                r,
+                [np.random.SeedSequence(entropy=seed, spawn_key=(k, j, s)) for s in batch],
+                max_iters=max_iters,
+                rel_tol=rel_tol,
+                eps=eps,
+                names=[
+                    f"order {k}, chain step {j}, interior {tuple(interiors[s].tolist())}"
+                    for s in batch
+                ],
+                threads=threads,
+            )
+            for s, (pair, report) in zip(batch, solved):
+                L[L_start[s] : L_start[s + 1]] = pair.L.ravel()
+                R[R_start[s] : R_start[s + 1]] = pair.R.ravel()
+                reports[s] = report
     return LowRankCPT(
         k,
         rank,
@@ -717,7 +707,7 @@ def marginal_error_bound(model: PlreModel, order: Optional[int] = None) -> float
     order-k marginal at a closed-form weight (the handoff mass arriving at
     that level times d*^j over the level total).  Summing |row-sum residual|
     worst-case per word therefore bounds the marginal deviation, and the
-    bound is zero for closed-form rank-1 and full-rank slices.
+    bound is zero for closed-form rank-1 slices.
     """
     k = _order(model, order)
     bound = 0.0

@@ -152,7 +152,7 @@ class ConvergenceReport:
     converged: bool
     objective_history: List[float] = field(default_factory=list)
     warnings: List[str] = field(default_factory=list)
-    # "exact" (a copy of the slice), "rank1" (closed form) or "iterative".
+    # "rank1" (closed form) or "iterative".
     kind: str = "iterative"
 
 

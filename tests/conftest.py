@@ -10,7 +10,7 @@ import functools
 import math
 import operator
 from collections import Counter
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 import pytest
@@ -404,13 +404,6 @@ def _dict_slice_matrix(entries: Dict[Tuple[int, int], float]):
     return SparseMatrix(len(row_ids), len(col_ids), ii, jj, vals), row_ids, col_ids
 
 
-def _dict_exact_copy(M: SparseMatrix) -> FactorPair:
-    """The slice itself, with an identity on its smaller side."""
-    if M.rows <= M.cols:
-        return FactorPair(np.eye(M.rows), M.to_dense())
-    return FactorPair(M.to_dense(), np.eye(M.cols))
-
-
 def _dict_z(entries, powered, sums, next_power, dstar, rank, level, seed, threads):
     order = len(next(iter(entries)))
     slice_entries: Dict[Key, Dict[Tuple[int, int], float]] = {}
@@ -420,24 +413,23 @@ def _dict_z(entries, powered, sums, next_power, dstar, rank, level, seed, thread
             slice_entries.setdefault(key[1:-1], {})[(key[0], key[-1])] = v
     interiors = sorted(slice_entries)
     slices = [_dict_slice_matrix(slice_entries[h]) for h in interiors]
-    pairs, batch = [], []
-    for idx, (M, _, _) in enumerate(slices):
-        small = min(M.rows, M.cols)
-        if rank >= small > 1:
-            pairs.append(_dict_exact_copy(M))
-        elif small > rank >= 2:
-            pairs.append(None)
-            batch.append(idx)
+    # Each slice's rank: its nonzeros over its rows plus columns, in [1, rank].
+    batches: Dict[int, List[int]] = {}
+    for idx, h in enumerate(interiors):
+        rows = len({w for w, _ in slice_entries[h]})
+        cols = len({x for _, x in slice_entries[h]})
+        r = min(rank, max(1, len(slice_entries[h]) // (rows + cols)))
+        batches.setdefault(r, []).append(idx)
+    pairs: List[FactorPair] = [None] * len(slices)
+    for r, batch in batches.items():
+        matrices = [slices[idx][0] for idx in batch]
+        if r == 1:
+            solved = [nmf_gkl(M, 1) for M in matrices]
         else:
-            pairs.append(nmf_gkl(M, rank)[0])
-    solved = nmf_gkl_many(
-        [slices[idx][0] for idx in batch],
-        rank,
-        [np.random.SeedSequence(entropy=seed, spawn_key=(order, level, idx)) for idx in batch],
-        threads=threads,
-    )
-    for idx, (pair, _) in zip(batch, solved):
-        pairs[idx] = pair
+            seeds = [np.random.SeedSequence(seed, spawn_key=(order, level, i)) for i in batch]
+            solved = nmf_gkl_many(matrices, r, seeds, threads=threads)
+        for idx, (pair, _) in zip(batch, solved):
+            pairs[idx] = pair
 
     def cat(parts, dtype):
         return np.concatenate(parts).astype(dtype) if parts else np.zeros(0, dtype=dtype)

@@ -2,8 +2,8 @@
 
 Each test is self-contained, seeds all randomness, and asserts its own
 runtime budget where speed is part of the claim.  The final comparison
-test builds a ~1M-token synthetic corpus and takes several minutes; the
-rest of the file finishes in well under a minute.
+test builds a ~1M-token synthetic corpus and takes about 40 s on a 2-core
+x86-64 machine; the rest of the file finishes in well under a minute.
 """
 
 import time

@@ -62,7 +62,7 @@ TRAIN_SCHEMA = {
                     "items": {
                         "type": "object",
                         "required": [
-                            "order", "step", "slices", "iterations_p50",
+                            "order", "step", "slices", "ranks", "iterations_p50",
                             "iterations_max", "converged", "max_row_residual",
                         ],
                         "additionalProperties": False,
@@ -71,12 +71,20 @@ TRAIN_SCHEMA = {
                             "step": {"type": "integer", "minimum": 1},
                             "slices": {
                                 "type": "object",
-                                "required": ["exact", "rank1", "iterative"],
+                                "required": ["rank1", "iterative"],
                                 "additionalProperties": False,
                                 "properties": {
                                     kind: {"type": "integer", "minimum": 0}
-                                    for kind in ("exact", "rank1", "iterative")
+                                    for kind in ("rank1", "iterative")
                                 },
+                            },
+                            "ranks": {
+                                "type": "object",
+                                "minProperties": 1,
+                                "patternProperties": {
+                                    "^[1-9][0-9]*$": {"type": "integer", "minimum": 1}
+                                },
+                                "additionalProperties": False,
                             },
                             "iterations_p50": {"type": "number", "minimum": 0},
                             "iterations_max": {"type": "integer", "minimum": 0},
@@ -214,6 +222,8 @@ class TestTrain:
         for lv in levels:
             assert lv["converged"] <= lv["slices"]["iterative"]
             assert lv["iterations_p50"] <= lv["iterations_max"]
+            assert sum(lv["ranks"].values()) == sum(lv["slices"].values())
+            assert lv["ranks"].get("1", 0) == lv["slices"]["rank1"]
         timing, stages = report["timing"], report["timing"]["stages"]
         assert timing["factorization"] == stages["slices"] + stages["nmf"] > 0.0
         assert sum(stages[k] for k in BUILD_STAGES[1:]) <= timing["build"]

@@ -1,6 +1,7 @@
 """Powered counts, discount chains, low-rank tables, and the ensemble."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -128,14 +129,34 @@ class TestComputeDiscounts:
 
 
 class TestComputeZ:
-    def test_full_rank_reproduces_discounted_conditionals(self, toy_corpus):
-        _, vocab, enc = toy_corpus
-        table = count_ngrams(enc, 2)
+    def test_vocabulary_rank_keeps_one_sided_slices_and_every_context_mass(
+        self, toy_corpus, toy_top3
+    ):
+        # A slice with one row or one column is rank 1, so at any rank cap
+        # its closed form reproduces every discounted conditional; wider
+        # slices are factorized below their size, but every context's
+        # conditionals still sum to its discounted mass.
+        _, vocab, _ = toy_corpus
+        table = toy_top3
         spec = compute_discounts(table, (1.0, 0.5, 0.0), 0.4)[1]
-        z = ZReader(compute_z(spec, rank=len(vocab)), list(table.context_totals))
-        for e, key in enumerate(list(table.entries)[:200]):
-            want = (spec.powered[e] - spec.discount[e]) / spec.sums[table.ctx_of_entry[e]]
-            assert z.cond(key[0], key[1:]) == pytest.approx(want, abs=1e-8)
+        z = compute_z(spec, rank=len(vocab))
+        contexts = list(table.context_totals)
+        reader = ZReader(z, contexts)
+        one_sided = {
+            tuple(interior)
+            for interior, (rows, cols, _) in zip(z.slices.tolist(), z.dims.tolist())
+            if min(rows, cols) == 1
+        }
+        assert 0 < len(one_sided) < len(z.slices)
+        for e, key in enumerate(table.entries):
+            if key[1:-1] in one_sided:
+                want = (spec.powered[e] - spec.discount[e]) / spec.sums[table.ctx_of_entry[e]]
+                assert reader.cond(key[0], key[1:]) == pytest.approx(want, abs=1e-8)
+        mass = np.bincount(table.ctx_of_entry, spec.powered - spec.discount) / spec.sums
+        for c, h in enumerate(contexts):
+            rows, cols, L, R = reader.slices[h[:-1]]
+            got = L.sum(axis=0) @ R[:, cols[h[-1]]] / reader.denominators[h]
+            assert got == pytest.approx(mass[c], abs=1e-8)
 
     def test_power_zero_rank_one_gives_continuation_unigram(self, toy_corpus):
         # binary support at rank 1 collapses to N-(w)/total for every
@@ -205,8 +226,8 @@ ORACLE_CONFIGS = {
 
 @pytest.mark.parametrize("name", list(ORACLE_CONFIGS))
 def test_array_build_is_byte_equal_to_the_dict_build(toy_corpus, name):
-    # counting, adjusted tables, powered sums, gammas, slicing, closed forms
-    # and exact copies, all as arrays, against the entry-by-entry build
+    # counting, adjusted tables, powered sums, gammas, slicing, per-slice
+    # ranks and closed forms, all as arrays, against the entry-by-entry build
     _, vocab, enc = toy_corpus
     cfg = dict(ORACLE_CONFIGS[name])
     order = cfg.pop("order")
@@ -230,7 +251,28 @@ def test_array_build_is_byte_equal_to_the_dict_build(toy_corpus, name):
                 assert same(getattr(z, field), zref[field]), (k, field)
             kinds.update(r.kind for r in z.reports)
     if name.startswith("rank4"):
-        assert kinds == {"exact", "rank1", "iterative"}
+        assert kinds == {"rank1", "iterative"}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_CONFIGS) + ["rank-vocab"])
+def test_no_slice_stores_more_factor_floats_than_nonzeros(toy_corpus, name):
+    # rank * (rows + cols) <= nnz, or rank 1 where a slice's sides outnumber
+    # its nonzeros; the configured rank, even V, is only an upper bound
+    _, vocab, enc = toy_corpus
+    if name == "rank-vocab":
+        v = len(vocab)
+        cfg = dict(order=3, powers={2: (0.5,), 3: (0.5,)}, ranks={2: (v,), 3: (v,)})
+    else:
+        cfg = dict(ORACLE_CONFIGS[name])
+    order = cfg.pop("order")
+    model = build_plre(count_ngrams(enc, order), vocab, seed=0, **cfg)
+    for level in model.levels.values():
+        specs = compute_discounts(level, (1.0,) + level.powers + (0.0,), level.dstar)
+        for spec, z in zip(specs[1:], level.z_tables):
+            support = spec.powered - spec.discount > 0.0
+            nnz = Counter(map(tuple, level.keys[support, 1:-1].tolist()))
+            for interior, (rows, cols, rank) in zip(z.slices.tolist(), z.dims.tolist()):
+                assert rank * (rows + cols) <= max(nnz[tuple(interior)], rows + cols)
 
 
 class TestDeriveDstar:

@@ -276,9 +276,10 @@ class TestNmfGklMany:
 
     @pytest.mark.parametrize("rank", [1, 4])
     def test_nan_count_is_rejected_off_the_solver(self, rank):
-        # Rank 1 takes the closed form and rank 4 covers the 4 x 4 slices
-        # (exact copy), so no solver sees the NaN: compute_z must refuse it
-        # rather than store NaN factors.
+        # Rank 1 takes the closed form, which checks no input; rank 4 is cut
+        # to 2 on the 4 x 4 slices (16 nonzeros over 8 sides), which would
+        # hand the NaN to the solver's matrices.  Either way compute_z must
+        # refuse it first, naming the count, rather than store NaN factors.
         spec = _two_interiors(math.nan)
         with pytest.raises(FactorizationError, match="non-finite discounted count nan"):
             compute_z(spec, rank=rank)
