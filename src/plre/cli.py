@@ -340,13 +340,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
         "total_logprob": rep.total_logprob,
         "perplexity": rep.perplexity,
         "distinct_queries": rep.distinct,
+        "context_orders": {str(k): c for k, c in enumerate(rep.context_orders, 1)},
     }
     lines = [
         f"perplexity {rep.perplexity:.4f} over {rep.tokens} tokens "
         f"({model.smoother} order {model.order}, oov rate {oov_rate:.4%})"
     ]
     if args.verbose:
-        lines.append(f"queries: {rep.distinct} distinct of {rep.tokens} scored")
+        lines.append(f"queries: {rep.distinct} distinct (state, word) of {rep.tokens} scored")
+        orders = " ".join(f"{k}:{c}" for k, c in report["context_orders"].items())
+        lines.append(f"context orders: {orders}")
         lines.append(f"timing: eval {elapsed:.2f}s")
     _emit(args, report, lines)
     return 0

@@ -648,10 +648,8 @@ def marginal(model: PlreModel, order: Optional[int] = None) -> np.ndarray:
             rows = np.bincount(L_row, z.L * np.bincount(R_term, z.R * w[R_col])[L_term])
             acc += np.bincount(z.row_ids, weights=rows, minlength=vsize)
             g = g * level.gammas[j + 1]
-        # A context's code is its parent's index one order lower times V
-        # plus its oldest word.
         parents = len(model.levels[kk - 1].totals) if kk > 2 else 1
-        weight = np.bincount(level.ctx_code // vsize, weights=g, minlength=parents)
+        weight = np.bincount(level.parent, weights=g, minlength=parents)
     return acc + weight[0] * model.base
 
 
@@ -694,7 +692,7 @@ def normalization_observed(model: LevelModel) -> float:
             ctx, col = _context_columns(z)
             s[ctx] += g[ctx] * mass[col] / z.denominators[ctx]
             g = g * level.gammas[j + 1]
-        sums = s + g * sums[level.ctx_code // level.vsize]
+        sums = s + g * sums[level.parent]
         worst.append(np.max(np.abs(sums - 1.0)))
     return float(np.max(worst))
 

@@ -7,15 +7,17 @@ the sparse term's numerators ``top``, one row of hand-off weights per chain
 step in ``gammas`` and, for PLRE, one low-rank table per intermediate step.
 Interpolated Kneser-Ney and the other classical smoothers are levels with
 one gamma row and no low-rank tables.  One vectorized walk,
-``LevelModel.score``, answers every query of every model.
+``LevelModel.walk``, answers every query of every model from its state,
+the deepest context of the query a level holds.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -83,8 +85,8 @@ class Level(CountTable):
     The table's entries carry the sparse term's ``top`` numerators;
     ``gammas`` rows (one per chain step, the last one the hand-off to the
     order below) and each low-rank table's ``denominators`` are aligned
-    with its contexts.  A context is coded as its parent's index one order
-    lower times V plus its oldest word.
+    with its contexts.  A context is coded as its ``parent``'s index one
+    order lower times V plus its oldest word.
     """
 
     order: int
@@ -104,38 +106,17 @@ class Level(CountTable):
         ):
             raise ValueError(f"order {k}: gamma/z tables disagree with keys")
 
-    def link(self, lower: Optional["Level"], vsize: int) -> None:
-        """Index this level through the level one order lower (None at
-        order 2, whose contexts all extend the empty context)."""
-        self.lower = lower
+    def link(self, parents: Callable[[np.ndarray], np.ndarray], vsize: int) -> None:
+        """Index this level by ``parents``, which gives the rows one order
+        lower of its contexts' and its slices' interiors."""
         self.vsize = vsize
-
-        def parents(interiors: np.ndarray) -> np.ndarray:
-            if lower is None:
-                return np.zeros(len(interiors), dtype=np.int64)
-            idx, found = lower.find(interiors)[-1]
-            if not found.all():
-                raise ValueError(f"order {self.order}: a context has no lower-order parent")
-            return idx
-
-        ctx_parent = parents(self.contexts[:, :-1])
-        self.ctx_code = ctx_parent * vsize + self.contexts[:, -1]
+        self.parent = parents(self.contexts[:, :-1])
+        self.ctx_code = self.parent * vsize + self.contexts[:, -1]
         _strictly_increasing(self.ctx_code, f"order {self.order} contexts")
         self.entry_code = self.ctx_of_entry * vsize + self.keys[:, 0]
         _strictly_increasing(self.entry_code, f"order {self.order} keys")
         for z in self.z_tables:
-            z.link(parents(z.slices), ctx_parent, self.contexts[:, -1], vsize)
-
-    def find(self, contexts: np.ndarray) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """(index, found) of the rows of ``contexts`` (n x order-1) and of
-        their prefixes, one per order from the empty context up to this one."""
-        n = len(contexts)
-        root = [(np.zeros(n, dtype=np.int64), np.ones(n, dtype=bool))]
-        chain = self.lower.find(contexts[:, :-1]) if self.lower else root
-        parent, found = chain[-1]
-        oldest = contexts[:, -1]
-        pos, hit = _find(self.ctx_code, parent * self.vsize + oldest)
-        return chain + [(pos, hit & found & (oldest >= 0) & (oldest < self.vsize))]
+            z.link(parents(z.slices), self.parent, self.contexts[:, -1], vsize)
 
     def terms(
         self, ctx: np.ndarray, words: np.ndarray, counter: Optional[OpCounter] = None
@@ -158,12 +139,26 @@ class LevelModel:
         self.vocab = vocab
         self.order = order
         self.levels = levels
+        # State ids: 0 is the empty context, then order k's contexts from
+        # state_start[k-1] on, k = 2..n; a query code is state * V + word.
+        sizes = [1] + [len(levels[k].contexts) for k in range(2, order + 1)]
+        self.state_start = np.cumsum([0] + sizes)
+        if int(self.state_start[-1]) * len(vocab) > np.iinfo(np.int64).max:
+            raise ValueError(f"{self.state_start[-1]} states x V overflow int64 query codes")
         self.base_counts = np.asarray(base_counts, dtype=np.int64)
         self.base = make_base_distribution(self.base_counts)
-        lower = None
         for k in range(2, order + 1):
-            levels[k].link(lower, len(vocab))
-            lower = levels[k]
+            levels[k].link(functools.partial(self._parents, k), len(vocab))
+
+    def _parents(self, k: int, interiors: np.ndarray) -> np.ndarray:
+        """The rows one order below k of contexts the levels there hold."""
+        rows = np.zeros(len(interiors), dtype=np.int64)
+        for j in range(2, k):
+            level = self.levels[j]
+            rows, hit = _find(level.ctx_code, rows * level.vsize + interiors[:, j - 2])
+            if not hit.all():
+                raise ValueError(f"order {k}: a context has no lower-order parent")
+        return rows
 
     def count_arrays(self) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
         """(keys, counts) of every order 1..n, sorted by context then word:
@@ -173,31 +168,48 @@ class LevelModel:
         out.update((k, (level.keys, level.counts)) for k, level in self.levels.items())
         return out
 
-    def score(
-        self, words, contexts, counter: Optional[OpCounter] = None
-    ) -> np.ndarray:
-        """P(w | h) for a batch: ``words`` (n,) and ``contexts`` (n x c,
-        most recent word first, truncated to order-1).
-
-        Contexts are found level by level from the shortest; then each
-        level, from the longest context down, adds its value weighted by the
-        hand-offs above it, and the base distribution takes what is left.
-        A context a level does not hold adds nothing and hands off with
-        multiplier 1.  Low-rank multiply-adds are added to ``counter``.
-        """
-        words = np.asarray(words, dtype=np.int64)
+    def states(self, contexts) -> np.ndarray:
+        """The state of each row of ``contexts`` (most recent word first,
+        truncated to order-1): the id of its deepest context a level holds.
+        A shorter context adds nothing to P(w | h) and hands off with
+        multiplier 1, so P depends on h only through its state."""
         contexts = np.asarray(contexts, dtype=np.int64)[:, : self.order - 1]
-        c = contexts.shape[1]
-        # Every level's lookup of the contexts; entry k-1 is order k's.
-        found = self.levels[c + 1].find(contexts) if c else []
+        state = np.zeros(len(contexts), dtype=np.int64)
+        row, found = 0, True
+        for k in range(2, contexts.shape[1] + 2):
+            level, oldest = self.levels[k], contexts[:, k - 2]
+            row, hit = _find(level.ctx_code, row * level.vsize + oldest)
+            found = found & hit & (oldest >= 0) & (oldest < level.vsize)
+            np.copyto(state, self.state_start[k - 1] + row, where=found)
+        return state
+
+    def context(self, state: int) -> List[int]:
+        """The context a state stands for, most recent word first."""
+        k = int(np.searchsorted(self.state_start, state, side="right"))
+        return self.levels[k].contexts[state - self.state_start[k - 1]].tolist() if k > 1 else []
+
+    def walk(self, states: np.ndarray, words, counter: Optional[OpCounter] = None) -> np.ndarray:
+        """P(w | state) for a batch: each level from the state's order down
+        adds its value weighted by the hand-offs above it and hands on to
+        the parent context; the base distribution takes what is left.
+        Low-rank multiply-adds are added to ``counter``."""
+        words = np.asarray(words, dtype=np.int64)
+        states = np.array(states, dtype=np.int64)  # stepped down in place
         acc = np.zeros(len(words))
         mult = np.ones(len(words))
-        for k in range(c + 1, 1, -1):
-            ctx, ok = found[k - 1]
-            value, g = self.levels[k].terms(ctx[ok], words[ok], counter)
+        for k in range(self.order, 1, -1):
+            ok = states >= self.state_start[k - 1]
+            ctx = states[ok] - self.state_start[k - 1]
+            value, g = self.levels[k].terms(ctx, words[ok], counter)
             acc[ok] += mult[ok] * value
             mult[ok] *= g
+            states[ok] = self.state_start[k - 2] + self.levels[k].parent[ctx]
         return acc + mult * self.base[words]
+
+    def score(self, words, contexts, counter: Optional[OpCounter] = None) -> np.ndarray:
+        """P(w | h) for a batch: ``words`` (n,) and ``contexts`` (n x c,
+        most recent word first, truncated to order-1)."""
+        return self.walk(self.states(contexts), words, counter)
 
     def prob(
         self, w: int, context: Sequence[int] = (), counter: Optional[OpCounter] = None

@@ -17,7 +17,7 @@ from plre.corpus import (
     count_all_orders,
     count_ngrams,
 )
-from plre.levels import make_base_distribution
+from plre.levels import LevelModel, make_base_distribution
 from plre.synthetic import synthesize_corpus
 
 from conftest import RefInterpolatedLM
@@ -267,6 +267,25 @@ class TestModelAssembly:
         _, vocab, enc = toy_corpus
         with pytest.raises(ValueError):
             NgramLM.build(vocab, count_all_orders(enc, 2), "katz")
+
+    def test_state_codes_past_int64_are_rejected(self, toy_corpus):
+        # a (state, word) query code is below (contexts + 1) * V
+        _, vocab, enc = toy_corpus
+        lm = NgramLM.build(vocab, count_all_orders(enc, 3), "kn")
+        states = int(lm.state_start[-1])
+        assert states == 1 + len(lm.levels[2].contexts) + len(lm.levels[3].contexts)
+        largest = np.iinfo(np.int64).max // states
+
+        class Sized:
+            def __init__(self, n):
+                self.n = n
+
+            def __len__(self):
+                return self.n
+
+        LevelModel(Sized(largest), 3, lm.levels, lm.base_counts)
+        with pytest.raises(ValueError, match="overflow int64"):
+            LevelModel(Sized(largest + 1), 3, lm.levels, lm.base_counts)
 
     @pytest.mark.parametrize("smoother", ["mle", "abs", "kn", "mkn"])
     def test_top_order_build_equals_the_all_orders_build(self, toy_corpus, smoother):

@@ -103,10 +103,17 @@ EVAL_SCHEMA = {
     "required": [
         "command", "model", "smoother", "order", "tokens", "oov",
         "oov_rate", "total_logprob", "perplexity", "distinct_queries",
+        "context_orders",
     ],
     "properties": {
         "command": {"const": "eval"},
         "distinct_queries": {"type": "integer", "minimum": 1},
+        # tokens by the order of their deepest observed context, "1".."n"
+        "context_orders": {
+            "type": "object",
+            "patternProperties": {"^[1-9][0-9]*$": {"type": "integer", "minimum": 0}},
+            "additionalProperties": False,
+        },
         "tokens": {"type": "integer", "minimum": 1},
         "oov": {"type": "integer", "minimum": 0},
         "oov_rate": {"type": "number", "minimum": 0, "maximum": 1},
@@ -301,6 +308,10 @@ class TestEval:
         assert report["perplexity"] == direct.perplexity
         assert report["tokens"] == direct.tokens
         assert report["distinct_queries"] == direct.distinct <= direct.tokens
+        orders = report["context_orders"]
+        assert list(orders) == [str(k) for k in range(1, report["order"] + 1)]
+        assert list(orders.values()) == direct.context_orders
+        assert sum(orders.values()) == report["tokens"]
 
     def test_verbose_prints_distinct_queries(self, ws, capsys):
         assert main(["eval", "--model", str(ws["kn_model"]),
@@ -308,7 +319,9 @@ class TestEval:
         model = load_model(str(ws["kn_model"]))
         direct = perplexity(model, read_sentences(str(ws["test"])))
         out = capsys.readouterr().out
-        assert f"queries: {direct.distinct} distinct of {direct.tokens} scored" in out
+        assert f"queries: {direct.distinct} distinct (state, word) of {direct.tokens} scored" in out
+        hist = " ".join(f"{k}:{c}" for k, c in enumerate(direct.context_orders, 1))
+        assert f"context orders: {hist}" in out
 
     def test_training_data_perplexity_is_sandwiched(self, ws, tmp_path, capsys):
         # on its own training data, interpolated KN cannot beat the
@@ -428,9 +441,10 @@ class TestVerify:
         assert _normalization_sweep(model, 0) <= 1e-8
         del model.score
         level = model.levels[2]
-        ctx, found = level.find(np.concatenate(swept)[:, :1])[-1]
-        assert found.any()
-        level.gammas[1, ctx[found][0]] = float("nan")
+        # a bigram context's state is its row in level 2 plus 1
+        states = model.states(np.concatenate(swept)[:, :1])
+        assert states.any()
+        level.gammas[1, states[states > 0][0] - 1] = float("nan")
         assert not model.check_gamma_closed_form() <= 1e-12
         assert not model.check_local_constraints() <= 1e-12
         assert not _normalization_sweep(model, 0) <= 1e-8

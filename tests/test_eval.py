@@ -1,6 +1,5 @@
 """Perplexity evaluation and model comparison."""
 
-import functools
 import math
 
 import numpy as np
@@ -24,12 +23,14 @@ class _StubModel:
         self.vocab = vocab
         self.order = order
         self.special = special or {}
+        # one state, the empty context, for every query
+        self.state_start = np.array([0] + [1] * order)
 
-    def prob(self, w, context):
-        return self.special.get(w, 1.0 / len(self.vocab))
+    def states(self, contexts):
+        return np.zeros(len(contexts), dtype=np.int64)
 
-    def score(self, words, contexts):
-        return np.array([self.prob(w, h) for w, h in zip(words, contexts)])
+    def walk(self, states, words):
+        return np.array([self.special.get(w, 1.0 / len(self.vocab)) for w in words.tolist()])
 
 
 def _uniform4():
@@ -148,26 +149,25 @@ class TestPerplexity:
             perplexity(toy_kn3, [])
 
 
-def _spy_scores(monkeypatch, model):
-    """Record the (words, contexts) of every model.score call."""
+def _spy_walks(monkeypatch, model):
+    """Record the (states, words) of every model.walk call."""
     calls = []
-    score = model.score
+    walk = model.walk
 
-    def spy(words, contexts, counter=None):
-        calls.append((np.array(words), np.array(contexts)))
-        return score(words, contexts, counter)
+    def spy(states, words, counter=None):
+        calls.append((np.array(states), np.array(words)))
+        return walk(states, words, counter)
 
-    monkeypatch.setattr(model, "score", spy)
+    monkeypatch.setattr(model, "walk", spy)
     return calls
 
 
-def _packed(model, words, contexts):
-    """Each query's code, most recent context word first and the word
-    last, packed in unbounded Python integers."""
+def _walked_codes(model, calls):
+    """Each walked query's code, state times V plus word, in Python
+    integers, in the order walked."""
     vsize = len(model.vocab)
     return [
-        functools.reduce(lambda code, x: code * vsize + x, [*h, w], 0)
-        for w, h in zip(words.tolist(), contexts.tolist())
+        s * vsize + w for states, words in calls for s, w in zip(states.tolist(), words.tolist())
     ]
 
 
@@ -229,45 +229,113 @@ class TestChunkedScoring:
         want = sequential_logprobs(model, heldout_with_oov)
         assert [x.hex() for x in got] == [x.hex() for x in want]
 
-    def test_codes_past_int64_are_compacted(self, monkeypatch, toy_corpus, heldout_with_oov):
-        # order 8 packs 8 ids: V^8 > 2^63, so the codes must be compacted
-        # before the last step, or they wrap and lose their order
+    def test_order_8_state_codes_fit_int64(self, monkeypatch, toy_corpus, heldout_with_oov):
+        # order 8 contexts would pack 8 ids, and V^8 > 2^63; a state code
+        # is bounded by (contexts + 1) * V instead
         _, vocab, encoded = toy_corpus
         assert len(vocab) ** 8 > 2**63
         model = NgramLM.build(vocab, {8: count_ngrams(encoded, 8)}, "kn")
         want = sequential_perplexity(model, heldout_with_oov)
-        calls = _spy_scores(monkeypatch, model)
+        calls = _spy_walks(monkeypatch, model)
         got = perplexity(model, heldout_with_oov)
         assert (got.tokens, got.oov) == (want.tokens, want.oov)
         assert got.total_logprob.hex() == want.total_logprob.hex()
         assert got.perplexity.hex() == want.perplexity.hex()
-        for words, contexts in calls:
-            codes = _packed(model, words, contexts)
-            assert codes == sorted(set(codes))
+        codes = _walked_codes(model, calls)
+        assert codes == sorted(set(codes))
+        assert codes[-1] < int(model.state_start[-1]) * len(vocab) < 2**63
 
     def test_each_call_scores_distinct_queries_in_sorted_order(
         self, monkeypatch, toy_kn3, heldout_with_oov
     ):
         monkeypatch.setattr(evaluation, "SCORE_CHUNK", 64)
-        calls = _spy_scores(monkeypatch, toy_kn3)
+        calls = _spy_walks(monkeypatch, toy_kn3)
         report = perplexity(toy_kn3, heldout_with_oov)
-        longest = max(len(s) + 1 for s in heldout_with_oov)
         assert len(calls) > 1
-        for words, contexts in calls:
-            codes = _packed(toy_kn3, words, contexts)
-            assert codes == sorted(set(codes))
-            assert len(words) < 64 + longest
-        assert report.distinct == sum(len(words) for words, _ in calls)
+        assert all(len(words) <= 64 for _, words in calls)
+        # sorted and distinct across calls too: once per stream
+        codes = _walked_codes(toy_kn3, calls)
+        assert codes == sorted(set(codes))
+        assert report.distinct == len(codes)
 
     def test_a_repeated_sentence_is_scored_once(self, monkeypatch, toy_kn3, toy_corpus):
         sentence = toy_corpus[0][3]
-        calls = _spy_scores(monkeypatch, toy_kn3)
+        calls = _spy_walks(monkeypatch, toy_kn3)
         report = perplexity(toy_kn3, [sentence] * 50)
-        ids = [Vocabulary.bos_id] * 2 + toy_kn3.vocab.encode(sentence) + [Vocabulary.eos_id]
-        queries = {tuple(ids[i - 2 : i + 1]) for i in range(2, len(ids))}
         assert len(calls) == 1
-        assert len(calls[0][0]) == report.distinct == len(queries)
+        assert len(calls[0][0]) == report.distinct == len(_state_queries(toy_kn3, sentence))
         assert report.tokens == 50 * (len(sentence) + 1)
+
+    def test_a_sentence_repeated_across_chunks_is_scored_once(
+        self, monkeypatch, toy_kn3, toy_corpus
+    ):
+        sentence = toy_corpus[0][3]
+        assert len(sentence) + 1 > 5  # one sentence per chunk
+        monkeypatch.setattr(evaluation, "SCORE_CHUNK", 5)
+        calls = _spy_walks(monkeypatch, toy_kn3)
+        report = perplexity(toy_kn3, [sentence] * 50)
+        codes = _walked_codes(toy_kn3, calls)
+        assert len(codes) == report.distinct == len(_state_queries(toy_kn3, sentence))
+
+
+class TestStates:
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    @pytest.mark.parametrize("smoother", ["mle", "abs", "kn", "mkn", "plre"])
+    def test_probability_depends_only_on_the_deepest_observed_context(
+        self, toy_models, smoother, order
+    ):
+        model = toy_models(smoother, order)
+        vsize, pad = len(model.vocab), order - 1
+        rng = np.random.default_rng(order)
+        n = 600
+        # observed top-order contexts with some words replaced by unseen,
+        # bos, unk and out-of-range ids
+        contexts = model.levels[order].contexts[rng.integers(len(model.levels[order].contexts), size=n)]
+        odd = rng.choice([-7, -1, Vocabulary.bos_id, Vocabulary.unk_id, vsize, vsize + 3], size=(n, pad))
+        poke = rng.random((n, pad)) < 0.25
+        contexts = np.where(poke, odd, contexts)
+        contexts[: n // 4] = rng.integers(0, vsize, size=(n // 4, pad))  # mostly unseen
+        words = rng.integers(0, vsize, size=n)
+        cut = np.full_like(contexts, -1)
+        for i, h in enumerate(contexts.tolist()):
+            deepest = _deepest(model, tuple(h))
+            cut[i, : len(deepest)] = deepest
+        assert model.score(words, contexts).tobytes() == model.score(words, cut).tobytes()
+
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    @pytest.mark.parametrize("smoother", ["kn", "plre"])
+    def test_context_orders_count_each_token_by_its_deepest_context(
+        self, toy_models, heldout_with_oov, smoother, order
+    ):
+        model = toy_models(smoother, order)
+        report = perplexity(model, heldout_with_oov)
+        want = [0] * order
+        for sentence in heldout_with_oov:
+            for h, _ in _token_queries(model, sentence):
+                want[len(_deepest(model, h))] += 1
+        assert report.context_orders == want
+        assert sum(report.context_orders) == report.tokens
+
+
+def _deepest(model, h):
+    """The longest prefix of context ``h`` (most recent word first) that a
+    level holds, read from the levels' context totals."""
+    for k in range(model.order, 1, -1):
+        if h[: k - 1] in model.levels[k].context_totals:
+            return h[: k - 1]
+    return ()
+
+
+def _token_queries(model, sentence):
+    """(full context, word) of each predicted token of a sentence."""
+    vocab, pad = model.vocab, model.order - 1
+    ids = [vocab.bos_id] * pad + vocab.encode(sentence) + [vocab.eos_id]
+    return [(tuple(ids[i - pad : i][::-1]), ids[i]) for i in range(pad, len(ids))]
+
+
+def _state_queries(model, sentence):
+    """The distinct (deepest observed context, word) queries of a sentence."""
+    return {(_deepest(model, h), w) for h, w in _token_queries(model, sentence)}
 
 
 class TestOrderSweep:
