@@ -53,9 +53,8 @@ from .errors import (
     FactorizationError,
     PlreError,
     VerificationError,
-    VocabMismatchError,
 )
-from .evaluation import EvalReport, log_prob_sentence, order_sweep, perplexity
+from .evaluation import EvalReport, log_prob_sentence, perplexity
 from .factorization import (
     ConvergenceReport,
     FactorPair,
@@ -96,7 +95,6 @@ __all__ = [
     "TrainConfig",
     "VerificationError",
     "Vocabulary",
-    "VocabMismatchError",
     "adjusted_tables",
     "best_rank1",
     "build_plre",
@@ -118,7 +116,6 @@ __all__ = [
     "mkn_discounts",
     "nmf_gkl",
     "nmf_gkl_many",
-    "order_sweep",
     "parse_config",
     "perplexity",
     "power_counts",

@@ -6,7 +6,7 @@ Exit codes
 1  unexpected internal error (including factorization divergence)
 2  usage error (unknown flags, missing arguments)
 3  configuration error (bad config file or flag values)
-4  data error (empty or malformed corpus, vocabulary mismatch)
+4  data error (empty or malformed corpus or vocabulary)
 5  file system error (unreadable input, unwritable output)
 6  container error (corrupt, truncated, or unsupported model file)
 7  verification failure (an invariant check exceeded its tolerance)
@@ -56,7 +56,7 @@ from .errors import (
     PlreError,
     VerificationError,
 )
-from .evaluation import SCORE_CHUNK, order_sweep, perplexity
+from .evaluation import SCORE_CHUNK, perplexity
 from .levels import timed
 
 SMOOTHER_CHOICES = ("mle", "abs", "kn", "mkn", "plre")
@@ -190,7 +190,6 @@ def _build_model(
             dstar=cfg.dstar,
             nmf_max_iters=cfg.nmf_max_iters,
             nmf_rel_tol=cfg.nmf_rel_tol,
-            nmf_eps=cfg.nmf_eps,
             seed=cfg.seed,
             threads=cfg.threads,
             timings=timings,
@@ -357,16 +356,17 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def _normalization_sweep(model, seed: int, n_contexts: int = 100) -> float:
     """Max |sum_w P(w|h) - 1| over seeded random full-length contexts h,
-    summed through the query walk (``score``) in chunks of at most
-    SCORE_CHUNK queries.  Observed contexts are normalization_observed's."""
+    summed through the query walk: each context resolved to its state
+    once, then ``walk`` in chunks of at most SCORE_CHUNK queries.  Observed
+    contexts are normalization_observed's."""
     rng = np.random.default_rng(seed)
     vsize = len(model.vocab)
-    contexts = rng.integers(0, vsize, size=(n_contexts, model.order - 1))
+    states = model.states(rng.integers(0, vsize, size=(n_contexts, model.order - 1)))
     sums = np.zeros(n_contexts)
     for lo in range(0, n_contexts * vsize, SCORE_CHUNK):
         query = np.arange(lo, min(lo + SCORE_CHUNK, n_contexts * vsize))
         h = query // vsize
-        sums += np.bincount(h, model.score(query % vsize, contexts[h]), minlength=n_contexts)
+        sums += np.bincount(h, model.walk(states[h], query % vsize), minlength=n_contexts)
     # np.max, unlike max(), keeps a NaN
     return float(np.max(np.abs(sums - 1.0)))
 
@@ -474,7 +474,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
     t_counting = time.perf_counter() - t0
 
     rows: List[dict] = []
-    models: List[Tuple[TrainConfig, object]] = []
     for name, cfg in cfgs:
         t1 = time.perf_counter()
         model = _build_model(cfg, vocab, raw[cfg.order])
@@ -490,25 +489,28 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 "train_seconds": build_secs,
             }
         )
-        models.append((cfg, model))
     best = min(range(len(rows)), key=lambda i: rows[i]["perplexity"])
     for i, row in enumerate(rows):
         row["best"] = i == best
 
     # Order sweep: at each order with both a plre entry and a classical
-    # baseline, pit the best of each side against the other.
-    sweep_pairs: Dict[int, Tuple[object, object]] = {}
-    for order in sorted({cfg.order for _, cfg in cfgs}):
-        here = [
-            (rows[i]["perplexity"], rows[i]["smoother"], models[i][1])
-            for i in range(len(rows))
-            if rows[i]["order"] == order
-        ]
-        base = [(p, m) for p, s, m in here if s != "plre"]
-        cand = [(p, m) for p, s, m in here if s == "plre"]
+    # baseline, the best of each side against the other; the improvement
+    # is positive when plre is better.
+    sweep: List[dict] = []
+    for order in sorted({row["order"] for row in rows}):
+        here = [row for row in rows if row["order"] == order]
+        base = [row["perplexity"] for row in here if row["smoother"] != "plre"]
+        cand = [row["perplexity"] for row in here if row["smoother"] == "plre"]
         if base and cand:
-            sweep_pairs[order] = (min(base)[1], min(cand)[1])
-    sweep = order_sweep(sweep_pairs, test) if sweep_pairs else []
+            b, c = min(base), min(cand)
+            sweep.append(
+                {
+                    "order": order,
+                    "baseline_perplexity": b,
+                    "candidate_perplexity": c,
+                    "improvement_pct": 100.0 * (b - c) / b,
+                }
+            )
 
     if args.csv:
         with open(args.csv, "w", newline="") as fh:

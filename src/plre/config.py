@@ -15,7 +15,6 @@ are ignored.  Recognized keys:
     rank.K          per-order override, one value per power
     nmf.max_iters   multiplicative-update iteration cap
     nmf.rel_tol     relative objective improvement stopping threshold
-    nmf.eps         division guard inside the updates
 
 Command-line flags override file values.  Orders >= 4 default to an empty
 power chain (no low-rank term) unless power.K says otherwise.
@@ -67,7 +66,6 @@ class TrainConfig:
     ranks: Dict[int, Tuple[Union[int, float], ...]] = field(default_factory=dict)
     nmf_max_iters: int = 200
     nmf_rel_tol: float = 1e-6
-    nmf_eps: float = 1e-12
 
     def validate(self) -> None:
         if self.smoother not in _SMOOTHERS:
@@ -87,8 +85,6 @@ class TrainConfig:
         # NaN fails every comparison, so these reject it too.
         if not 0.0 <= self.nmf_rel_tol < math.inf:
             raise ConfigError(f"nmf.rel_tol must be finite and >= 0: {self.nmf_rel_tol}")
-        if not 0.0 < self.nmf_eps < math.inf:
-            raise ConfigError(f"nmf.eps must be finite and > 0: {self.nmf_eps}")
 
     def resolved_powers(self) -> Dict[int, Tuple[float, ...]]:
         """Per-order power chains after defaults and overrides."""
@@ -169,8 +165,6 @@ def _apply_key(cfg: TrainConfig, key: str, value: str) -> None:
         cfg.nmf_max_iters = int(value)
     elif key == "nmf.rel_tol":
         cfg.nmf_rel_tol = float(value)
-    elif key == "nmf.eps":
-        cfg.nmf_eps = float(value)
     elif m := re.fullmatch(r"power\.(\d+)", key):
         cfg.powers[int(m.group(1))] = _parse_float_list(value)
     elif m := re.fullmatch(r"rank\.(\d+)", key):

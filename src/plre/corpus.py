@@ -160,16 +160,15 @@ def _key_columns(order: int) -> List[int]:
     return list(range(1, order)) + [0]
 
 
-def _count_rows(rows: np.ndarray, first: np.ndarray, weights=None) -> Tuple[np.ndarray, ...]:
+def _count_rows(rows: np.ndarray, weights=None) -> Tuple[np.ndarray, np.ndarray]:
     """(distinct rows sorted by context then word, how often each occurs or
-    the sum of its ``weights``, the smallest ``first`` among its
-    occurrences), by one sort over the columns: packing a row into one int64
-    code would overflow."""
+    the sum of its ``weights``), by one sort over the columns: packing a row
+    into one int64 code would overflow."""
     perm = np.lexsort([rows[:, c] for c in reversed(_key_columns(rows.shape[1]))])
     rows = rows[perm]
     starts = _runs(rows)
     counts = np.diff(starts) if weights is None else np.add.reduceat(weights[perm], starts[:-1])
-    return rows[starts[:-1]], counts, np.minimum.reduceat(first[perm], starts[:-1])
+    return rows[starts[:-1]], counts
 
 
 class RowMap(abc.Mapping):
@@ -204,21 +203,17 @@ class CountTable:
 
     ``keys`` (n x order, most-recent-first, int64) are sorted by context,
     then predicted word, and carry ``counts``.  Context c owns entries
-    ``ctx_start[c]:ctx_start[c+1]`` and has ``totals[c]``.  ``first`` ranks
-    the entries by first occurrence in the corpus (a derived table's entry
-    by that of its first extension; by default, the table's own order).
-    ``entries`` and ``context_totals`` are read-only mapping views keyed by
-    tuples.
+    ``ctx_start[c]:ctx_start[c+1]`` and has ``totals[c]``.  ``entries`` and
+    ``context_totals`` are read-only mapping views keyed by tuples.
     """
 
-    def __init__(self, order: int, keys: np.ndarray, counts: np.ndarray, first=None):
+    def __init__(self, order: int, keys: np.ndarray, counts: np.ndarray):
         n = len(keys)
         if n == 0 or keys.shape != (n, order) or counts.shape != (n,):
             raise ValueError(f"order {order}: table arrays disagree in length")
         self.order = order
         self.keys = keys.astype(np.int64, copy=False)
         self.counts = counts.astype(np.int64, copy=False)
-        self.first = np.arange(n) if first is None else first
         self.ctx_start = context_starts(self.keys)
         self.contexts = self.keys[self.ctx_start[:-1], 1:]
         self.totals = np.add.reduceat(self.counts, self.ctx_start[:-1])
@@ -241,16 +236,10 @@ class CountTable:
         """(the distinct counts, each entry's index among them)."""
         return np.unique(self.counts, return_inverse=True)
 
-    @functools.cached_property
-    def _by_first(self) -> np.ndarray:
-        return np.argsort(self.first, kind="stable")
-
     def context_sums(self, values: np.ndarray) -> np.ndarray:
-        """Per context, the sum of ``values`` (one per entry), added in
-        first-occurrence order: the order in which a dict filled while
-        counting would sum them, which fixes the rounding."""
-        by_first = self._by_first
-        return np.bincount(self.ctx_of_entry[by_first], values[by_first], len(self.contexts))
+        """Per context, the sum of ``values`` (one per entry), added in key
+        order: it follows from the keys and the values alone."""
+        return np.bincount(self.ctx_of_entry, values, len(self.contexts))
 
 
 def count_ngrams(
@@ -281,7 +270,7 @@ def count_ngrams(
     body = np.repeat(starts[:-1] + order - 1, lens + 1) + offsets(lens + 1)
     # Every position after the bos pad is predicted: key = (w_i, ..., w_{i-order+1}).
     windows = np.stack([stream[body - j] for j in range(order)], axis=1)
-    return CountTable(order, *_count_rows(windows, np.arange(len(windows))))
+    return CountTable(order, *_count_rows(windows))
 
 
 def count_all_orders(
@@ -302,7 +291,7 @@ def _lower_tables(top: CountTable, summed: bool) -> Dict[int, CountTable]:
     for k in range(top.order - 1, 0, -1):
         upper = tables[k + 1]
         weights = upper.counts if summed else None
-        tables[k] = CountTable(k, *_count_rows(upper.keys[:, :-1], upper.first, weights))
+        tables[k] = CountTable(k, *_count_rows(upper.keys[:, :-1], weights))
     return tables
 
 

@@ -216,7 +216,6 @@ def compute_z(
     rank: int,
     max_iters: int = 200,
     rel_tol: float = 1e-6,
-    eps: float = 1e-12,
     seed: int = 0,
     threads: int = 1,
     timings: Optional[Dict[str, float]] = None,
@@ -344,7 +343,6 @@ def compute_z(
                 [np.random.SeedSequence(entropy=seed, spawn_key=(k, j, s)) for s in batch],
                 max_iters=max_iters,
                 rel_tol=rel_tol,
-                eps=eps,
                 names=[
                     f"order {k}, chain step {j}, interior {tuple(interiors[s].tolist())}"
                     for s in batch
@@ -500,7 +498,6 @@ def build_plre(
     dstar: Union[str, float] = "gt-root",
     nmf_max_iters: int = 200,
     nmf_rel_tol: float = 1e-6,
-    nmf_eps: float = 1e-12,
     seed: int = 0,
     threads: int = 1,
     timings: Optional[Dict[str, float]] = None,
@@ -569,7 +566,6 @@ def build_plre(
                 resolved_ranks[k][j - 1],
                 max_iters=nmf_max_iters,
                 rel_tol=nmf_rel_tol,
-                eps=nmf_eps,
                 seed=seed,
                 threads=threads,
                 timings=timings,

@@ -22,10 +22,6 @@ class EmptyCorpusError(DataError):
     """The token stream contained no sentences."""
 
 
-class VocabMismatchError(DataError):
-    """Two artifacts built against different vocabularies were combined."""
-
-
 class FactorizationError(PlreError):
     """Numerical failure inside a factorization (NaN/Inf in factors)."""
 

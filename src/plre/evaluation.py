@@ -1,4 +1,4 @@
-"""Held-out evaluation: sentence log-probabilities, perplexity, comparisons.
+"""Held-out evaluation: sentence log-probabilities and perplexity.
 
 Log probabilities are natural-log; perplexity is exp of the negative mean
 log-probability per predicted token.  eos is predicted, bos never is; test
@@ -16,11 +16,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import EvalError, VocabMismatchError
+from .errors import EvalError
 
 
 @dataclass
@@ -145,33 +145,3 @@ def perplexity(model, sentences: Sequence[Sequence[str]]) -> EvalReport:
     total_logprob = math.fsum(sums.tolist())
     ppl = math.exp(-total_logprob / total_tokens)
     return EvalReport(total_tokens, oov, total_logprob, ppl, distinct, by_order)
-
-
-def order_sweep(
-    models_by_order: Dict[int, Tuple[object, object]],
-    sentences: Sequence[Sequence[str]],
-) -> List[dict]:
-    """Relative perplexity improvement of a candidate over a baseline per order.
-
-    ``models_by_order`` maps order -> (baseline model, candidate model); both
-    must share a vocabulary.  Improvement is (baseline - candidate)/baseline
-    in percent, positive when the candidate is better.
-    """
-    rows = []
-    for order in sorted(models_by_order):
-        baseline, candidate = models_by_order[order]
-        if baseline.vocab.id_to_word != candidate.vocab.id_to_word:
-            raise VocabMismatchError(f"order {order}: models use different vocabularies")
-        base_report = perplexity(baseline, sentences)
-        cand_report = perplexity(candidate, sentences)
-        rows.append(
-            {
-                "order": order,
-                "baseline_perplexity": base_report.perplexity,
-                "candidate_perplexity": cand_report.perplexity,
-                "improvement_pct": 100.0
-                * (base_report.perplexity - cand_report.perplexity)
-                / base_report.perplexity,
-            }
-        )
-    return rows

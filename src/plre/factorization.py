@@ -33,6 +33,9 @@ from .errors import FactorizationError
 
 # Guard against exact zeros in denominators/logs; well below any real count.
 _TINY = 1e-300
+# Floor of the multiplicative updates' divisors, which keeps a factor that
+# reaches zero from dividing by zero.
+_EPS = 1e-12
 
 
 class SparseMatrix:
@@ -208,7 +211,6 @@ def nmf_gkl(
     k: int,
     max_iters: int = 200,
     rel_tol: float = 1e-6,
-    eps: float = 1e-12,
     seed: Union[int, np.random.SeedSequence] = 0,
 ) -> Tuple[FactorPair, ConvergenceReport]:
     """Rank-k nonnegative factorization of M under gKL.
@@ -255,7 +257,6 @@ def nmf_gkl(
         [seed],
         max_iters=max_iters,
         rel_tol=rel_tol,
-        eps=eps,
     )
     report.warnings[:0] = warnings
     return pair, report
@@ -273,7 +274,6 @@ def nmf_gkl_many(
     seeds: Sequence[Union[int, np.random.SeedSequence]],
     max_iters: int = 200,
     rel_tol: float = 1e-6,
-    eps: float = 1e-12,
     names: Optional[Sequence[str]] = None,
     threads: int = 1,
 ) -> List[Tuple[FactorPair, ConvergenceReport]]:
@@ -312,7 +312,6 @@ def nmf_gkl_many(
             [names[i] for i in group],
             max_iters,
             rel_tol,
-            eps,
         )
 
     groups = _groups([m.nnz * k for m in matrices], threads)
@@ -420,7 +419,6 @@ def _solve_group(
     names: List[str],
     max_iters: int,
     rel_tol: float,
-    eps: float,
 ) -> List[Tuple[FactorPair, ConvergenceReport]]:
     W, H = _initial_factors(mats, k, seeds)
     act = np.arange(len(mats))  # the running matrices, in batch order
@@ -463,13 +461,13 @@ def _solve_group(
         for i in range(len(mats)):
             finish(i, i, 0, False)
     for it in range(1, max_iters + 1):
-        ratio = sup.vals / np.maximum(pred, eps)
-        den = np.take(np.maximum(Hsum, eps), sup.row_seg, axis=1)
+        ratio = sup.vals / np.maximum(pred, _EPS)
+        den = np.take(np.maximum(Hsum, _EPS), sup.row_seg, axis=1)
         W *= _term_bincount(Hg, sup.ii, W.shape[1], ratio) / den
         np.take(W, sup.ii, axis=1, out=Wg, mode="clip")
-        ratio = sup.vals / np.maximum(_dot_terms(Wg, Hg), eps)
+        ratio = sup.vals / np.maximum(_dot_terms(Wg, Hg), _EPS)
         Wsum = _term_bincount(W, sup.row_seg, sup.n)
-        den = np.take(np.maximum(Wsum, eps), sup.col_seg, axis=1)
+        den = np.take(np.maximum(Wsum, _EPS), sup.col_seg, axis=1)
         H *= _term_bincount(Wg, sup.jj, H.shape[1], ratio) / den
 
         if not (np.isfinite(W).all() and np.isfinite(H).all()):

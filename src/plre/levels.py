@@ -224,9 +224,9 @@ class LevelModel:
         return counter.muladds
 
     def dist(self, context: Sequence[int] = ()) -> np.ndarray:
-        """P(w | context) for every word w: ``score`` over the whole
-        vocabulary for the one context, so each entry is bit-identical to
-        ``prob(w, context)``."""
+        """P(w | context) for every word w: the context resolved to its
+        state once, then walked with the whole vocabulary, so each entry is
+        bit-identical to ``prob(w, context)``."""
         words = np.arange(len(self.vocab))
-        contexts = np.asarray([tuple(context)], dtype=np.int64)
-        return self.score(words, np.repeat(contexts, len(words), axis=0))
+        state = self.states(np.asarray([tuple(context)], dtype=np.int64))
+        return self.walk(np.repeat(state, len(words)), words)

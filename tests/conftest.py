@@ -349,15 +349,12 @@ def looped_error_bound(model, order: int) -> float:
 
 
 def count_table(order: int, entries: Dict[Key, int]) -> CountTable:
-    """A CountTable from most-recent-first keys to counts, the keys ranked
-    by first occurrence in the dict's order."""
+    """A CountTable from most-recent-first keys to counts."""
     keys = sorted(entries, key=lambda key: (key[1:], key[0]))
-    rank = {key: i for i, key in enumerate(entries)}
     return CountTable(
         order,
         np.array(keys, dtype=np.int64).reshape(len(keys), order),
         np.array([entries[key] for key in keys], dtype=np.int64),
-        np.array([rank[key] for key in keys], dtype=np.int64),
     )
 
 
@@ -369,7 +366,7 @@ def count_table(order: int, entries: Dict[Key, int]) -> CountTable:
 
 
 def dict_counts(encoded, order: int) -> Dict[Key, int]:
-    """Most-recent-first order-k windows, in first-occurrence order."""
+    """Most-recent-first order-k windows and their counts."""
     entries: Dict[Key, int] = {}
     for sent in encoded:
         padded = [Vocabulary.bos_id] * (order - 1) + list(sent) + [Vocabulary.eos_id]
@@ -380,7 +377,8 @@ def dict_counts(encoded, order: int) -> Dict[Key, int]:
 
 
 def _dict_powered(entries: Dict[Key, int], power: float):
-    """(c^power per key, its sum per context), summed in dict order."""
+    """(c^power per key, its sum per context), each context summed in key
+    order: by context, then word."""
     if power == 1.0:
         powered = {key: float(c) for key, c in entries.items()}
     elif power == 0.0:
@@ -388,8 +386,8 @@ def _dict_powered(entries: Dict[Key, int], power: float):
     else:
         powered = {key: c**power for key, c in entries.items()}
     sums: Dict[Key, float] = {}
-    for key, v in powered.items():
-        sums[key[1:]] = sums.get(key[1:], 0.0) + v
+    for key in sorted(powered, key=lambda key: (key[1:], key[0])):
+        sums[key[1:]] = sums.get(key[1:], 0.0) + powered[key]
     return powered, sums
 
 

@@ -1,18 +1,22 @@
 """End-to-end command-line behavior: exit codes, JSON contracts, files."""
 
 import json
+import re
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+from plre import cli
 from plre.baselines import NgramLM
 from plre.cli import _normalization_sweep, main
+from plre.config import parse_config
 from plre.container import load_model, save_model
 from plre.corpus import count_all_orders, read_sentences
 from plre.ensemble import build_plre, normalization_observed, verify_marginal
 from plre.errors import EvalError
-from plre.evaluation import perplexity
+from plre.evaluation import EvalReport, perplexity
 
 from conftest import write_corpus
 
@@ -434,12 +438,12 @@ class TestVerify:
         model = build_plre(toy_top3, vocab, seed=0)
         assert model.check_gamma_closed_form() <= 1e-12
         # poison a bigram context that one of the sweep's random contexts
-        # reaches, recorded by wrapping the query walk
+        # reaches, recorded by wrapping the state lookup
         swept = []
-        score = model.score
-        model.score = lambda words, contexts: swept.append(contexts) or score(words, contexts)
+        states = model.states
+        model.states = lambda contexts: swept.append(contexts) or states(contexts)
         assert _normalization_sweep(model, 0) <= 1e-8
-        del model.score
+        del model.states
         level = model.levels[2]
         # a bigram context's state is its row in level 2 plus 1
         states = model.states(np.concatenate(swept)[:, :1])
@@ -472,12 +476,12 @@ class TestVerify:
         _, vocab, _ = toy_corpus
         model = build_plre(toy_top3, vocab, seed=0)
         swept = set()
-        score = model.score
-        model.score = lambda words, contexts: (
-            swept.update(map(tuple, contexts.tolist())) or score(words, contexts)
+        states = model.states
+        model.states = lambda contexts: (
+            swept.update(map(tuple, contexts.tolist())) or states(contexts)
         )
         assert _normalization_sweep(model, 0) <= 1e-8
-        del model.score
+        del model.states
         level = model.levels[3]
         ctx = next(
             i for i, h in enumerate(level.context_totals) if h not in swept
@@ -561,6 +565,52 @@ class TestCompare:
         assert report["sweep"] == []
         assert report["rows"][0]["best"] is True
 
+    def test_each_model_is_scored_once(self, ws, capsys, monkeypatch):
+        # the sweep is read off the rows: no model is scored a second time
+        scored = []
+        monkeypatch.setattr(
+            cli, "perplexity", lambda model, test: scored.append(model) or perplexity(model, test)
+        )
+        assert main([
+            "compare", "--corpus", str(ws["train"]), "--test", str(ws["test"]),
+            "--config", str(ws["root"] / "kn.cfg"),
+            "--config", str(ws["root"] / "mkn.cfg"),
+            "--config", str(ws["root"] / "plre.cfg"), "--json",
+        ]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert len({id(model) for model in scored}) == len(scored) == 3
+        ppl = {row["smoother"]: row["perplexity"] for row in report["rows"]}
+        [sweep] = report["sweep"]
+        assert sweep["baseline_perplexity"] == min(ppl["kn"], ppl["mkn"])
+        assert sweep["candidate_perplexity"] == ppl["plre"]
+        assert sweep["improvement_pct"] == 100.0 * (
+            sweep["baseline_perplexity"] - ppl["plre"]
+        ) / sweep["baseline_perplexity"]
+
+    def test_equal_perplexities_show_zero_improvement(self, ws, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "perplexity", lambda model, test: EvalReport(10, 0, -20.0, 7.0))
+        assert main([
+            "compare", "--corpus", str(ws["train"]), "--test", str(ws["test"]),
+            "--config", str(ws["root"] / "kn.cfg"),
+            "--config", str(ws["root"] / "plre.cfg"), "--json",
+        ]) == 0
+        [sweep] = json.loads(capsys.readouterr().out)["sweep"]
+        assert sweep["improvement_pct"] == 0.0
+        assert sweep["baseline_perplexity"] == sweep["candidate_perplexity"] == 7.0
+
+    def test_sweep_rows_sorted_by_order(self, ws, tmp_path, capsys):
+        configs = []
+        for smoother, order in (("plre", 3), ("kn", 3), ("plre", 2), ("mkn", 2)):
+            cfg = tmp_path / f"{smoother}{order}.cfg"
+            cfg.write_text(f"smoother = {smoother}\norder = {order}\n")
+            configs += ["--config", str(cfg)]
+        assert main([
+            "compare", "--corpus", str(ws["train"]), "--test", str(ws["test"]),
+            *configs, "--json",
+        ]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert [row["order"] for row in report["sweep"]] == [2, 3]
+
     def test_mixed_unk_thresholds_rejected(self, ws, tmp_path, capsys):
         cfg = tmp_path / "t9.cfg"
         cfg.write_text("smoother = kn\norder = 2\nunk_threshold = 9\n")
@@ -569,6 +619,17 @@ class TestCompare:
                      "--config", str(cfg)])
         assert code == 3
         assert "unk_threshold" in capsys.readouterr().err
+
+
+class TestConfig:
+    def test_readme_config_block_parses(self):
+        # a key the parser does not know cannot stay documented
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        [block] = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+        cfg = parse_config(block)
+        assert (cfg.smoother, cfg.order, cfg.powers, cfg.ranks) == (
+            "plre", 3, {2: (0.6, 0.3)}, {2: (4, 4)}
+        )
 
 
 class TestExitCodes:
@@ -609,16 +670,21 @@ class TestExitCodes:
         assert "rank must be" in capsys.readouterr().err
 
     # The NMF settings have no flags: a config file is their only way in.
+    # nmf.eps is no setting: the updates' division guard is a constant.
     @pytest.mark.parametrize("key,value", [
         ("max_iters", "-5"), ("max_iters", "0"), ("rel_tol", "-1"), ("rel_tol", "nan"),
-        ("rel_tol", "inf"), ("eps", "nan"), ("eps", "0"), ("eps", "inf"),
+        ("rel_tol", "inf"), ("eps", "1e-12"),
     ])
     def test_malformed_nmf_setting_exits_3(self, ws, tmp_path, capsys, key, value):
         cfg = tmp_path / "nmf.cfg"
         cfg.write_text(f"nmf.{key} = {value}\n")
         assert main(["train", "--corpus", str(ws["train"]),
                      "--model", str(tmp_path / "m.plre"), "--config", str(cfg)]) == 3
-        assert f"nmf.{key} must be" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        if key == "eps":
+            assert "unknown config key 'nmf.eps'" in err
+        else:
+            assert f"nmf.{key} must be" in err
 
     def test_empty_corpus_exits_4(self, tmp_path, capsys):
         empty = tmp_path / "empty.txt"

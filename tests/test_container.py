@@ -10,7 +10,8 @@ import pytest
 from plre.baselines import NgramLM
 from plre.cli import main
 from plre.container import FORMAT_VERSION, load_model, save_model
-from plre.corpus import count_all_orders
+from plre.corpus import count_all_orders, count_ngrams
+from plre.ensemble import build_plre, compute_discounts
 from plre.errors import ContainerError
 
 from conftest import write_corpus
@@ -122,6 +123,34 @@ class TestRoundTrip:
             save_model(model, str(p1))
             save_model(load_model(str(p1)), str(p2))
             assert p1.read_bytes() == p2.read_bytes(), model.smoother
+
+    @pytest.mark.parametrize("order", [3, 4])
+    @pytest.mark.parametrize("rank", [1, 3])
+    def test_loaded_levels_rederive_their_discount_sections(
+        self, toy_corpus, tmp_path, order, rank
+    ):
+        # top, gammas and denominators follow from a level's keys, counts,
+        # d* and powers alone: context sums run in key order, which the
+        # container keeps
+        _, vocab, enc = toy_corpus
+        model = build_plre(
+            count_ngrams(enc, order),
+            vocab,
+            powers={k: (0.6, 0.3) for k in range(2, order + 1)},
+            ranks={k: (rank, rank) for k in range(2, order + 1)},
+            seed=0,
+        )
+        path = tmp_path / "m.plre"
+        save_model(model, str(path))
+        loaded = load_model(str(path))
+        assert sorted(loaded.levels) == list(range(2, order + 1))
+        for level in loaded.levels.values():
+            specs = compute_discounts(level, (1.0,) + level.powers + (0.0,), level.dstar)
+            assert (specs[0].powered - specs[0].discount).tobytes() == level.top.tobytes()
+            assert np.array([s.gamma for s in specs]).tobytes() == level.gammas.tobytes()
+            assert len(level.z_tables) == len(specs) - 1 == 2
+            for spec, z in zip(specs[1:], level.z_tables):
+                assert spec.sums.tobytes() == z.denominators.tobytes()
 
     def test_toy_model_stays_small(self, toy_kn3, tmp_path):
         path = tmp_path / "kn.plre"

@@ -85,7 +85,7 @@ class TestPoweredCounts:
         rng = np.random.default_rng(3)
         counts = np.concatenate([np.arange(1, 50001), rng.integers(1, 50001, size=20000)])
         n = len(counts)
-        table = CountTable(1, np.arange(n)[:, None], counts, np.arange(n))
+        table = CountTable(1, np.arange(n)[:, None], counts)
         for rho in (0.3, 0.5, 0.6):
             want = np.array([float(c) ** rho for c in counts.tolist()])
             assert power_counts(table, rho).tobytes() == want.tobytes()

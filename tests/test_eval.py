@@ -1,4 +1,4 @@
-"""Perplexity evaluation and model comparison."""
+"""Perplexity evaluation."""
 
 import math
 
@@ -9,8 +9,8 @@ from plre import evaluation
 from plre.baselines import NgramLM
 from plre.corpus import Vocabulary, build_vocabulary, count_all_orders, count_ngrams
 from plre.ensemble import build_plre
-from plre.errors import EvalError, VocabMismatchError
-from plre.evaluation import log_prob_sentence, order_sweep, perplexity
+from plre.errors import EvalError
+from plre.evaluation import log_prob_sentence, perplexity
 from plre.synthetic import synthesize_corpus
 
 from conftest import RefInterpolatedLM, sequential_logprobs, sequential_perplexity
@@ -143,6 +143,18 @@ class TestPerplexity:
         )
         assert report.perplexity >= 1.0
         assert report.oov <= report.tokens
+
+    def test_low_rank_ensemble_beats_kn_on_sparse_bigrams(self):
+        # wide vocabulary relative to corpus size keeps bigram counts
+        # sparse, which is where the smoothed low-rank term helps
+        train = synthesize_corpus(900, vocab_size=900, n_topics=10, seed=101)
+        test = synthesize_corpus(120, vocab_size=900, n_topics=10, seed=202)
+        vocab = build_vocabulary(train, 1)
+        enc = [vocab.encode(s) for s in train]
+        top2 = count_ngrams(enc, 2)
+        kn = NgramLM.build(vocab, {2: top2}, "kn")
+        ensemble = build_plre(top2, vocab, seed=0)
+        assert perplexity(ensemble, test).perplexity < perplexity(kn, test).perplexity
 
     def test_empty_test_set_rejected(self, toy_kn3):
         with pytest.raises(EvalError):
@@ -336,38 +348,3 @@ def _token_queries(model, sentence):
 def _state_queries(model, sentence):
     """The distinct (deepest observed context, word) queries of a sentence."""
     return {(_deepest(model, h), w) for h, w in _token_queries(model, sentence)}
-
-
-class TestOrderSweep:
-    def test_identical_models_show_zero_improvement(self, toy_kn3, tiny_sentences):
-        rows = order_sweep({3: (toy_kn3, toy_kn3)}, tiny_sentences)
-        assert len(rows) == 1
-        assert rows[0]["order"] == 3
-        assert rows[0]["improvement_pct"] == 0.0
-        assert rows[0]["baseline_perplexity"] == rows[0]["candidate_perplexity"]
-
-    def test_rows_sorted_by_order(self, toy_kn3, toy_mkn3, tiny_sentences):
-        rows = order_sweep(
-            {3: (toy_kn3, toy_kn3), 2: (toy_mkn3, toy_mkn3)}, tiny_sentences
-        )
-        assert [r["order"] for r in rows] == [2, 3]
-
-    def test_low_rank_ensemble_beats_kn_on_sparse_bigrams(self):
-        # wide vocabulary relative to corpus size keeps bigram counts
-        # sparse, which is where the smoothed low-rank term helps
-        train = synthesize_corpus(900, vocab_size=900, n_topics=10, seed=101)
-        test = synthesize_corpus(120, vocab_size=900, n_topics=10, seed=202)
-        vocab = build_vocabulary(train, 1)
-        enc = [vocab.encode(s) for s in train]
-        top2 = count_ngrams(enc, 2)
-        kn = NgramLM.build(vocab, {2: top2}, "kn")
-        ensemble = build_plre(top2, vocab, seed=0)
-        rows = order_sweep({2: (kn, ensemble)}, test)
-        assert rows[0]["improvement_pct"] > 0.0
-        assert rows[0]["candidate_perplexity"] < rows[0]["baseline_perplexity"]
-
-    def test_vocabulary_mismatch_rejected(self, toy_kn3, tiny_setup):
-        _, vocab, enc = tiny_setup
-        other = NgramLM.build(vocab, {2: count_ngrams(enc, 2)}, "kn")
-        with pytest.raises(VocabMismatchError):
-            order_sweep({2: (toy_kn3, other)}, [["the", "cat"]])
