@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .baselines import DiscountParams, NgramLM
-from .config import TrainConfig, _parse_rank_value, load_config
+from .config import TrainConfig, _apply_key, load_config
 from .container import load_model, save_model
 from .corpus import (
     CountTable,
@@ -60,25 +60,17 @@ from .evaluation import SCORE_CHUNK, perplexity
 from .levels import timed
 
 SMOOTHER_CHOICES = ("mle", "abs", "kn", "mkn", "plre")
+# The config keys that train flags override, each the dest of its flag.
+TRAIN_FLAG_KEYS = ("smoother", "order", "power", "rank", "dstar", "seed", "threads", "unk_threshold")
 BUILD_STAGES = ("counting", "adjusted_tables", "discounts", "slices", "nmf")
 MARGINAL_ULPS = 1
 
 
-def _parse_dstar(text: str):
-    if text == "gt-root":
-        return text
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"--dstar must be 'gt-root' or a float, got {text!r}")
-
-
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--smoother", choices=SMOOTHER_CHOICES, help="smoothing method")
-    p.add_argument("--order", type=int, help="n-gram order")
+    p.add_argument("--order", help="n-gram order")
     p.add_argument(
         "--power",
-        type=float,
         nargs="+",
         metavar="RHO",
         help="intermediate ensemble powers, strictly descending in (0,1)",
@@ -89,11 +81,10 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
         help="rank per intermediate power: absolute int or vocab fraction 0<f<1",
     )
     p.add_argument("--dstar", metavar="D", help="'gt-root' or a fixed float in (0,1)")
-    p.add_argument("--seed", type=int, help="build seed (default 0)")
-    p.add_argument("--threads", type=int, help="factorization worker threads")
+    p.add_argument("--seed", help="build seed (default 0)")
+    p.add_argument("--threads", help="factorization worker threads")
     p.add_argument(
         "--unk-threshold",
-        type=int,
         dest="unk_threshold",
         help="map words seen <= this many times to the unk symbol",
     )
@@ -149,28 +140,17 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
-def _apply_overrides(cfg: TrainConfig, args: argparse.Namespace) -> None:
-    if args.smoother is not None:
-        cfg.smoother = args.smoother
-    if args.order is not None:
-        cfg.order = args.order
-    if args.power is not None:
-        cfg.default_power = tuple(args.power)
-    if args.rank is not None:
-        cfg.default_rank = _parse_rank_value(args.rank)
-    if args.dstar is not None:
-        cfg.dstar = _parse_dstar(args.dstar)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.threads is not None:
-        cfg.threads = args.threads
-    if args.unk_threshold is not None:
-        cfg.unk_threshold = args.unk_threshold
-
-
 def _load_cfg(args: argparse.Namespace, path: Optional[str]) -> TrainConfig:
     cfg = load_config(path) if path else TrainConfig()
-    _apply_overrides(cfg, args)
+    for key in TRAIN_FLAG_KEYS:
+        value = getattr(args, key)
+        if value is None:
+            continue
+        text = " ".join(value) if isinstance(value, list) else value
+        try:
+            _apply_key(cfg, key, text)
+        except (ConfigError, ValueError) as exc:
+            raise ConfigError(f"--{key.replace('_', '-')} {text!r}: {exc}") from None
     cfg.validate()
     return cfg
 
@@ -386,9 +366,10 @@ def _kn_reduction_deviation(model: PlreModel, seed: int, n_queries: int = 2000) 
     return float(np.max(np.abs(model.score(words, contexts) - ref.score(words, contexts))))
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    model = load_model(args.model)
-    t0 = last = time.perf_counter()
+def run_checks(model, seed: int) -> List[dict]:
+    """Every invariant check that applies to the model, each a dict of its
+    name, max violation, tolerance, verdict and seconds."""
+    last = time.perf_counter()
     checks: List[dict] = []
 
     def check(name: str, value: float, tol: float) -> None:
@@ -406,7 +387,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
         last = now
 
-    check("normalization_sweep", _normalization_sweep(model, args.seed), 1e-8)
+    check("normalization_sweep", _normalization_sweep(model, seed), 1e-8)
     check("normalization_observed", normalization_observed(model), 1e-8)
     if isinstance(model, PlreModel):
         for k in range(2, model.order + 1):
@@ -422,9 +403,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
         check("local_discount_identity", model.check_local_constraints(), 1e-12)
         check("discount_bounds", model.check_discount_bounds(), 1e-12)
         if all(level.eta == 0 for level in model.levels.values()):
-            check("kn_reduction", _kn_reduction_deviation(model, args.seed), 1e-10)
+            check("kn_reduction", _kn_reduction_deviation(model, seed), 1e-10)
+    return checks
+
+
+def cmd_verify(args: argparse.Namespace) -> int:
+    model = load_model(args.model)
+    checks = run_checks(model, args.seed)
     passed = all(c["passed"] for c in checks)
-    elapsed = time.perf_counter() - t0
 
     report = {
         "command": "verify",
@@ -445,7 +431,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         f"({sum(c['passed'] for c in checks)}/{len(checks)} checks)"
     )
     if args.verbose:
-        lines.append(f"timing: verify {elapsed:.2f}s")
+        lines.append(f"timing: verify {sum(c['seconds'] for c in checks):.2f}s")
     _emit(args, report, lines)
     return 0 if passed else 7
 

@@ -27,7 +27,7 @@ import re
 from dataclasses import dataclass, field, asdict
 from typing import Dict, Optional, Tuple, Union
 
-from .ensemble import default_powers
+from .ensemble import DEFAULT_RANK, default_powers
 from .errors import ConfigError
 
 _SMOOTHERS = ("mle", "abs", "kn", "mkn", "plre")
@@ -87,12 +87,11 @@ class TrainConfig:
             raise ConfigError(f"nmf.rel_tol must be finite and >= 0: {self.nmf_rel_tol}")
 
     def resolved_powers(self) -> Dict[int, Tuple[float, ...]]:
-        """Per-order power chains after defaults and overrides."""
+        """Per-order power chains after defaults and overrides: ``power``
+        replaces the chain of every order ``default_powers`` gives one."""
         out = default_powers(self.order)
         if self.default_power is not None:
-            for k in out:
-                if k <= 3:
-                    out[k] = self.default_power
+            out = {k: self.default_power if chain else chain for k, chain in out.items()}
         for k, chain in self.powers.items():
             if 2 <= k <= self.order:
                 out[k] = chain
@@ -100,16 +99,11 @@ class TrainConfig:
 
     def resolved_rank_values(self) -> Dict[int, Tuple[Union[int, float], ...]]:
         """Per-order rank values (still fractions/ints; resolved against V later)."""
-        powers = self.resolved_powers()
-        out: Dict[int, Tuple[Union[int, float], ...]] = {}
-        for k, chain in powers.items():
-            if k in self.ranks:
-                out[k] = self.ranks[k]
-            elif self.default_rank is not None:
-                out[k] = tuple(self.default_rank for _ in chain)
-            else:
-                out[k] = tuple(0.005 for _ in chain)
-        return out
+        rank = DEFAULT_RANK if self.default_rank is None else self.default_rank
+        return {
+            k: self.ranks.get(k, tuple(rank for _ in chain))
+            for k, chain in self.resolved_powers().items()
+        }
 
     def echo(self) -> dict:
         """JSON-serializable dump for container headers."""

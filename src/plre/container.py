@@ -3,23 +3,25 @@
 Layout: 4 magic bytes ``PLRE``, a little-endian u32 format version, a u64
 header length, a canonical JSON header (sorted keys, no whitespace), then
 for each name in ``header["sections"]`` (in order) a u64 payload length and
-the payload bytes.  The header holds a sha256 of every payload.  Payloads
-are bare little-endian arrays (word ids i32, counts i64, floats f64); a PLRE
-model stores, per order k with n entries and m contexts:
+the payload bytes.  The header's ``sha256`` map holds a digest of every
+payload and, under ``"header"``, one of the header's own canonical JSON
+without that map: the header's d*s and powers decide a PLRE model's
+answers.  Payloads are bare little-endian arrays (word ids i32, counts i64,
+floats f64); a PLRE model stores ``vocab``, then per order k with n entries
 
     counts.k    n x k keys, sorted by context then word; n counts
-    top.k       n top numerators
-    gamma.k     one row of m hand-off weights per chain step
     z.k.j       s slice keys (k-2 ids each) and dims (rows, cols, rank),
                 then all row ids, column ids, L and R factors, concatenated
-    zden.k.j    m powered context sums
 
 then ``base_counts``.  Contexts are derived from the keys on load, so each
-key array is stored once.  Every float that a PLRE query can touch is stored
-verbatim rather than recomputed.  A baseline model stores only ``counts.n``,
-its top order's raw counts, and is rebuilt on load by ``NgramLM.build``, the
-build that trained it.  So a loaded model answers queries bit-identically,
-and a rebuild with the same seed produces byte-identical files.
+key array is stored once.  Each level's top numerators, gammas and low-rank
+denominators are derived on load by the build's own ``compute_discounts``
+(``PlreLevel``), and a baseline model stores only ``counts.n``, its top
+order's raw counts, and is rebuilt on load by ``NgramLM.build``, the build
+that trained it.  So a loaded model answers queries bit-identically, and a
+rebuild with the same seed produces byte-identical files.  Sections a
+loader does not read, as earlier layouts wrote them, are hash-checked and
+ignored.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .ensemble import LowRankCPT, PlreLevel, PlreModel
 from .errors import ContainerError, DataError
 
 MAGIC = b"PLRE"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 def _bytes(arr: np.ndarray, dtype: str) -> bytes:
@@ -77,11 +79,22 @@ class _Cursor:
             raise ContainerError(f"section {self.name}: trailing bytes")
 
 
+def _canonical(header: dict) -> bytes:
+    return json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+def _header_digest(header: dict) -> str:
+    """sha256 of the header's canonical JSON without its ``sha256`` map."""
+    rest = {k: v for k, v in header.items() if k != "sha256"}
+    return hashlib.sha256(_canonical(rest)).hexdigest()
+
+
 def _assemble(header: dict, sections: List[Tuple[str, bytes]]) -> bytes:
     header = dict(header)
     header["sections"] = [name for name, _ in sections]
-    header["sha256"] = {name: hashlib.sha256(data).hexdigest() for name, data in sections}
-    hjson = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in sections}
+    header["sha256"] = dict(digests, header=_header_digest(header))
+    hjson = _canonical(header)
     parts = [MAGIC, struct.pack("<I", FORMAT_VERSION), struct.pack("<Q", len(hjson)), hjson]
     for _, payload in sections:
         parts.append(struct.pack("<Q", len(payload)))
@@ -120,14 +133,11 @@ def save_model(model, path: str, config_echo: Optional[dict] = None) -> None:
             header["entries"][str(k)] = len(level.keys)
             table = _bytes(level.keys, "<i4") + _bytes(level.counts, "<i8")
             sections.append((f"counts.{k}", table))
-            sections.append((f"top.{k}", _bytes(level.top, "<f8")))
-            sections.append((f"gamma.{k}", _bytes(level.gammas, "<f8")))
             for j, z in enumerate(level.z_tables, start=1):
                 header["slices"][f"{k}.{j}"] = len(z.slices)
                 ints = [_bytes(a, "<i4") for a in (z.slices, z.dims, z.row_ids, z.col_ids)]
                 floats = [_bytes(a, "<f8") for a in (z.L, z.R)]
                 sections.append((f"z.{k}.{j}", b"".join(ints + floats)))
-                sections.append((f"zden.{k}.{j}", _bytes(z.denominators, "<f8")))
         sections.append(("base_counts", _bytes(model.base_counts, "<i8")))
     else:
         header["kind"] = "baseline"
@@ -142,10 +152,11 @@ def save_model(model, path: str, config_echo: Optional[dict] = None) -> None:
 def load_model(path: str):
     """Load a container; returns an NgramLM or a PlreModel.
 
-    Every section must match its header hash and hold well-formed arrays:
-    ids in [0, V), keys sorted by context then word without duplicates,
-    finite nonnegative floats, positive counts, and lengths and ranks that
-    agree with the header.  Anything else is a ContainerError.
+    The header and every section must match their hashes, and the sections
+    hold well-formed arrays: ids in [0, V), keys sorted by context then
+    word without duplicates, finite nonnegative floats, positive counts,
+    and lengths and ranks that agree with the header.  Anything else is a
+    ContainerError.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -165,6 +176,11 @@ def load_model(path: str):
         header = json.loads(blob[16 : 16 + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ContainerError(f"{path}: corrupt header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise ContainerError(f"{path}: corrupt header: not a JSON object")
+    hashes = header.get("sha256")
+    if not isinstance(hashes, dict) or hashes.get("header") != _header_digest(header):
+        raise ContainerError(f"{path}: header: hash mismatch")
 
     payloads: Dict[str, bytes] = {}
     pos = 16 + hlen
@@ -179,10 +195,8 @@ def load_model(path: str):
         pos += plen
     if pos != len(blob):
         raise ContainerError(f"{path}: trailing bytes after last section")
-    hashes = header.get("sha256")
     for name, payload in payloads.items():
-        digest = hashlib.sha256(payload).hexdigest()
-        if not isinstance(hashes, dict) or hashes.get(name) != digest:
+        if hashes.get(name) != hashlib.sha256(payload).hexdigest():
             raise ContainerError(f"{path}: section {name}: hash mismatch")
 
     if "vocab" not in payloads:
@@ -217,13 +231,6 @@ def _read_counts(header: dict, payloads: Dict[str, bytes], k: int, vsize: int):
     return keys, counts
 
 
-def _read_floats(payloads: Dict[str, bytes], name: str) -> np.ndarray:
-    cur = _Cursor(payloads[name], name)
-    out = cur.floats(len(cur.buf) // 8)
-    cur.done()
-    return out
-
-
 def _read_slices(payloads: Dict[str, bytes], name: str, k: int, s: int, vsize: int):
     cur = _Cursor(payloads[name], name)
     slices = cur.ids(s * (k - 2), vsize).reshape(s, k - 2)
@@ -254,33 +261,26 @@ def _load_plre(header: dict, payloads: Dict[str, bytes], vocab: Vocabulary) -> P
     vsize = len(vocab)
     levels: Dict[int, PlreLevel] = {}
     for k in range(order, 1, -1):
-        dstar = float(header["dstars"][str(k)])
-        if not 0.0 < dstar < 1.0:
-            raise ContainerError(f"order {k}: discount d* outside (0, 1)")
         powers = tuple(map(float, header["powers"][str(k)]))
         ranks = header["ranks"][str(k)]
         keys, counts = _read_counts(header, payloads, k, vsize)
-        eta = len(powers)
         z_tables = [
             LowRankCPT(
                 k,
                 int(ranks[j - 1]),
-                denominators=_read_floats(payloads, f"zden.{k}.{j}"),
                 **_read_slices(
                     payloads, f"z.{k}.{j}", k, int(header["slices"][f"{k}.{j}"]), vsize
                 ),
             )
-            for j in range(1, eta + 1)
+            for j in range(1, len(powers) + 1)
         ]
         levels[k] = PlreLevel(
             order=k,
-            dstar=dstar,
-            powers=powers,
             keys=keys,
             counts=counts,
-            top=_read_floats(payloads, f"top.{k}"),
-            gammas=_read_floats(payloads, f"gamma.{k}").reshape(eta + 1, -1),
             z_tables=z_tables,
+            dstar=float(header["dstars"][str(k)]),
+            powers=powers,
         )
     cur = _Cursor(payloads["base_counts"], "base_counts")
     base_counts = cur.array("<i8", vsize)

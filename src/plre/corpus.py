@@ -233,8 +233,12 @@ class CountTable:
 
     @functools.cached_property
     def distinct_counts(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(the distinct counts, each entry's index among them)."""
-        return np.unique(self.counts, return_inverse=True)
+        """(the distinct counts, each entry's index among them): the run
+        heads of the sorted counts, then one search per entry.  Unlike
+        ``np.bincount``, this allocates nothing by the largest count."""
+        ordered = np.sort(self.counts)
+        distinct = ordered[np.append(True, ordered[1:] != ordered[:-1])]
+        return distinct, np.searchsorted(distinct, self.counts)
 
     def context_sums(self, values: np.ndarray) -> np.ndarray:
         """Per context, the sum of ``values`` (one per entry), added in key

@@ -113,7 +113,9 @@ class LowRankCPT:
     ``row_ids`` (predicted words) and ``col_ids`` (oldest words), and
     row-major factors L (rows x rank) and R (rank x cols) as runs of ``L``
     and ``R``.  A lookup is one L-row . R-column product over the powered
-    context sum in ``denominators``, aligned with the level's contexts.
+    context sum in ``denominators``, aligned with the level's contexts: the
+    level that owns the table derives them (``PlreLevel``), and a container
+    stores only the slices and factors.
     """
 
     order: int
@@ -124,7 +126,7 @@ class LowRankCPT:
     col_ids: np.ndarray
     L: np.ndarray
     R: np.ndarray
-    denominators: np.ndarray
+    denominators: Optional[np.ndarray] = None
     reports: List[ConvergenceReport] = field(default_factory=list)
 
     def __post_init__(self):
@@ -380,15 +382,38 @@ def derive_dstar(d_gt: float, eta: int) -> float:
 @dataclass(eq=False)
 class PlreLevel(Level):
     """One order's stack: a level whose chain steps each discount by
-    ``dstar``, with one low-rank table per intermediate power in ``powers``."""
+    ``dstar``, with one low-rank table per intermediate power in ``powers``.
 
+    ``top``, ``gammas`` and each low-rank table's ``denominators`` are no
+    arguments: the level derives them from its keys, counts, d* and powers
+    with ``compute_discounts``, one way for a build and a load alike."""
+
+    top: np.ndarray = field(init=False)
+    gammas: np.ndarray = field(init=False)
     dstar: float
     powers: Tuple[float, ...]
 
     def __post_init__(self):
-        super().__post_init__()
+        self.check_chain(self.order, self.powers, self.dstar)
         if len(self.z_tables) != self.eta:
             raise ValueError(f"order {self.order}: z tables disagree with the power chain")
+        # Level's shape checks hold by construction.
+        CountTable.__init__(self, self.order, self.keys, self.counts)
+        specs = compute_discounts(self, (1.0,) + self.powers + (0.0,), self.dstar)
+        self.top = specs[0].powered - specs[0].discount
+        self.gammas = np.array([spec.gamma for spec in specs])
+        for spec, z in zip(specs[1:], self.z_tables):
+            z.denominators = spec.sums
+
+    @staticmethod
+    def check_chain(order: int, powers: Sequence[float], dstar: Optional[float] = None) -> None:
+        """Raise ValueError unless the powers strictly descend in (0, 1)
+        and d*, if given, lies in (0, 1)."""
+        chain = (1.0,) + tuple(powers) + (0.0,)
+        if not all(lo < hi for lo, hi in zip(chain[1:], chain)):
+            raise ValueError(f"order {order}: powers must strictly descend in (0, 1): {powers}")
+        if dstar is not None and not 0.0 < dstar < 1.0:
+            raise ValueError(f"order {order}: d* must lie in (0, 1), got {dstar}")
 
     @property
     def eta(self) -> int:
@@ -484,6 +509,10 @@ def _resolve_rank(value: Union[int, float], vsize: int) -> Tuple[int, Optional[s
     return rank, None
 
 
+# Rank of every intermediate term unless configured: a vocabulary fraction.
+DEFAULT_RANK = 0.005
+
+
 def default_powers(order: int) -> Dict[int, Tuple[float, ...]]:
     """One intermediate power 0.5 per order, except none at orders >= 4
     (the low-rank 4-gram term buys little and costs the most)."""
@@ -520,18 +549,17 @@ def build_plre(
     if powers is None:
         powers = default_powers(order)
     if ranks is None:
-        ranks = {k: tuple(0.005 for _ in powers.get(k, ())) for k in powers}
+        ranks = {k: tuple(DEFAULT_RANK for _ in chain) for k, chain in powers.items()}
 
     warnings: List[str] = []
     vsize = len(vocab)
     resolved_ranks: Dict[int, List[int]] = {}
     for k in range(2, order + 1):
         chain = tuple(powers.get(k, ()))
-        for lo, hi in zip(chain[1:], chain[:-1]):
-            if not lo < hi:
-                raise ConfigError(f"powers for order {k} must strictly descend: {chain}")
-        if chain and not (0.0 < chain[-1] and chain[0] < 1.0):
-            raise ConfigError(f"powers for order {k} must lie strictly in (0,1): {chain}")
+        try:
+            PlreLevel.check_chain(k, chain, None if dstar == "gt-root" else float(dstar))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         rk = tuple(ranks.get(k, ()))
         if len(rk) != len(chain):
             raise ConfigError(
@@ -556,8 +584,6 @@ def build_plre(
             d = derive_dstar(good_turing_discount(n1, n2), eta)
         else:
             d = float(dstar)
-            if not 0.0 < d < 1.0:
-                raise ConfigError(f"fixed d* must be in (0,1), got {dstar}")
         with timed(timings, "discounts"):
             specs = compute_discounts(ctab, (1.0,) + chain_mid + (0.0,), d)
         z_tables = [
@@ -572,16 +598,7 @@ def build_plre(
             )
             for j in range(1, eta + 1)
         ]
-        levels[k] = PlreLevel(
-            order=k,
-            dstar=d,
-            powers=chain_mid,
-            keys=ctab.keys,
-            counts=ctab.counts,
-            top=specs[0].powered - specs[0].discount,
-            gammas=np.array([spec.gamma for spec in specs]),
-            z_tables=z_tables,
-        )
+        levels[k] = PlreLevel(k, ctab.keys, ctab.counts, z_tables, dstar=d, powers=chain_mid)
 
     base_counts = np.zeros(vsize, dtype=np.int64)
     base_counts[ctabs[1].keys[:, 0]] = ctabs[1].counts

@@ -98,13 +98,9 @@ class Level(CountTable):
 
     def __post_init__(self):
         super().__init__(self.order, self.keys, self.counts)
-        m, k = len(self.contexts), self.order
-        if self.top.shape != self.counts.shape:
-            raise ValueError(f"order {k}: table arrays disagree in length")
-        if self.gammas.shape != (len(self.z_tables) + 1, m) or any(
-            z.denominators.shape != (m,) for z in self.z_tables
-        ):
-            raise ValueError(f"order {k}: gamma/z tables disagree with keys")
+        rows = (len(self.z_tables) + 1, len(self.contexts))
+        if self.top.shape != self.counts.shape or self.gammas.shape != rows:
+            raise ValueError(f"order {self.order}: top/gammas disagree with keys")
 
     def link(self, parents: Callable[[np.ndarray], np.ndarray], vsize: int) -> None:
         """Index this level by ``parents``, which gives the rows one order

@@ -10,11 +10,11 @@ import pytest
 
 from plre import cli
 from plre.baselines import NgramLM
-from plre.cli import _normalization_sweep, main
+from plre.cli import _normalization_sweep, main, run_checks
 from plre.config import parse_config
-from plre.container import load_model, save_model
+from plre.container import load_model
 from plre.corpus import count_all_orders, read_sentences
-from plre.ensemble import build_plre, normalization_observed, verify_marginal
+from plre.ensemble import DEFAULT_RANK, build_plre, normalization_observed, verify_marginal
 from plre.errors import EvalError
 from plre.evaluation import EvalReport, perplexity
 
@@ -418,18 +418,13 @@ class TestVerify:
         names = [c["name"] for c in report["checks"]]
         assert "kn_reduction" in names
 
-    def test_tampered_gamma_table_fails_verification(self, ws, tmp_path, capsys):
+    def test_tampered_gamma_table_fails_verification(self, ws):
+        # a container cannot carry a gamma (the level derives it), so the
+        # checks run on the model in memory
         model = load_model(str(ws["plre_model"]))
-        level = model.levels[3]
-        level.gammas = level.gammas.copy()
-        level.gammas[0, 0] += 0.05
-        bad = tmp_path / "tampered.plre"
-        save_model(model, str(bad))
-        code = main(["verify", "--model", str(bad), "--json"])
-        assert code == 7
-        report = json.loads(capsys.readouterr().out)
-        assert report["passed"] is False
-        assert any(not c["passed"] for c in report["checks"])
+        assert all(c["passed"] for c in run_checks(model, 0))
+        model.levels[3].gammas[0, 0] += 0.05
+        assert any(not c["passed"] for c in run_checks(model, 0))
 
     def test_nan_gamma_fails_every_check_that_reads_it(self, toy_corpus, toy_top3):
         # a NaN must not vanish into a max(): the checks that read gammas
@@ -469,7 +464,7 @@ class TestVerify:
         assert not verify_marginal(model, 3) <= 1e-6
 
     def test_top_numerator_outside_sweep_sample_fails_observed_normalization(
-        self, toy_corpus, toy_top3, tmp_path, capsys
+        self, toy_corpus, toy_top3
     ):
         # the sweep scores random contexts; the observed-context check sums
         # every observed one
@@ -487,17 +482,11 @@ class TestVerify:
             i for i, h in enumerate(level.context_totals) if h not in swept
         )
         level.top[level.ctx_start[ctx]] += 1e-3 * level.totals[ctx]
-        path = tmp_path / "unswept.plre"
-        save_model(model, str(path))
-        code = main(["verify", "--model", str(path), "--json"])
-        assert code == 7
-        checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        checks = {c["name"]: c for c in run_checks(model, 0)}
         assert checks["normalization_sweep"]["passed"]
         assert not checks["normalization_observed"]["passed"]
 
-    def test_marginal_error_above_rounding_fails(
-        self, toy_corpus, toy_top3, tmp_path, capsys
-    ):
+    def test_marginal_error_above_rounding_fails(self, toy_corpus, toy_top3):
         # moving one top numerator shifts the order-3 marginal of its word
         # by delta / level total, ~1e-10: far below the old flat 1e-6 slack
         _, vocab, _ = toy_corpus
@@ -505,11 +494,7 @@ class TestVerify:
         level = model.levels[3]
         ctx = int(level.totals.argmax())
         level.top[level.ctx_start[ctx]] += 1e-10 * level.totals.sum()
-        path = tmp_path / "shifted.plre"
-        save_model(model, str(path))
-        code = main(["verify", "--model", str(path), "--json"])
-        assert code == 7
-        checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        checks = {c["name"]: c for c in run_checks(model, 0)}
         marginal = checks["marginal_order_3"]
         assert not marginal["passed"]
         assert 5e-11 < marginal["max_violation"] < 1e-6
@@ -631,6 +616,25 @@ class TestConfig:
             "plre", 3, {2: (0.6, 0.3)}, {2: (4, 4)}
         )
 
+    def test_power_replaces_every_default_chain(self):
+        # orders >= 4 keep their empty default chain unless power.K is set
+        cfg = parse_config("order = 5\npower = 0.6, 0.3\npower.5 = 0.4\n")
+        assert cfg.resolved_powers() == {2: (0.6, 0.3), 3: (0.6, 0.3), 4: (), 5: (0.4,)}
+        r = DEFAULT_RANK
+        assert cfg.resolved_rank_values() == {2: (r, r), 3: (r, r), 4: (), 5: (r,)}
+
+    def test_flags_parse_like_config_keys(self, tmp_path):
+        # a flag overrides its config key, parsed by the same code
+        text = "order = 2\npower = 0.6 0.3\nrank = 3\ndstar = 0.4\nseed = 5\nthreads = 2\n"
+        path = tmp_path / "c.cfg"
+        path.write_text("smoother = kn\nunk_threshold = 4\n")
+        args = cli._parser().parse_args([
+            "train", "--corpus", "x", "--model", "y", "--config", str(path),
+            "--smoother", "plre", "--order", "2", "--power", "0.6", "0.3", "--rank", "3",
+            "--dstar", "0.4", "--seed", "5", "--threads", "2", "--unk-threshold", "1",
+        ])
+        assert cli._load_cfg(args, args.config) == parse_config(text)
+
 
 class TestExitCodes:
     def test_no_command_is_usage_error(self):
@@ -658,6 +662,22 @@ class TestExitCodes:
                      "--model", str(tmp_path / "m.plre"),
                      "--smoother", "plre", "--dstar", "huge"]) == 3
         capsys.readouterr()
+
+    # A value that does not parse names its flag; one that parses but is out
+    # of range names its setting, as from a config file.
+    @pytest.mark.parametrize("flag,value,named", [
+        ("--order", "three", "--order 'three'"), ("--order", "2.5", "--order '2.5'"),
+        ("--seed", "x", "--seed 'x'"), ("--unk-threshold", "-", "--unk-threshold '-'"),
+        ("--power", "0.6 abc", "--power '0.6 abc'"), ("--dstar", "huge", "--dstar 'huge'"),
+        ("--threads", "0", "threads must be"), ("--power", "0.3 0.6", "powers must"),
+        ("--dstar", "1.5", "dstar must be"),
+    ])
+    def test_bad_flag_value_exits_3_and_names_it(
+        self, ws, tmp_path, capsys, flag, value, named
+    ):
+        assert main(["train", "--corpus", str(ws["train"]),
+                     "--model", str(tmp_path / "m.plre"), flag, *value.split()]) == 3
+        assert named in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["abc", "nan", "inf"])
     @pytest.mark.parametrize("via", ["flag", "config"])

@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from plre.baselines import NgramLM
 from plre.cli import main
 from plre.container import FORMAT_VERSION, load_model, save_model
 from plre.corpus import count_all_orders, count_ngrams
-from plre.ensemble import build_plre, compute_discounts
+from plre.ensemble import build_plre
 from plre.errors import ContainerError
 
 from conftest import write_corpus
@@ -36,10 +38,20 @@ def _split(blob):
     return header, sections
 
 
+def _header_digest(header):
+    """sha256 of a header's canonical JSON without its sha256 map."""
+    rest = {k: v for k, v in header.items() if k != "sha256"}
+    return hashlib.sha256(
+        json.dumps(rest, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    ).hexdigest()
+
+
 def _join(blob, header, sections, rehash):
-    """Reassemble a blob from edited sections, optionally re-hashing them."""
+    """Reassemble a blob from edited sections and header, optionally
+    re-hashing the sections and the header."""
     if rehash:
         header["sha256"] = {n: hashlib.sha256(p).hexdigest() for n, p in sections}
+        header["sha256"]["header"] = _header_digest(header)
     hjson = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     body = b"".join(struct.pack("<Q", len(p)) + bytes(p) for _, p in sections)
     return blob[:8] + struct.pack("<Q", len(hjson)) + hjson + body
@@ -48,8 +60,6 @@ def _join(blob, header, sections, rehash):
 def _first_float(header, name, payload):
     """Byte offset of the first f64 in a section, None if it holds none."""
     kind, *rest = name.split(".")
-    if kind in ("top", "gamma", "zden"):
-        return 0
     if kind == "z":
         k, s = int(rest[0]), header["slices"][".".join(rest)]
         dims = np.frombuffer(bytes(payload), "<i4", count=3 * s, offset=4 * s * (k - 2))
@@ -131,7 +141,7 @@ class TestRoundTrip:
     ):
         # top, gammas and denominators follow from a level's keys, counts,
         # d* and powers alone: context sums run in key order, which the
-        # container keeps
+        # container keeps, so a loaded level derives the built one's bytes
         _, vocab, enc = toy_corpus
         model = build_plre(
             count_ngrams(enc, order),
@@ -144,13 +154,14 @@ class TestRoundTrip:
         save_model(model, str(path))
         loaded = load_model(str(path))
         assert sorted(loaded.levels) == list(range(2, order + 1))
-        for level in loaded.levels.values():
-            specs = compute_discounts(level, (1.0,) + level.powers + (0.0,), level.dstar)
-            assert (specs[0].powered - specs[0].discount).tobytes() == level.top.tobytes()
-            assert np.array([s.gamma for s in specs]).tobytes() == level.gammas.tobytes()
-            assert len(level.z_tables) == len(specs) - 1 == 2
-            for spec, z in zip(specs[1:], level.z_tables):
-                assert spec.sums.tobytes() == z.denominators.tobytes()
+        for k, level in loaded.levels.items():
+            built = model.levels[k]
+            assert level.top.tobytes() == built.top.tobytes()
+            assert level.gammas.shape == built.gammas.shape == (3, len(level.contexts))
+            assert level.gammas.tobytes() == built.gammas.tobytes()
+            assert len(level.z_tables) == len(built.z_tables) == 2
+            for z, zb in zip(level.z_tables, built.z_tables):
+                assert z.denominators.tobytes() == zb.denominators.tobytes()
 
     def test_toy_model_stays_small(self, toy_kn3, tmp_path):
         path = tmp_path / "kn.plre"
@@ -326,7 +337,7 @@ class TestBaselineTamper:
         blob = path.read_bytes()
         header, sections = _split(blob)
         header["discounts"] = {k: [value] * 3 for k in header["discounts"]}
-        path.write_bytes(_join(blob, header, sections, rehash=False))
+        path.write_bytes(_join(blob, header, sections, rehash=True))
         assert self._perplexity(path, test_text, capsys) == untouched
         assert main(["verify", "--model", str(path)]) == 0
 
@@ -377,7 +388,7 @@ class TestSectionChecks:
         self, blob, tmp_path, capsys
     ):
         header, _ = _split(blob)
-        assert len(header["sections"]) == 12
+        assert len(header["sections"]) == 6
         for i, name in enumerate(header["sections"]):
             edits = ["truncate"]
             if _first_float(header, name, _split(blob)[1][i][1]) is not None:
@@ -392,3 +403,195 @@ class TestSectionChecks:
                     del payload[-1]
                 code = self._verify(tmp_path, _join(blob, header, sections, rehash=True))
                 assert code in (6, 7), (name, edit, code)
+
+
+class TestPlreLayout:
+    @pytest.mark.parametrize(
+        "order,powers",
+        [
+            (2, {2: (0.5,)}),
+            (3, {2: (0.6, 0.3), 3: (0.5,)}),
+            (4, {2: (0.6, 0.3), 3: (0.6, 0.3), 4: ()}),
+        ],
+    )
+    def test_sections_are_counts_and_factors_per_level(self, toy_corpus, tmp_path, order, powers):
+        _, vocab, enc = toy_corpus
+        ranks = {k: (1,) * len(chain) for k, chain in powers.items()}
+        model = build_plre(count_ngrams(enc, order), vocab, powers=powers, ranks=ranks, seed=0)
+        p1, p2 = tmp_path / "a.plre", tmp_path / "b.plre"
+        save_model(model, str(p1))
+        want = ["vocab"]
+        for k in range(order, 1, -1):
+            want += [f"counts.{k}"] + [f"z.{k}.{j}" for j in range(1, len(powers[k]) + 1)]
+        header = _read_header(str(p1))
+        assert header["sections"] == want + ["base_counts"]
+        assert set(header["sha256"]) == set(want) | {"base_counts", "header"}
+        save_model(load_model(str(p1)), str(p2))
+        assert p1.read_bytes() == p2.read_bytes()
+
+
+def _f8(values):
+    return bytearray(np.ascontiguousarray(values, dtype="<f8").tobytes())
+
+
+def _save_with_discount_sections(model, path):
+    """Save a PLRE model in the layout that also stored each level's top
+    numerators (``top.k``) and gammas (``gamma.k``) after its counts, and
+    each low-rank table's denominators (``zden.k.j``) after its factors,
+    which loading now derives instead."""
+    save_model(model, str(path))
+    blob = path.read_bytes()
+    header, sections = _split(blob)
+    out = []
+    for name, payload in sections:
+        out.append([name, payload])
+        kind, *rest = name.split(".")
+        if kind == "counts":
+            level = model.levels[int(rest[0])]
+            out += [[f"top.{rest[0]}", _f8(level.top)], [f"gamma.{rest[0]}", _f8(level.gammas)]]
+        elif kind == "z":
+            k, j = map(int, rest)
+            out.append([f"zden.{k}.{j}", _f8(model.levels[k].z_tables[j - 1].denominators)])
+    header["sections"] = [name for name, _ in out]
+    path.write_bytes(_join(blob, header, out, rehash=True))
+
+
+class TestPlreTamper:
+    # A PLRE level derives its top numerators, gammas and denominators, so
+    # a container that also stores them answers from its counts, factors,
+    # d*s and powers alone: rewriting those sections cannot change it.
+    @pytest.mark.parametrize("model", ["toy_plre3", "toy_plre3_rank1"])
+    @pytest.mark.parametrize("edit", ["none", "nan", "triple"])
+    def test_stored_discount_sections_are_never_read(
+        self, model, edit, request, tmp_path, capsys
+    ):
+        model = request.getfixturevalue(model)
+        path = tmp_path / "m.plre"
+        _save_with_discount_sections(model, path)
+        blob = path.read_bytes()
+        header, sections = _split(blob)
+        derived = [sec for sec in sections if sec[0].split(".")[0] in ("top", "gamma", "zden")]
+        assert [name for name, _ in derived] == [
+            "top.3", "gamma.3", "zden.3.1", "top.2", "gamma.2", "zden.2.1"
+        ]
+        for _, payload in derived:
+            values = np.frombuffer(bytes(payload), "<f8")
+            if edit != "none":
+                payload[:] = _f8(np.full_like(values, np.nan) if edit == "nan" else 3 * values)
+        path.write_bytes(_join(blob, header, sections, rehash=True))
+
+        loaded = load_model(str(path))
+        rng = np.random.default_rng(13)
+        for w, ctx in _sample_queries(len(model.vocab), rng, n=500):
+            assert loaded.prob(w, ctx) == model.prob(w, ctx), (edit, w, ctx)
+        assert main(["verify", "--model", str(path)]) == 0
+        p1, p2 = tmp_path / "a.plre", tmp_path / "b.plre"
+        save_model(loaded, str(p1))
+        save_model(model, str(p2))
+        assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestHeaderTrust:
+    # The header's d*s and powers decide a PLRE model's answers, so the
+    # header carries its own digest.  A rehashed header is range-checked on
+    # load, and verify catches an in-range edit through normalization.
+    @staticmethod
+    def _edited(model, tmp_path, edit, rehash):
+        path = tmp_path / "m.plre"
+        save_model(model, str(path))
+        blob = path.read_bytes()
+        header, sections = _split(blob)
+        edit(header)
+        path.write_bytes(_join(blob, header, sections, rehash))
+        return path
+
+    EDITS = {
+        "dstar": ("toy_plre3", lambda h: h["dstars"].update({"3": h["dstars"]["3"] * 0.9})),
+        "power": ("toy_plre3", lambda h: h["powers"].update({"2": [0.4]})),
+        "seed": ("toy_plre3", lambda h: h.update(seed=1)),
+        "warnings": ("toy_plre3", lambda h: h["warnings"].append("edited")),
+        "smoother": ("toy_kn3", lambda h: h.update(smoother="mkn")),
+        "order": ("toy_kn3", lambda h: h.update(order=2)),
+    }
+
+    @pytest.mark.parametrize("name", list(EDITS))
+    def test_header_edit_without_rehash_exits_6(self, name, request, tmp_path, capsys):
+        fixture, edit = self.EDITS[name]
+        path = self._edited(request.getfixturevalue(fixture), tmp_path, edit, rehash=False)
+        with pytest.raises(ContainerError, match="header: hash mismatch"):
+            load_model(str(path))
+        assert main(["verify", "--model", str(path)]) == 6
+
+    def test_header_without_its_digest_exits_6(self, toy_plre3, tmp_path, capsys):
+        path = self._edited(toy_plre3, tmp_path, lambda h: h["sha256"].pop("header"), False)
+        with pytest.raises(ContainerError, match="header: hash mismatch"):
+            load_model(str(path))
+
+    @pytest.mark.parametrize("key", ["dstars", "powers"])
+    @pytest.mark.parametrize("value", [0.0, 1.0, -0.3, 1.7, float("nan"), float("inf")])
+    def test_rehashed_value_out_of_range_exits_6(
+        self, toy_plre3, key, value, tmp_path, capsys
+    ):
+        new = value if key == "dstars" else [value]
+        path = self._edited(toy_plre3, tmp_path, lambda h: h[key].update({"3": new}), True)
+        with pytest.raises(ContainerError, match="order 3: (d\\* must lie|powers must strictly)"):
+            load_model(str(path))
+        assert main(["verify", "--model", str(path)]) == 6
+
+    @pytest.mark.parametrize("chain", [[0.3, 0.6], [0.6, 0.6]])
+    def test_rehashed_non_descending_chain_exits_6(
+        self, toy_corpus, toy_top3, chain, tmp_path, capsys
+    ):
+        _, vocab, _ = toy_corpus
+        model = build_plre(
+            toy_top3, vocab, powers={2: (0.6, 0.3), 3: (0.6, 0.3)}, ranks={2: (1, 1), 3: (1, 1)}
+        )
+        path = self._edited(model, tmp_path, lambda h: h["powers"].update({"2": chain}), True)
+        with pytest.raises(ContainerError, match="order 2: powers must strictly descend"):
+            load_model(str(path))
+        assert main(["verify", "--model", str(path)]) == 6
+
+    @pytest.mark.parametrize("k", ["2", "3"])
+    @pytest.mark.parametrize("key", ["dstars", "powers"])
+    def test_rehashed_in_range_edit_fails_verification(
+        self, toy_plre3, k, key, tmp_path, capsys
+    ):
+        def edit(header):
+            header[key][k] = header[key][k] * 0.9 if key == "dstars" else [0.4]
+
+        path = self._edited(toy_plre3, tmp_path, edit, True)
+        load_model(str(path))
+        capsys.readouterr()
+        assert main(["verify", "--model", str(path), "--json"]) == 7
+        checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert not checks["normalization_observed"]["passed"]
+
+
+def _readme_section_tables():
+    """The section names of README's container tables, one list per table."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    part = readme.split("\n## Model containers\n", 1)[1].split("\n## ", 1)[0]
+    tables = re.findall(r"\| section \| holds \|\n\| --- \| --- \|\n((?:\|.*\n)+)", part)
+    return [re.findall(r"^\| `([^`]+)` \|", table, flags=re.M) for table in tables]
+
+
+def test_readme_section_tables_list_what_save_model_writes(toy_corpus, tmp_path):
+    _, vocab, enc = toy_corpus
+    plre_table, baseline_table = _readme_section_tables()
+    model = build_plre(
+        count_ngrams(enc, 4),
+        vocab,
+        powers={2: (0.6, 0.3), 3: (0.5,), 4: ()},
+        ranks={2: (1, 1), 3: (1,), 4: ()},
+    )
+    path = tmp_path / "m.plre"
+    save_model(model, str(path))
+    names = [
+        re.sub(r"^z\.\d+\.\d+$", "z.k.j", re.sub(r"^counts\.\d+$", "counts.k", name))
+        for name in _read_header(str(path))["sections"]
+    ]
+    assert list(dict.fromkeys(names)) == plre_table
+    for order in (1, 3):
+        save_model(NgramLM.build(vocab, {order: count_ngrams(enc, order)}, "kn"), str(path))
+        header = _read_header(str(path))
+        assert [re.sub(r"^counts\.\d+$", "counts.n", n) for n in header["sections"]] == baseline_table
