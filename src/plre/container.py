@@ -7,21 +7,22 @@ the payload bytes.  The header's ``sha256`` map holds a digest of every
 payload and, under ``"header"``, one of the header's own canonical JSON
 without that map: the header's d*s and powers decide a PLRE model's
 answers.  Payloads are bare little-endian arrays (word ids i32, counts i64,
-floats f64); a PLRE model stores ``vocab``, then per order k with n entries
+floats f64), except ``vocab``: the words, one per line in id order, UTF-8.
+A PLRE model stores ``vocab``, then per order k with n entries
 
     counts.k    n x k keys, sorted by context then word; n counts
     z.k.j       s slice keys (k-2 ids each) and dims (rows, cols, rank),
                 then all row ids, column ids, L and R factors, concatenated
 
-then ``base_counts``.  Contexts are derived from the keys on load, so each
-key array is stored once.  Each level's top numerators, gammas and low-rank
-denominators are derived on load by the build's own ``compute_discounts``
-(``PlreLevel``), and a baseline model stores only ``counts.n``, its top
-order's raw counts, and is rebuilt on load by ``NgramLM.build``, the build
-that trained it.  So a loaded model answers queries bit-identically, and a
-rebuild with the same seed produces byte-identical files.  Sections a
-loader does not read, as earlier layouts wrote them, are hash-checked and
-ignored.
+Contexts are derived from the keys on load, so each key array is stored
+once.  Each level's top numerators, gammas and low-rank denominators are
+derived on load by the build's own ``compute_discounts`` (``PlreLevel``),
+and the unigram base from the order-2 keys (``PlreModel``).  A baseline
+model stores only ``counts.n``, its top order's raw counts, and is rebuilt
+on load by ``NgramLM.build``, the build that trained it.  So a loaded
+model answers queries bit-identically, and a rebuild with the same seed
+produces byte-identical files.  Sections a loader does not read, as
+earlier layouts wrote them, are hash-checked and ignored.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .ensemble import LowRankCPT, PlreLevel, PlreModel
 from .errors import ContainerError, DataError
 
 MAGIC = b"PLRE"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 def _bytes(arr: np.ndarray, dtype: str) -> bytes:
@@ -115,7 +116,7 @@ def save_model(model, path: str, config_echo: Optional[dict] = None) -> None:
     }
     if config_echo is not None:
         header["config"] = config_echo
-    vocab_text = "".join(line + "\n" for line in model.vocab.export_lines())
+    vocab_text = "".join(word + "\n" for word in model.vocab.id_to_word)
     sections: List[Tuple[str, bytes]] = [("vocab", vocab_text.encode("utf-8"))]
 
     if isinstance(model, PlreModel):
@@ -138,7 +139,6 @@ def save_model(model, path: str, config_echo: Optional[dict] = None) -> None:
                 ints = [_bytes(a, "<i4") for a in (z.slices, z.dims, z.row_ids, z.col_ids)]
                 floats = [_bytes(a, "<f8") for a in (z.L, z.R)]
                 sections.append((f"z.{k}.{j}", b"".join(ints + floats)))
-        sections.append(("base_counts", _bytes(model.base_counts, "<i8")))
     else:
         header["kind"] = "baseline"
         keys, counts = model.count_arrays()[model.order]
@@ -153,10 +153,10 @@ def load_model(path: str):
     """Load a container; returns an NgramLM or a PlreModel.
 
     The header and every section must match their hashes, and the sections
-    hold well-formed arrays: ids in [0, V), keys sorted by context then
-    word without duplicates, finite nonnegative floats, positive counts,
-    and lengths and ranks that agree with the header.  Anything else is a
-    ContainerError.
+    hold well-formed data: one whitespace-free word per vocab line, ids in
+    [0, V), keys sorted by context then word without duplicates, finite
+    nonnegative floats, positive counts, and lengths and ranks that agree
+    with the header.  Anything else is a ContainerError.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -201,11 +201,15 @@ def load_model(path: str):
 
     if "vocab" not in payloads:
         raise ContainerError(f"{path}: missing vocab section")
-    if not payloads["vocab"].endswith(b"\n"):
-        raise ContainerError(f"{path}: section vocab: truncated payload")
 
     try:
-        vocab = Vocabulary.from_export_lines(payloads["vocab"].decode("utf-8").split("\n"))
+        text = payloads["vocab"].decode("utf-8")
+        words = text.split("\n")[:-1]
+        # Equal only if every line, the last one too, ends in a newline and
+        # holds one word without whitespace.
+        if text.split() != words:
+            raise DataError("section vocab: not one word per line")
+        vocab = Vocabulary(words)
         if len(vocab) != header.get("vocab_size"):
             raise ContainerError(f"{path}: vocab size disagrees with header")
         if header.get("kind") == "plre":
@@ -282,10 +286,5 @@ def _load_plre(header: dict, payloads: Dict[str, bytes], vocab: Vocabulary) -> P
             dstar=float(header["dstars"][str(k)]),
             powers=powers,
         )
-    cur = _Cursor(payloads["base_counts"], "base_counts")
-    base_counts = cur.array("<i8", vsize)
-    cur.done()
-    if base_counts.min() < 0:
-        raise ContainerError("section base_counts: negative count")
     seed, warnings = int(header.get("seed", 0)), list(header.get("warnings", []))
-    return PlreModel(vocab, order, levels, base_counts, seed, warnings)
+    return PlreModel(vocab, order, levels, seed, warnings)

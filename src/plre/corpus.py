@@ -34,16 +34,15 @@ Key = Tuple[int, ...]
 class Vocabulary:
     """Bidirectional word/id map with reserved unk, bos and eos symbols.
 
-    Ids 0, 1, 2 are always unk, bos, eos; remaining types are assigned ids in
-    frequency-descending order with ties broken by first occurrence, which
-    makes id assignment deterministic for a given corpus.
+    Ids 0, 1, 2 are always unk, bos, eos, and each word appears once.
+    ``build_vocabulary`` numbers the remaining types; a container stores
+    the words alone, one per line in id order.
     """
 
-    def __init__(self, words: List[str], counts: List[int]):
+    def __init__(self, words: List[str]):
         if words[:3] != [UNK, BOS, EOS]:
             raise DataError("vocabulary must start with reserved symbols")
         self.id_to_word = list(words)
-        self.counts = list(counts)
         self.word_to_id = {w: i for i, w in enumerate(words)}
         if len(self.word_to_id) != len(words):
             raise DataError("duplicate type in vocabulary")
@@ -64,33 +63,6 @@ class Vocabulary:
         unk = self.unk_id
         return [w2i.get(t, unk) for t in tokens]
 
-    def export_lines(self) -> List[str]:
-        """One ``word<TAB>id<TAB>count`` line per type, in id order."""
-        return [
-            f"{w}\t{i}\t{c}"
-            for i, (w, c) in enumerate(zip(self.id_to_word, self.counts))
-        ]
-
-    @classmethod
-    def from_export_lines(cls, lines: Iterable[str]) -> "Vocabulary":
-        words: List[str] = []
-        counts: List[int] = []
-        for lineno, line in enumerate(lines):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise DataError(f"vocab line {lineno}: expected 3 fields")
-            word, ident, count = parts
-            if int(ident) != len(words):
-                raise DataError(f"vocab line {lineno}: ids must be dense and sorted")
-            words.append(word)
-            counts.append(int(count))
-        if not words:
-            raise EmptyCorpusError("empty vocabulary export")
-        return cls(words, counts)
-
 
 def build_vocabulary(
     sentences: Iterable[Sequence[str]], unk_threshold: int = 1
@@ -98,33 +70,20 @@ def build_vocabulary(
     """Build a vocabulary from tokenized sentences.
 
     Every type with corpus frequency <= ``unk_threshold`` is dropped from the
-    vocabulary (its occurrences will encode to unk).  Literal occurrences of
-    the reserved symbols count toward the reserved entries rather than
-    introducing duplicates.
+    vocabulary (its occurrences will encode to unk).  The kept types follow
+    the reserved symbols in frequency-descending order, ties broken by first
+    occurrence, which makes id assignment deterministic for a given corpus.
+    Literal occurrences of the reserved symbols keep their reserved ids.
     """
-    freq: Counter[str] = Counter()
-    first_seen: Dict[str, int] = {}
-    n_tokens = 0
-    for sent in sentences:
-        for tok in sent:
-            freq[tok] += 1
-            if tok not in first_seen:
-                first_seen[tok] = n_tokens
-            n_tokens += 1
-    if n_tokens == 0:
+    # A Counter keeps its keys in first-occurrence order, which the stable
+    # sort below keeps among equal frequencies.
+    freq = Counter(itertools.chain.from_iterable(sentences))
+    if not freq:
         raise EmptyCorpusError("no tokens in corpus")
-
-    reserved_counts = {sym: freq.pop(sym, 0) for sym in (UNK, BOS, EOS)}
-    kept = [w for w, c in freq.items() if c > unk_threshold]
-    kept.sort(key=lambda w: (-freq[w], first_seen[w]))
-    unk_count = reserved_counts[UNK] + sum(
-        c for w, c in freq.items() if c <= unk_threshold
-    )
-
-    words = [UNK, BOS, EOS] + kept
-    counts = [unk_count, reserved_counts[BOS], reserved_counts[EOS]]
-    counts += [freq[w] for w in kept]
-    return Vocabulary(words, counts)
+    for sym in (UNK, BOS, EOS):
+        freq.pop(sym, None)
+    kept = sorted((w for w, c in freq.items() if c > unk_threshold), key=lambda w: -freq[w])
+    return Vocabulary([UNK, BOS, EOS] + kept)
 
 
 def segments(sizes: np.ndarray) -> np.ndarray:

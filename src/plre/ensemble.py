@@ -35,8 +35,8 @@ query is the one all models share (``levels.LevelModel.score``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import InitVar, dataclass, field
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -386,22 +386,27 @@ class PlreLevel(Level):
 
     ``top``, ``gammas`` and each low-rank table's ``denominators`` are no
     arguments: the level derives them from its keys, counts, d* and powers
-    with ``compute_discounts``, one way for a build and a load alike."""
+    with ``compute_discounts``, one way for a build and a load alike.  A
+    load passes the stored ``z_tables``; a build passes none and a
+    ``factorize`` that makes each one from its chain step."""
 
     top: np.ndarray = field(init=False)
     gammas: np.ndarray = field(init=False)
     dstar: float
     powers: Tuple[float, ...]
+    factorize: InitVar[Optional[Callable[[DiscountSpec], LowRankCPT]]] = None
 
-    def __post_init__(self):
+    def __post_init__(self, factorize):
         self.check_chain(self.order, self.powers, self.dstar)
-        if len(self.z_tables) != self.eta:
-            raise ValueError(f"order {self.order}: z tables disagree with the power chain")
         # Level's shape checks hold by construction.
         CountTable.__init__(self, self.order, self.keys, self.counts)
         specs = compute_discounts(self, (1.0,) + self.powers + (0.0,), self.dstar)
         self.top = specs[0].powered - specs[0].discount
         self.gammas = np.array([spec.gamma for spec in specs])
+        if factorize is not None:
+            self.z_tables = [factorize(spec) for spec in specs[1:]]
+        if len(self.z_tables) != self.eta:
+            raise ValueError(f"order {self.order}: z tables disagree with the power chain")
         for spec, z in zip(specs[1:], self.z_tables):
             z.denominators = spec.sums
 
@@ -421,17 +426,21 @@ class PlreLevel(Level):
 
 
 class PlreModel(LevelModel):
-    """Assembled ensemble: levels for orders n..2 plus the unigram base."""
+    """Assembled ensemble: levels for orders n..2 plus the unigram base.
+
+    The base's numerators are continuation counts: for each word, the
+    number of order-2 entries that predict it, i.e. the order-1 adjusted
+    table, counted from the order-2 keys."""
 
     def __init__(
         self,
         vocab: Vocabulary,
         order: int,
         levels: Dict[int, PlreLevel],
-        base_counts: np.ndarray,
         seed: int,
         warnings: Optional[List[str]] = None,
     ):
+        base_counts = np.bincount(levels[2].keys[:, 0], minlength=len(vocab))
         super().__init__(vocab, order, levels, base_counts)
         self.seed = seed
         self.warnings = warnings or []
@@ -572,37 +581,39 @@ def build_plre(
                 warnings.append(f"order {k}: {warn}")
             resolved_ranks[k].append(r)
 
-    with timed(timings, "adjusted_tables"):
+    seconds = {} if timings is None else timings
+
+    def factorize(spec: DiscountSpec) -> LowRankCPT:
+        return compute_z(
+            spec,
+            resolved_ranks[spec.order][spec.level - 1],
+            max_iters=nmf_max_iters,
+            rel_tol=nmf_rel_tol,
+            seed=seed,
+            threads=threads,
+            timings=seconds,
+        )
+
+    with timed(seconds, "adjusted_tables"):
         ctabs = adjusted_tables(top)
     levels: Dict[int, PlreLevel] = {}
     for k in range(order, 1, -1):
         ctab = ctabs[k]
         chain_mid = tuple(powers.get(k, ()))
-        eta = len(chain_mid)
         if dstar == "gt-root":
             n1, n2, _, _ = count_of_counts(ctab.counts)
-            d = derive_dstar(good_turing_discount(n1, n2), eta)
+            d = derive_dstar(good_turing_discount(n1, n2), len(chain_mid))
         else:
             d = float(dstar)
-        with timed(timings, "discounts"):
-            specs = compute_discounts(ctab, (1.0,) + chain_mid + (0.0,), d)
-        z_tables = [
-            compute_z(
-                specs[j],
-                resolved_ranks[k][j - 1],
-                max_iters=nmf_max_iters,
-                rel_tol=nmf_rel_tol,
-                seed=seed,
-                threads=threads,
-                timings=timings,
+        # The level derives its chain once and factorizes each step of it;
+        # "discounts" is the level's time less the factorizations'.
+        factorized = seconds.get("slices", 0.0) + seconds.get("nmf", 0.0)
+        with timed(seconds, "discounts"):
+            levels[k] = PlreLevel(
+                k, ctab.keys, ctab.counts, [], dstar=d, powers=chain_mid, factorize=factorize
             )
-            for j in range(1, eta + 1)
-        ]
-        levels[k] = PlreLevel(k, ctab.keys, ctab.counts, z_tables, dstar=d, powers=chain_mid)
-
-    base_counts = np.zeros(vsize, dtype=np.int64)
-    base_counts[ctabs[1].keys[:, 0]] = ctabs[1].counts
-    return PlreModel(vocab, order, levels, base_counts, seed, warnings)
+        seconds["discounts"] -= seconds.get("slices", 0.0) + seconds.get("nmf", 0.0) - factorized
+    return PlreModel(vocab, order, levels, seed, warnings)
 
 
 def _factor_index(z: LowRankCPT) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -718,7 +729,10 @@ def marginal_error_bound(model: PlreModel, order: Optional[int] = None) -> float
     order-k marginal at a closed-form weight (the handoff mass arriving at
     that level times d*^j over the level total).  Summing |row-sum residual|
     worst-case per word therefore bounds the marginal deviation, and the
-    bound is zero for closed-form rank-1 slices.
+    bound is zero for closed-form rank-1 slices.  The base distribution
+    adds one more term: where ``make_base_distribution`` floors a
+    zero-numerator type, the base differs from base_counts / their sum, and
+    the mass reaching it carries that difference into the marginal.
     """
     k = _order(model, order)
     bound = 0.0
@@ -743,4 +757,9 @@ def marginal_error_bound(model: PlreModel, order: Optional[int] = None) -> float
             np.add.at(resid, z.row_ids, rows)
             bound += lam * (level.dstar ** j) / total * float(np.max(np.abs(resid)))
         upper_total = total
-    return bound
+    # The order-2 level hands d*^(eta+1) * T_1 / T_2 of what reaches it to
+    # the base, T_1 being the base counts' sum; the term is 0 unless floored.
+    total = float(model.base_counts.sum())
+    reaching = lam * level.dstar ** (level.eta + 1) * total / upper_total
+    floor = float(np.max(np.abs(model.base - model.base_counts / total)))
+    return bound + reaching * floor

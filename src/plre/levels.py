@@ -68,7 +68,9 @@ def make_base_distribution(
     normalizing, so the base is positive everywhere a prediction can be
     asked for.  bos keeps probability zero: it is never a predicted token.
     When nothing is floored the distribution is exactly counts/total, which
-    the marginal-preservation identities rely on.
+    the marginal-preservation identities rely on; otherwise
+    ``marginal_error_bound`` adds the largest shift the floor makes, times
+    the mass that reaches the base.
     """
     numer = np.asarray(counts, dtype=np.float64).copy()
     zero = numer == 0.0

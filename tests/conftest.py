@@ -326,7 +326,9 @@ def sequential_perplexity(model, sentences) -> EvalReport:
 
 def looped_error_bound(model, order: int) -> float:
     """marginal_error_bound with each slice's factor row sums taken in its
-    own loop iteration: the tests' oracle for the vectorized segment sums."""
+    own loop iteration, and the mass reaching the base summed over
+    contexts: the tests' oracle for the vectorized segment sums and the
+    closed form."""
     bound, lam, upper_total = 0.0, 1.0, None
     for k in range(order, 1, -1):
         level = model.levels[k]
@@ -345,7 +347,15 @@ def looped_error_bound(model, order: int) -> float:
                 resid[rows] += L @ R.sum(axis=1)
             bound += lam * (level.dstar ** j) / total * float(np.max(np.abs(resid)))
         upper_total = total
-    return bound
+    # the floor's shift of the base, times the mass that reaches the base,
+    # handed down context by context
+    weight = model.levels[order].totals / float(model.levels[order].totals.sum())
+    for k in range(order, 1, -1):
+        level = model.levels[k]
+        parents = len(model.levels[k - 1].totals) if k > 2 else 1
+        weight = np.bincount(level.parent, weight * np.prod(level.gammas, axis=0), parents)
+    ideal = model.base_counts / model.base_counts.sum()
+    return bound + weight[0] * float(np.max(np.abs(model.base - ideal)))
 
 
 def count_table(order: int, entries: Dict[Key, int]) -> CountTable:

@@ -418,6 +418,27 @@ class TestVerify:
         names = [c["name"] for c in report["checks"]]
         assert "kn_reduction" in names
 
+    @pytest.mark.parametrize("rank", ["1", "2"])
+    def test_model_trained_without_unk_verifies(self, ws, tmp_path, capsys, rank):
+        # threshold 0 keeps every type, so training produces no <unk> and
+        # the base floors it; the marginal bound carries the floor's shift
+        path = tmp_path / "no-unk.plre"
+        assert main(["train", "--corpus", str(ws["train"]), "--model", str(path),
+                     "--smoother", "plre", "--order", "3", "--rank", rank,
+                     "--unk-threshold", "0"]) == 0
+        assert load_model(str(path)).base_counts[0] == 0
+        capsys.readouterr()
+        assert main(["verify", "--model", str(path), "--json"]) == 0
+        checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert checks["marginal_order_2"]["max_violation"] > 1e-9
+
+    def test_two_word_corpus_without_unk_verifies(self, tmp_path, capsys):
+        corpus, path = tmp_path / "aa.txt", tmp_path / "aa.plre"
+        corpus.write_text("a a\na a\n")
+        assert main(["train", "--corpus", str(corpus), "--model", str(path),
+                     "--smoother", "plre", "--order", "3", "--unk-threshold", "0"]) == 0
+        assert main(["verify", "--model", str(path)]) == 0
+
     def test_tampered_gamma_table_fails_verification(self, ws):
         # a container cannot carry a gamma (the level derives it), so the
         # checks run on the model in memory

@@ -12,7 +12,7 @@ import pytest
 from plre.baselines import NgramLM
 from plre.cli import main
 from plre.container import FORMAT_VERSION, load_model, save_model
-from plre.corpus import count_all_orders, count_ngrams
+from plre.corpus import adjusted_tables, count_all_orders, count_ngrams
 from plre.ensemble import build_plre
 from plre.errors import ContainerError
 
@@ -203,6 +203,15 @@ class TestCorruption:
         with pytest.raises(ContainerError, match="version"):
             load_model(str(saved))
 
+    def test_version_3_file_exits_6(self, saved, capsys):
+        # format 3 also stored base_counts and a word<TAB>id<TAB>count vocab
+        blob = bytearray(saved.read_bytes())
+        blob[4:8] = struct.pack("<I", 3)
+        saved.write_bytes(bytes(blob))
+        with pytest.raises(ContainerError, match="unsupported container version 3"):
+            load_model(str(saved))
+        assert main(["verify", "--model", str(saved)]) == 6
+
     def test_truncated_payload(self, saved):
         blob = saved.read_bytes()
         saved.write_bytes(blob[: len(blob) - 40])
@@ -388,7 +397,7 @@ class TestSectionChecks:
         self, blob, tmp_path, capsys
     ):
         header, _ = _split(blob)
-        assert len(header["sections"]) == 6
+        assert len(header["sections"]) == 5
         for i, name in enumerate(header["sections"]):
             edits = ["truncate"]
             if _first_float(header, name, _split(blob)[1][i][1]) is not None:
@@ -424,10 +433,26 @@ class TestPlreLayout:
         for k in range(order, 1, -1):
             want += [f"counts.{k}"] + [f"z.{k}.{j}" for j in range(1, len(powers[k]) + 1)]
         header = _read_header(str(p1))
-        assert header["sections"] == want + ["base_counts"]
-        assert set(header["sha256"]) == set(want) | {"base_counts", "header"}
+        assert header["sections"] == want
+        assert set(header["sha256"]) == set(want) | {"header"}
         save_model(load_model(str(p1)), str(p2))
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("model", ["toy_plre3", "toy_plre3_rank1", "toy_plre3_eta0"])
+    def test_base_counts_are_the_order_one_adjusted_table(
+        self, model, toy_top3, request, tmp_path
+    ):
+        # the base's numerators are derived from the order-2 keys, for a
+        # build and a load alike
+        model = request.getfixturevalue(model)
+        unigrams = adjusted_tables(toy_top3)[1]
+        want = np.zeros(len(model.vocab), dtype=np.int64)
+        want[unigrams.keys[:, 0]] = unigrams.counts
+        path = tmp_path / "m.plre"
+        save_model(model, str(path))
+        for m in (model, load_model(str(path))):
+            assert m.base_counts.dtype == want.dtype
+            assert m.base_counts.tobytes() == want.tobytes()
 
 
 def _f8(values):
@@ -484,6 +509,75 @@ class TestPlreTamper:
         rng = np.random.default_rng(13)
         for w, ctx in _sample_queries(len(model.vocab), rng, n=500):
             assert loaded.prob(w, ctx) == model.prob(w, ctx), (edit, w, ctx)
+        assert main(["verify", "--model", str(path)]) == 0
+        p1, p2 = tmp_path / "a.plre", tmp_path / "b.plre"
+        save_model(loaded, str(p1))
+        save_model(model, str(p2))
+        assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestVocabSection:
+    # Each edit of the word lines; "no-newline" also drops the last newline.
+    EDITS = {
+        "empty-line": lambda lines: lines[:4] + [""] + lines[4:],
+        "space": lambda lines: lines[:3] + ["a b"] + lines[4:],
+        "tab": lambda lines: lines[:3] + ["a\tb"] + lines[4:],
+        "carriage-return": lambda lines: lines[:3] + [lines[3] + "\r"] + lines[4:],
+        "duplicate": lambda lines: lines[:4] + [lines[3]] + lines[5:],
+        "reserved-late": lambda lines: [lines[3]] + lines[1:3] + [lines[0]] + lines[4:],
+        "no-newline": lambda lines: lines,
+    }
+
+    @pytest.mark.parametrize("model", ["toy_plre3", "toy_kn3"])
+    def test_vocab_is_the_words_one_per_line(self, model, request, tmp_path):
+        model = request.getfixturevalue(model)
+        path = tmp_path / "m.plre"
+        save_model(model, str(path))
+        name, payload = _split(path.read_bytes())[1][0]
+        assert name == "vocab"
+        assert bytes(payload) == "".join(w + "\n" for w in model.vocab.id_to_word).encode()
+
+    @pytest.mark.parametrize("model", ["toy_plre3", "toy_kn3"])
+    @pytest.mark.parametrize("edit", list(EDITS))
+    def test_rehashed_vocab_edit_exits_6(self, model, edit, request, tmp_path, capsys):
+        model = request.getfixturevalue(model)
+        path = tmp_path / "m.plre"
+        save_model(model, str(path))
+        blob = path.read_bytes()
+        header, sections = _split(blob)
+        lines = self.EDITS[edit](list(model.vocab.id_to_word))
+        text = "\n".join(lines) + ("" if edit == "no-newline" else "\n")
+        sections[0][1] = bytearray(text.encode("utf-8"))
+        path.write_bytes(_join(blob, header, sections, rehash=True))
+        with pytest.raises(ContainerError, match="vocab|reserved|duplicate"):
+            load_model(str(path))
+        assert main(["verify", "--model", str(path)]) == 6
+
+
+class TestBaseTamper:
+    # The base's numerators follow from the order-2 keys, so a container
+    # that also stores them, as format version 3 did, answers the same
+    # whatever that section holds.
+    @pytest.mark.parametrize("model", ["toy_plre3", "toy_plre3_rank1"])
+    @pytest.mark.parametrize("scale", [1, 3, -1])
+    def test_stored_base_counts_section_is_never_read(
+        self, model, scale, request, tmp_path, capsys
+    ):
+        model = request.getfixturevalue(model)
+        path = tmp_path / "m.plre"
+        save_model(model, str(path))
+        blob = path.read_bytes()
+        header, sections = _split(blob)
+        stored = (scale * model.base_counts).astype("<i8")
+        sections.append(["base_counts", bytearray(stored.tobytes())])
+        header["sections"] = [name for name, _ in sections]
+        path.write_bytes(_join(blob, header, sections, rehash=True))
+
+        loaded = load_model(str(path))
+        rng = np.random.default_rng(17)
+        for w, ctx in _sample_queries(len(model.vocab), rng, n=500):
+            assert loaded.prob(w, ctx) == model.prob(w, ctx), (scale, w, ctx)
+        assert loaded.base.tobytes() == model.base.tobytes()
         assert main(["verify", "--model", str(path)]) == 0
         p1, p2 = tmp_path / "a.plre", tmp_path / "b.plre"
         save_model(loaded, str(p1))

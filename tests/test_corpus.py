@@ -55,19 +55,28 @@ class TestVocabulary:
         vocab = build_vocabulary([["a", "a"]], unk_threshold=0)
         assert vocab.encode(["never-seen"]) == [Vocabulary.unk_id]
 
-    def test_export_import_round_trip(self, tiny_setup):
+    def test_words_alone_rebuild_the_vocabulary(self, tiny_setup):
+        # a vocabulary is its words in id order: no counts ride along
         _, vocab, _ = tiny_setup
-        clone = Vocabulary.from_export_lines(vocab.export_lines())
-        assert clone.id_to_word == vocab.id_to_word
-        assert clone.counts == vocab.counts
+        clone = Vocabulary(vocab.id_to_word)
+        assert clone.word_to_id == vocab.word_to_id
+        assert not hasattr(vocab, "counts")
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(EmptyCorpusError):
             build_vocabulary([], unk_threshold=1)
 
-    def test_corrupt_export_lines_rejected(self):
+    @pytest.mark.parametrize(
+        "words",
+        [["a", UNK, BOS, EOS], [BOS, UNK, EOS], [UNK, BOS, EOS, "a", "a"], [UNK, BOS, EOS, EOS]],
+    )
+    def test_unreserved_start_or_duplicate_word_rejected(self, words):
         with pytest.raises(DataError):
-            Vocabulary.from_export_lines(["only-one-field"])
+            Vocabulary(words)
+
+    def test_reserved_symbols_in_text_keep_their_ids(self):
+        vocab = build_vocabulary([["a", EOS, "a", UNK, "b"]], unk_threshold=0)
+        assert vocab.id_to_word == [UNK, BOS, EOS, "a", "b"]
 
 
 class TestCounting:

@@ -8,7 +8,8 @@ import pytest
 
 from plre.baselines import DiscountParams, NgramLM
 from plre.container import save_model
-from plre.corpus import CountTable, Vocabulary, adjusted_tables, count_ngrams
+from plre import ensemble
+from plre.corpus import CountTable, Vocabulary, adjusted_tables, build_vocabulary, count_ngrams
 from plre.ensemble import (
     OpCounter,
     build_plre,
@@ -354,6 +355,23 @@ class TestBuildPlre:
         with pytest.raises(ConfigError):
             build_plre(count_ngrams(enc, 1), vocab)
 
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    def test_each_level_derives_its_chain_once(self, toy_corpus, monkeypatch, order):
+        # the level's own chain feeds its factorizations: no second pass
+        _, vocab, enc = toy_corpus
+        calls = []
+
+        def spy(table, *args):
+            calls.append(table.order)
+            return compute_discounts(table, *args)
+
+        monkeypatch.setattr(ensemble, "compute_discounts", spy)
+        model = build_plre(count_ngrams(enc, order), vocab, seed=0)
+        assert calls == list(range(order, 1, -1))
+        assert [len(level.z_tables) for level in model.levels.values()] == [
+            level.eta for level in model.levels.values()
+        ]
+
     def test_invalid_fixed_dstar_rejected(self, toy_corpus, toy_top3):
         _, vocab, _ = toy_corpus
         with pytest.raises(ConfigError):
@@ -401,13 +419,16 @@ class TestPlreQueries:
         assert dead not in seen2
         assert model.prob(5, dead) == float(model.base[5])
 
-    def test_terminal_base_is_continuation_unigram(self, toy_plre3):
+    def test_terminal_base_is_continuation_unigram(
+        self, toy_plre3, toy_plre3_rank1, toy_plre3_eta0
+    ):
         # the power-0 rank-1 closed form over the adjusted bigram table is
-        # N-(w)/sum N-, which is exactly the stored base when unk is attested
-        model = toy_plre3
-        counts = model.base_counts.astype(np.float64)
-        assert counts[Vocabulary.unk_id] > 0
-        assert np.array_equal(model.base, counts / counts.sum())
+        # N-(w)/sum N-, which is exactly the base, bit for bit, when unk is
+        # attested: nothing is floored, so the bound's floor term is 0
+        for model in (toy_plre3, toy_plre3_rank1, toy_plre3_eta0):
+            counts = model.base_counts.astype(np.float64)
+            assert counts[Vocabulary.unk_id] > 0
+            assert model.base.tobytes() == (counts / counts.sum()).tobytes()
 
     def test_gamma_product_closed_form(self, toy_plre3):
         model = toy_plre3
@@ -479,6 +500,22 @@ class TestMarginalConstraint:
                 assert np.max(np.abs(sparse - dense_marginal(model, order))) <= 1e-13
                 bound = marginal_error_bound(model, order)
                 assert abs(bound - looped_error_bound(model, order)) <= 1e-15
+
+    @pytest.mark.parametrize("ranks", [{2: (1,), 3: (1,)}, {2: (4,), 3: (4,)}])
+    def test_floored_base_stays_within_the_bound(self, toy_corpus, ranks):
+        # threshold 0 leaves no <unk> in training, so the base floors it;
+        # the marginal then moves by the mass reaching the base times the
+        # floor's shift, which the bound carries
+        sents, _, _ = toy_corpus
+        vocab = build_vocabulary(sents, unk_threshold=0)
+        top = count_ngrams([vocab.encode(s) for s in sents], 3)
+        model = build_plre(top, vocab, ranks=ranks, seed=0)
+        assert model.base_counts[Vocabulary.unk_id] == 0
+        for order in (2, 3):
+            deviation = verify_marginal(model, order)
+            bound = marginal_error_bound(model, order)
+            assert 1e-9 < deviation <= bound + 1e-15
+            assert abs(bound - looped_error_bound(model, order)) <= 1e-15
 
     def test_every_observed_context_normalizes(self, toy_plre3, toy_plre3_eta0):
         for model in (toy_plre3, toy_plre3_eta0):
