@@ -355,7 +355,7 @@ def _kn_reduction_deviation(model: PlreModel, seed: int, n_queries: int = 2000) 
     """Max |PLRE - interpolated KN with D = d*| over sampled queries.
 
     Only meaningful when every level has no intermediate powers; the
-    reference model is rebuilt from the stored count arrays.
+    reference model is built from the model's count arrays.
     """
     discounts = {k: DiscountParams.single(d) for k, d in model.dstars.items()}
     ref = NgramLM(model.vocab, model.order, "kn", model.count_arrays(), discounts)

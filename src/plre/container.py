@@ -8,21 +8,22 @@ payload and, under ``"header"``, one of the header's own canonical JSON
 without that map: the header's d*s and powers decide a PLRE model's
 answers.  Payloads are bare little-endian arrays (word ids i32, counts i64,
 floats f64), except ``vocab``: the words, one per line in id order, UTF-8.
-A PLRE model stores ``vocab``, then per order k with n entries
+Every model stores ``vocab`` and its top order n's raw counts, and a PLRE
+model one ``z.k.j`` per order k = n..2 and intermediate power j:
 
-    counts.k    n x k keys, sorted by context then word; n counts
+    counts.n    m x n keys, sorted by context then word; m counts
     z.k.j       s slice keys (k-2 ids each) and dims (rows, cols, rank),
                 then all row ids, column ids, L and R factors, concatenated
 
-Contexts are derived from the keys on load, so each key array is stored
-once.  Each level's top numerators, gammas and low-rank denominators are
-derived on load by the build's own ``compute_discounts`` (``PlreLevel``),
-and the unigram base from the order-2 keys (``PlreModel``).  A baseline
-model stores only ``counts.n``, its top order's raw counts, and is rebuilt
-on load by ``NgramLM.build``, the build that trained it.  So a loaded
-model answers queries bit-identically, and a rebuild with the same seed
-produces byte-identical files.  Sections a loader does not read, as
-earlier layouts wrote them, are hash-checked and ignored.
+The rest is derived on load by the code that built it.  ``plre_levels``,
+the build's own loop, derives each lower order's adjusted table from the
+level above; each level derives its top numerators, gammas and low-rank
+denominators from its keys, counts, d* and powers (``PlreLevel``), and the
+unigram base comes from the order-2 keys (``PlreModel``).  A baseline is
+rebuilt by ``NgramLM.build``.  So a loaded model answers queries
+bit-identically, and a rebuild with the same seed produces byte-identical
+files.  Sections a loader does not read, as earlier layouts wrote them,
+are hash-checked and ignored.
 """
 
 from __future__ import annotations
@@ -36,11 +37,11 @@ import numpy as np
 
 from .baselines import NgramLM
 from .corpus import CountTable, Vocabulary
-from .ensemble import LowRankCPT, PlreLevel, PlreModel
+from .ensemble import LowRankCPT, PlreLevel, PlreModel, plre_levels
 from .errors import ContainerError, DataError
 
 MAGIC = b"PLRE"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 
 def _bytes(arr: np.ndarray, dtype: str) -> bytes:
@@ -107,20 +108,24 @@ def save_model(model, path: str, config_echo: Optional[dict] = None) -> None:
     """Serialize an NgramLM or PlreModel to a container file."""
     if not isinstance(model, (PlreModel, NgramLM)):
         raise TypeError(f"cannot serialize {type(model).__name__}")
+    keys, counts = model.count_arrays()[model.order]
     header = {
         "format_version": FORMAT_VERSION,
+        "kind": "plre" if isinstance(model, PlreModel) else "baseline",
         "order": model.order,
         "smoother": model.smoother,
         "vocab_size": len(model.vocab),
-        "entries": {},
+        "entries": {str(model.order): len(keys)},
     }
     if config_echo is not None:
         header["config"] = config_echo
     vocab_text = "".join(word + "\n" for word in model.vocab.id_to_word)
-    sections: List[Tuple[str, bytes]] = [("vocab", vocab_text.encode("utf-8"))]
+    sections: List[Tuple[str, bytes]] = [
+        ("vocab", vocab_text.encode("utf-8")),
+        (f"counts.{model.order}", _bytes(keys, "<i4") + _bytes(counts, "<i8")),
+    ]
 
     if isinstance(model, PlreModel):
-        header["kind"] = "plre"
         header["seed"] = model.seed
         header["dstars"] = {str(k): d for k, d in model.dstars.items()}
         header["powers"] = {
@@ -130,20 +135,11 @@ def save_model(model, path: str, config_echo: Optional[dict] = None) -> None:
         header["warnings"] = list(model.warnings)
         header["slices"] = {}
         for k in range(model.order, 1, -1):
-            level = model.levels[k]
-            header["entries"][str(k)] = len(level.keys)
-            table = _bytes(level.keys, "<i4") + _bytes(level.counts, "<i8")
-            sections.append((f"counts.{k}", table))
-            for j, z in enumerate(level.z_tables, start=1):
+            for j, z in enumerate(model.levels[k].z_tables, start=1):
                 header["slices"][f"{k}.{j}"] = len(z.slices)
                 ints = [_bytes(a, "<i4") for a in (z.slices, z.dims, z.row_ids, z.col_ids)]
                 floats = [_bytes(a, "<f8") for a in (z.L, z.R)]
                 sections.append((f"z.{k}.{j}", b"".join(ints + floats)))
-    else:
-        header["kind"] = "baseline"
-        keys, counts = model.count_arrays()[model.order]
-        header["entries"][str(model.order)] = len(keys)
-        sections.append((f"counts.{model.order}", _bytes(keys, "<i4") + _bytes(counts, "<i8")))
 
     with open(path, "wb") as fh:
         fh.write(_assemble(header, sections))
@@ -212,10 +208,12 @@ def load_model(path: str):
         vocab = Vocabulary(words)
         if len(vocab) != header.get("vocab_size"):
             raise ContainerError(f"{path}: vocab size disagrees with header")
+        keys, counts = _read_counts(header, payloads, len(vocab))
         if header.get("kind") == "plre":
-            return _load_plre(header, payloads, vocab)
+            return _load_plre(header, payloads, vocab, keys, counts)
         if header.get("kind") == "baseline":
-            return _load_baseline(header, payloads, vocab)
+            top = CountTable(keys.shape[1], keys, counts)
+            return NgramLM.build(vocab, {top.order: top}, header["smoother"])
     except LookupError as exc:
         raise ContainerError(f"{path}: missing container field {exc}") from exc
     except (DataError, TypeError, ValueError) as exc:
@@ -223,7 +221,8 @@ def load_model(path: str):
     raise ContainerError(f"{path}: unknown container kind {header.get('kind')!r}")
 
 
-def _read_counts(header: dict, payloads: Dict[str, bytes], k: int, vsize: int):
+def _read_counts(header: dict, payloads: Dict[str, bytes], vsize: int):
+    k = int(header["order"])
     name = f"counts.{k}"
     n = int(header["entries"][str(k)])
     cur = _Cursor(payloads[name], name)
@@ -254,20 +253,18 @@ def _read_slices(payloads: Dict[str, bytes], name: str, k: int, s: int, vsize: i
     return out
 
 
-def _load_baseline(header: dict, payloads: Dict[str, bytes], vocab: Vocabulary) -> NgramLM:
-    order = int(header["order"])
-    top = CountTable(order, *_read_counts(header, payloads, order, len(vocab)))
-    return NgramLM.build(vocab, {order: top}, header["smoother"])
-
-
-def _load_plre(header: dict, payloads: Dict[str, bytes], vocab: Vocabulary) -> PlreModel:
-    order = int(header["order"])
+def _load_plre(
+    header: dict,
+    payloads: Dict[str, bytes],
+    vocab: Vocabulary,
+    keys: np.ndarray,
+    counts: np.ndarray,
+) -> PlreModel:
     vsize = len(vocab)
-    levels: Dict[int, PlreLevel] = {}
-    for k in range(order, 1, -1):
+
+    def make_level(k: int, keys: np.ndarray, counts: np.ndarray) -> PlreLevel:
         powers = tuple(map(float, header["powers"][str(k)]))
         ranks = header["ranks"][str(k)]
-        keys, counts = _read_counts(header, payloads, k, vsize)
         z_tables = [
             LowRankCPT(
                 k,
@@ -278,13 +275,9 @@ def _load_plre(header: dict, payloads: Dict[str, bytes], vocab: Vocabulary) -> P
             )
             for j in range(1, len(powers) + 1)
         ]
-        levels[k] = PlreLevel(
-            order=k,
-            keys=keys,
-            counts=counts,
-            z_tables=z_tables,
-            dstar=float(header["dstars"][str(k)]),
-            powers=powers,
-        )
+        dstar = float(header["dstars"][str(k)])
+        return PlreLevel(k, keys, counts, z_tables, dstar=dstar, powers=powers)
+
+    levels = plre_levels(keys, counts, make_level)
     seed, warnings = int(header.get("seed", 0)), list(header.get("warnings", []))
-    return PlreModel(vocab, order, levels, seed, warnings)
+    return PlreModel(vocab, keys.shape[1], levels, seed, warnings)

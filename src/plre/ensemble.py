@@ -41,7 +41,8 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 import numpy as np
 
 from .baselines import count_of_counts, good_turing_discount
-from .corpus import CountTable, Vocabulary, adjusted_tables, offsets, run_heads, segments
+from .corpus import CountTable, Vocabulary, lower_order, offsets, run_heads, segments
+from .corpus import adjusted_tables  # noqa: F401  (not called here; bench/run.py traces it)
 from .errors import ConfigError, FactorizationError
 from .factorization import ConvergenceReport, SparseMatrix, nmf_gkl_many
 from .factorization import nmf_gkl  # noqa: F401  (not called here; bench/run.py traces it)
@@ -384,6 +385,7 @@ class PlreLevel(Level):
     """One order's stack: a level whose chain steps each discount by
     ``dstar``, with one low-rank table per intermediate power in ``powers``.
 
+    Its keys and counts are the order's adjusted table (``plre_levels``).
     ``top``, ``gammas`` and each low-rank table's ``denominators`` are no
     arguments: the level derives them from its keys, counts, d* and powers
     with ``compute_discounts``, one way for a build and a load alike.  A
@@ -594,14 +596,10 @@ def build_plre(
             timings=seconds,
         )
 
-    with timed(seconds, "adjusted_tables"):
-        ctabs = adjusted_tables(top)
-    levels: Dict[int, PlreLevel] = {}
-    for k in range(order, 1, -1):
-        ctab = ctabs[k]
+    def make_level(k: int, keys: np.ndarray, counts: np.ndarray) -> PlreLevel:
         chain_mid = tuple(powers.get(k, ()))
         if dstar == "gt-root":
-            n1, n2, _, _ = count_of_counts(ctab.counts)
+            n1, n2, _, _ = count_of_counts(counts)
             d = derive_dstar(good_turing_discount(n1, n2), len(chain_mid))
         else:
             d = float(dstar)
@@ -609,11 +607,32 @@ def build_plre(
         # "discounts" is the level's time less the factorizations'.
         factorized = seconds.get("slices", 0.0) + seconds.get("nmf", 0.0)
         with timed(seconds, "discounts"):
-            levels[k] = PlreLevel(
-                k, ctab.keys, ctab.counts, [], dstar=d, powers=chain_mid, factorize=factorize
-            )
+            level = PlreLevel(k, keys, counts, [], dstar=d, powers=chain_mid, factorize=factorize)
         seconds["discounts"] -= seconds.get("slices", 0.0) + seconds.get("nmf", 0.0) - factorized
+        return level
+
+    levels = plre_levels(top.keys, top.counts, make_level, seconds)
     return PlreModel(vocab, order, levels, seed, warnings)
+
+
+def plre_levels(
+    keys: np.ndarray,
+    counts: np.ndarray,
+    make_level: Callable[[int, np.ndarray, np.ndarray], PlreLevel],
+    timings: Optional[Dict[str, float]] = None,
+) -> Dict[int, PlreLevel]:
+    """Levels n..2 from the top order's raw (keys, counts), for a build and
+    a load alike: ``make_level(k, keys, counts)`` makes each, and the next
+    order's adjusted table is derived from its contexts (``lower_order``;
+    seconds added to ``timings["adjusted_tables"]``).  No order-1 table is
+    derived: ``PlreModel`` counts its base from the order-2 keys."""
+    levels: Dict[int, PlreLevel] = {}
+    for k in range(keys.shape[1], 1, -1):
+        levels[k] = make_level(k, keys, counts)
+        if k > 2:
+            with timed(timings, "adjusted_tables"):
+                keys, counts = lower_order(levels[k])
+    return levels
 
 
 def _factor_index(z: LowRankCPT) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -173,12 +173,17 @@ class LevelModel:
         multiplier 1, so P depends on h only through its state."""
         contexts = np.asarray(contexts, dtype=np.int64)[:, : self.order - 1]
         state = np.zeros(len(contexts), dtype=np.int64)
-        row, found = 0, True
+        # Level k searches only the rows ``at`` whose context level k-1
+        # held; they stay a slice, with no gather, until a row is missed.
+        every = slice(None)
+        at, row = every, 0
         for k in range(2, contexts.shape[1] + 2):
-            level, oldest = self.levels[k], contexts[:, k - 2]
+            level, oldest = self.levels[k], contexts[at, k - 2]
             row, hit = _find(level.ctx_code, row * level.vsize + oldest)
-            found = found & hit & (oldest >= 0) & (oldest < level.vsize)
-            np.copyto(state, self.state_start[k - 1] + row, where=found)
+            hit &= (oldest >= 0) & (oldest < level.vsize)
+            if not hit.all():
+                at, row = (np.flatnonzero(hit) if at is every else at[hit]), row[hit]
+            state[at] = self.state_start[k - 1] + row
         return state
 
     def context(self, state: int) -> List[int]:

@@ -212,6 +212,15 @@ class TestCorruption:
             load_model(str(saved))
         assert main(["verify", "--model", str(saved)]) == 6
 
+    def test_version_4_file_exits_6(self, saved, capsys):
+        # format 4 also stored every lower order's counts.k
+        blob = bytearray(saved.read_bytes())
+        blob[4:8] = struct.pack("<I", 4)
+        saved.write_bytes(bytes(blob))
+        with pytest.raises(ContainerError, match="unsupported container version 4"):
+            load_model(str(saved))
+        assert main(["verify", "--model", str(saved)]) == 6
+
     def test_truncated_payload(self, saved):
         blob = saved.read_bytes()
         saved.write_bytes(blob[: len(blob) - 40])
@@ -269,6 +278,28 @@ class TestBaselineKeyOrder:
         payload[: 4 * n * k] = keys.tobytes()
         path.write_bytes(_join(blob, header, sections, rehash=True))
         with pytest.raises(ContainerError, match="sorted and unique"):
+            load_model(str(path))
+        assert main(["verify", "--model", str(path)]) == 6
+
+
+class TestPlreKeyOrder:
+    # Lower orders are derived from counts.n, so its keys must be sorted
+    # and unique for the derivation to mean anything: the load rejects them.
+    @pytest.mark.parametrize("rows", [(0, 1), (0, -1)])
+    @pytest.mark.parametrize("edit", ["swap", "duplicate"])
+    def test_unsorted_or_duplicate_keys_exit_6(self, toy_plre3, rows, edit, tmp_path, capsys):
+        path = tmp_path / "m.plre"
+        save_model(toy_plre3, str(path))
+        blob = path.read_bytes()
+        header, sections = _split(blob)
+        payload = next(sec for sec in sections if sec[0] == "counts.3")[1]
+        n = header["entries"]["3"]
+        keys = np.frombuffer(bytes(payload), "<i4", count=n * 3).reshape(n, 3).copy()
+        a, b = rows
+        keys[[a, b]] = keys[[b, a]] if edit == "swap" else keys[[a, a]]
+        payload[: 4 * n * 3] = keys.tobytes()
+        path.write_bytes(_join(blob, header, sections, rehash=True))
+        with pytest.raises(ContainerError, match="sorted and unique|parent"):
             load_model(str(path))
         assert main(["verify", "--model", str(path)]) == 6
 
@@ -397,7 +428,7 @@ class TestSectionChecks:
         self, blob, tmp_path, capsys
     ):
         header, _ = _split(blob)
-        assert len(header["sections"]) == 5
+        assert len(header["sections"]) == 4
         for i, name in enumerate(header["sections"]):
             edits = ["truncate"]
             if _first_float(header, name, _split(blob)[1][i][1]) is not None:
@@ -429,11 +460,12 @@ class TestPlreLayout:
         model = build_plre(count_ngrams(enc, order), vocab, powers=powers, ranks=ranks, seed=0)
         p1, p2 = tmp_path / "a.plre", tmp_path / "b.plre"
         save_model(model, str(p1))
-        want = ["vocab"]
+        want = ["vocab", f"counts.{order}"]
         for k in range(order, 1, -1):
-            want += [f"counts.{k}"] + [f"z.{k}.{j}" for j in range(1, len(powers[k]) + 1)]
+            want += [f"z.{k}.{j}" for j in range(1, len(powers[k]) + 1)]
         header = _read_header(str(p1))
         assert header["sections"] == want
+        assert header["entries"] == {str(order): len(model.levels[order].keys)}
         assert set(header["sha256"]) == set(want) | {"header"}
         save_model(load_model(str(p1)), str(p2))
         assert p1.read_bytes() == p2.read_bytes()
@@ -467,16 +499,13 @@ def _save_with_discount_sections(model, path):
     save_model(model, str(path))
     blob = path.read_bytes()
     header, sections = _split(blob)
-    out = []
-    for name, payload in sections:
-        out.append([name, payload])
-        kind, *rest = name.split(".")
-        if kind == "counts":
-            level = model.levels[int(rest[0])]
-            out += [[f"top.{rest[0]}", _f8(level.top)], [f"gamma.{rest[0]}", _f8(level.gammas)]]
-        elif kind == "z":
-            k, j = map(int, rest)
-            out.append([f"zden.{k}.{j}", _f8(model.levels[k].z_tables[j - 1].denominators)])
+    stored = dict(sections)
+    out = sections[:2]
+    for k in range(model.order, 1, -1):
+        level = model.levels[k]
+        out += [[f"top.{k}", _f8(level.top)], [f"gamma.{k}", _f8(level.gammas)]]
+        for j, z in enumerate(level.z_tables, start=1):
+            out += [[f"z.{k}.{j}", stored[f"z.{k}.{j}"]], [f"zden.{k}.{j}", _f8(z.denominators)]]
     header["sections"] = [name for name, _ in out]
     path.write_bytes(_join(blob, header, out, rehash=True))
 
@@ -507,6 +536,62 @@ class TestPlreTamper:
 
         loaded = load_model(str(path))
         rng = np.random.default_rng(13)
+        for w, ctx in _sample_queries(len(model.vocab), rng, n=500):
+            assert loaded.prob(w, ctx) == model.prob(w, ctx), (edit, w, ctx)
+        assert main(["verify", "--model", str(path)]) == 0
+        p1, p2 = tmp_path / "a.plre", tmp_path / "b.plre"
+        save_model(loaded, str(p1))
+        save_model(model, str(p2))
+        assert p1.read_bytes() == p2.read_bytes()
+
+
+def _save_with_lower_counts(model, path):
+    """Save a PLRE model in format 4's layout, which also stored each lower
+    level's counts (``counts.k``) before its factors; loading now derives
+    them from ``counts.n``."""
+    save_model(model, str(path))
+    blob = path.read_bytes()
+    header, sections = _split(blob)
+    stored = dict(sections)
+    out = [sections[0]]
+    for k in range(model.order, 1, -1):
+        level = model.levels[k]
+        keys, counts = level.keys.astype("<i4"), level.counts.astype("<i8")
+        out.append([f"counts.{k}", bytearray(keys.tobytes() + counts.tobytes())])
+        out += [[f"z.{k}.{j}", stored[f"z.{k}.{j}"]] for j in range(1, level.eta + 1)]
+    header["sections"] = [name for name, _ in out]
+    header["entries"] = {str(k): len(level.keys) for k, level in model.levels.items()}
+    path.write_bytes(_join(blob, header, out, rehash=True))
+
+
+class TestLowerCountsTamper:
+    # A PLRE model's lower orders are derived from counts.n, so a container
+    # that also stores them answers from the top order alone: rewriting
+    # those sections cannot change it.
+    @pytest.mark.parametrize("model", ["toy_plre3", "toy_plre3_rank1", "toy_plre3_eta0"])
+    @pytest.mark.parametrize("edit", ["none", "nan", "triple"])
+    def test_stored_lower_order_counts_are_never_read(
+        self, model, edit, request, tmp_path, capsys
+    ):
+        model = request.getfixturevalue(model)
+        path = tmp_path / "m.plre"
+        _save_with_lower_counts(model, path)
+        blob = path.read_bytes()
+        header, sections = _split(blob)
+        assert [name for name, _ in sections if name.startswith("counts.")] == [
+            "counts.3", "counts.2"
+        ]
+        payload = next(sec for sec in sections if sec[0] == "counts.2")[1]
+        n = header["entries"]["2"]
+        counts = np.frombuffer(bytes(payload), "<i8", count=n, offset=4 * 2 * n)
+        if edit == "triple":
+            payload[4 * 2 * n :] = (3 * counts).astype("<i8").tobytes()
+        elif edit == "nan":
+            payload[4 * 2 * n :] = _f8(np.full(n, np.nan))
+        path.write_bytes(_join(blob, header, sections, rehash=True))
+
+        loaded = load_model(str(path))
+        rng = np.random.default_rng(19)
         for w, ctx in _sample_queries(len(model.vocab), rng, n=500):
             assert loaded.prob(w, ctx) == model.prob(w, ctx), (edit, w, ctx)
         assert main(["verify", "--model", str(path)]) == 0
@@ -681,7 +766,7 @@ def test_readme_section_tables_list_what_save_model_writes(toy_corpus, tmp_path)
     path = tmp_path / "m.plre"
     save_model(model, str(path))
     names = [
-        re.sub(r"^z\.\d+\.\d+$", "z.k.j", re.sub(r"^counts\.\d+$", "counts.k", name))
+        re.sub(r"^z\.\d+\.\d+$", "z.k.j", re.sub(r"^counts\.\d+$", "counts.n", name))
         for name in _read_header(str(path))["sections"]
     ]
     assert list(dict.fromkeys(names)) == plre_table

@@ -14,7 +14,9 @@ from plre.corpus import (
     build_vocabulary,
     count_all_orders,
     count_ngrams,
+    marginal_tables,
     read_sentences,
+    run_heads,
 )
 from plre.errors import DataError, EmptyCorpusError
 from plre.synthetic import synthesize_corpus
@@ -227,9 +229,34 @@ class TestAdjustedTables:
                 flipped = {tuple(reversed(key)): v for key, v in ref[k].items()}
                 assert mine[k].entries == flipped
 
+    @pytest.mark.parametrize("order", [2, 3, 4, 5])
+    def test_each_derived_order_equals_the_dict_oracle(self, toy_corpus, order):
+        # adjusted: distinct one-word-older extensions; marginal: raw counts
+        _, _, enc = toy_corpus
+        top = count_ngrams(enc, order)
+        marginals = {k: ref_raw_counts(enc, k) for k in range(1, order + 1)}
+        for derive, ref in (
+            (adjusted_tables, ref_adjusted_counts(enc, order)),
+            (marginal_tables, marginals),
+        ):
+            tables = derive(top)
+            assert sorted(tables) == list(range(1, order + 1))
+            for k, table in tables.items():
+                want = {tuple(reversed(key)): v for key, v in ref[k].items()}
+                assert table.entries == want, (derive.__name__, k)
+                assert list(table.entries) == sorted(want, key=lambda key: (key[1:], key[0]))
+                assert table.keys.dtype == table.counts.dtype == np.int64
+
     def test_unigram_level_never_contains_bos(self, toy_top3):
         tabs = adjusted_tables(toy_top3)
         assert (Vocabulary.bos_id,) not in tabs[1].entries
+
+
+@pytest.mark.parametrize("shape", [(0, 2), (1, 3), (40, 0), (40, 1), (40, 3)])
+def test_run_heads_marks_the_first_row_of_each_run(shape):
+    rows = np.random.default_rng(7).integers(0, 2, size=shape)
+    want = [i == 0 or rows[i].tolist() != rows[i - 1].tolist() for i in range(shape[0])]
+    assert run_heads(rows).tolist() == want
 
 
 class TestReadSentences:

@@ -7,9 +7,16 @@ import numpy as np
 import pytest
 
 from plre.baselines import DiscountParams, NgramLM
-from plre.container import save_model
+from plre.container import load_model, save_model
 from plre import ensemble
-from plre.corpus import CountTable, Vocabulary, adjusted_tables, build_vocabulary, count_ngrams
+from plre.corpus import (
+    CountTable,
+    Vocabulary,
+    adjusted_tables,
+    build_vocabulary,
+    count_ngrams,
+    lower_order,
+)
 from plre.ensemble import (
     OpCounter,
     build_plre,
@@ -371,6 +378,28 @@ class TestBuildPlre:
         assert [len(level.z_tables) for level in model.levels.values()] == [
             level.eta for level in model.levels.values()
         ]
+
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    def test_build_and_load_derive_orders_n_minus_1_to_2_once(
+        self, toy_corpus, monkeypatch, tmp_path, order
+    ):
+        # one level loop for both, each lower order derived from the level
+        # above it, and no order-1 table: the base comes from order-2 keys
+        _, vocab, enc = toy_corpus
+        derived = []
+
+        def spy(table, *args):
+            derived.append(table.order - 1)
+            return lower_order(table, *args)
+
+        monkeypatch.setattr(ensemble, "lower_order", spy)
+        timings = {}
+        model = build_plre(count_ngrams(enc, order), vocab, seed=0, timings=timings)
+        assert derived == list(range(order - 1, 1, -1))
+        assert ("adjusted_tables" in timings) == (order > 2)
+        save_model(model, str(tmp_path / "m.plre"))
+        load_model(str(tmp_path / "m.plre"))
+        assert derived == 2 * list(range(order - 1, 1, -1))
 
     def test_invalid_fixed_dstar_rejected(self, toy_corpus, toy_top3):
         _, vocab, _ = toy_corpus
