@@ -394,8 +394,9 @@ def run_checks(model, seed: int) -> List[dict]:
             # Rounding allowance: each word's marginal is aggregated from
             # nonnegative terms of total weight at most 1, and each sum on
             # the way takes about one term per observed order-k context at
-            # most (a context, its slice column or its parent), so the
-            # result rounds by about half an ulp of 1 per context at most.
+            # most (a context, which is also its own slice column, or its
+            # parent), so the result rounds by about half an ulp of 1 per
+            # context at most.
             allowance = MARGINAL_ULPS * sys.float_info.epsilon * len(model.levels[k].totals)
             bound = marginal_error_bound(model, k)
             check(f"marginal_order_{k}", verify_marginal(model, k), bound + allowance)

@@ -12,18 +12,21 @@ Every model stores ``vocab`` and its top order n's raw counts, and a PLRE
 model one ``z.k.j`` per order k = n..2 and intermediate power j:
 
     counts.n    m x n keys, sorted by context then word; m counts
-    z.k.j       s slice keys (k-2 ids each) and dims (rows, cols, rank),
-                then all row ids, column ids, L and R factors, concatenated
+    z.k.j       every slice's L (rows x rank), then every slice's R
+                (rank x cols), row-major, in slice order
 
 The rest is derived on load by the code that built it.  ``plre_levels``,
 the build's own loop, derives each lower order's adjusted table from the
 level above; each level derives its top numerators, gammas and low-rank
-denominators from its keys, counts, d* and powers (``PlreLevel``), and the
-unigram base comes from the order-2 keys (``PlreModel``).  A baseline is
-rebuilt by ``NgramLM.build``.  So a loaded model answers queries
-bit-identically, and a rebuild with the same seed produces byte-identical
-files.  Sections a loader does not read, as earlier layouts wrote them,
-are hash-checked and ignored.
+denominators from its keys, counts, d* and powers, and its slices' layout
+from its contexts and the order below (``PlreLevel``): slice s of order k
+is the order-(k-1) context s, its rows that context's entries and its
+columns the order-k contexts it is the interior of.  The unigram base
+comes from the order-2 keys (``PlreModel``).  A baseline is rebuilt by
+``NgramLM.build``.  So a loaded model answers queries bit-identically, and
+a rebuild with the same seed produces byte-identical files.  Sections a
+loader does not read, as earlier layouts wrote them, are hash-checked and
+ignored.
 """
 
 from __future__ import annotations
@@ -37,11 +40,11 @@ import numpy as np
 
 from .baselines import NgramLM
 from .corpus import CountTable, Vocabulary
-from .ensemble import LowRankCPT, PlreLevel, PlreModel, plre_levels
+from .ensemble import DiscountSpec, LowRankCPT, PlreLevel, PlreModel, SliceLayout, plre_levels
 from .errors import ContainerError, DataError
 
 MAGIC = b"PLRE"
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 
 def _bytes(arr: np.ndarray, dtype: str) -> bytes:
@@ -133,13 +136,9 @@ def save_model(model, path: str, config_echo: Optional[dict] = None) -> None:
         }
         header["ranks"] = {str(k): list(r) for k, r in model.resolved_ranks.items()}
         header["warnings"] = list(model.warnings)
-        header["slices"] = {}
         for k in range(model.order, 1, -1):
             for j, z in enumerate(model.levels[k].z_tables, start=1):
-                header["slices"][f"{k}.{j}"] = len(z.slices)
-                ints = [_bytes(a, "<i4") for a in (z.slices, z.dims, z.row_ids, z.col_ids)]
-                floats = [_bytes(a, "<f8") for a in (z.L, z.R)]
-                sections.append((f"z.{k}.{j}", b"".join(ints + floats)))
+                sections.append((f"z.{k}.{j}", _bytes(z.L, "<f8") + _bytes(z.R, "<f8")))
 
     with open(path, "wb") as fh:
         fh.write(_assemble(header, sections))
@@ -150,9 +149,10 @@ def load_model(path: str):
 
     The header and every section must match their hashes, and the sections
     hold well-formed data: one whitespace-free word per vocab line, ids in
-    [0, V), keys sorted by context then word without duplicates, finite
-    nonnegative floats, positive counts, and lengths and ranks that agree
-    with the header.  Anything else is a ContainerError.
+    [0, V), keys sorted by context then word without duplicates, positive
+    counts, lengths that agree with the header, and exactly the finite
+    nonnegative factor floats the derived slice layout sizes.  Anything
+    else is a ContainerError.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -234,25 +234,6 @@ def _read_counts(header: dict, payloads: Dict[str, bytes], vsize: int):
     return keys, counts
 
 
-def _read_slices(payloads: Dict[str, bytes], name: str, k: int, s: int, vsize: int):
-    cur = _Cursor(payloads[name], name)
-    slices = cur.ids(s * (k - 2), vsize).reshape(s, k - 2)
-    dims = cur.array("<i4", 3 * s).reshape(s, 3)
-    if dims.size and (dims.min() < 1 or dims.max() > vsize):
-        raise ContainerError(f"section {name}: slice dims outside [1, {vsize}]")
-    rows, cols, ranks = dims.astype(np.int64).T
-    out = dict(
-        slices=slices,
-        dims=dims,
-        row_ids=cur.ids(int(rows.sum()), vsize),
-        col_ids=cur.ids(int(cols.sum()), vsize),
-        L=cur.floats(int((rows * ranks).sum())),
-        R=cur.floats(int((ranks * cols).sum())),
-    )
-    cur.done()
-    return out
-
-
 def _load_plre(
     header: dict,
     payloads: Dict[str, bytes],
@@ -260,24 +241,27 @@ def _load_plre(
     keys: np.ndarray,
     counts: np.ndarray,
 ) -> PlreModel:
-    vsize = len(vocab)
+    factors: List[Tuple[str, LowRankCPT]] = []
 
     def make_level(k: int, keys: np.ndarray, counts: np.ndarray) -> PlreLevel:
-        powers = tuple(map(float, header["powers"][str(k)]))
         ranks = header["ranks"][str(k)]
-        z_tables = [
-            LowRankCPT(
-                k,
-                int(ranks[j - 1]),
-                **_read_slices(
-                    payloads, f"z.{k}.{j}", k, int(header["slices"][f"{k}.{j}"]), vsize
-                ),
-            )
-            for j in range(1, len(powers) + 1)
-        ]
+
+        def sized(spec: DiscountSpec, layout: SliceLayout) -> LowRankCPT:
+            z = LowRankCPT(k, int(ranks[spec.level - 1]), layout, spec.sums)
+            factors.append((f"z.{k}.{spec.level}", z))
+            return z
+
+        powers = tuple(map(float, header["powers"][str(k)]))
         dstar = float(header["dstars"][str(k)])
-        return PlreLevel(k, keys, counts, z_tables, dstar=dstar, powers=powers)
+        return PlreLevel(k, keys, counts, dstar=dstar, powers=powers, factorize=sized)
 
     levels = plre_levels(keys, counts, make_level)
     seed, warnings = int(header.get("seed", 0)), list(header.get("warnings", []))
-    return PlreModel(vocab, keys.shape[1], levels, seed, warnings)
+    model = PlreModel(vocab, keys.shape[1], levels, seed, warnings)
+    # Each section holds its factors alone, sized by the layout, which
+    # means something only once linking has checked the keys' order.
+    for name, z in factors:
+        cur = _Cursor(payloads[name], name)
+        z.L, z.R = cur.floats(len(z.L)), cur.floats(len(z.R))
+        cur.done()
+    return model

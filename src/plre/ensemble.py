@@ -41,12 +41,20 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 import numpy as np
 
 from .baselines import count_of_counts, good_turing_discount
-from .corpus import CountTable, Vocabulary, lower_order, offsets, run_heads, segments
+from .corpus import (
+    CountTable,
+    Vocabulary,
+    context_starts,
+    lower_order,
+    offsets,
+    run_heads,
+    segments,
+)
 from .corpus import adjusted_tables  # noqa: F401  (not called here; bench/run.py traces it)
 from .errors import ConfigError, FactorizationError
 from .factorization import ConvergenceReport, SparseMatrix, nmf_gkl_many
 from .factorization import nmf_gkl  # noqa: F401  (not called here; bench/run.py traces it)
-from .levels import Level, LevelModel, OpCounter, _find, _strictly_increasing, timed
+from .levels import Level, LevelModel, OpCounter, _find, timed
 
 
 def power_counts(table: CountTable, power: float) -> np.ndarray:
@@ -105,90 +113,99 @@ def compute_discounts(
     ]
 
 
+class SliceLayout:
+    """Where a level's low-rank tables keep each slice, derived from the
+    level's table and the keys one order below.
+
+    Slice s is interior s: the order-(k-1) context s, which is the interior
+    (the context less its oldest word) of a run of the table's sorted
+    contexts.  Its columns are that run's contexts, by their oldest words,
+    so a context is its own column over all slices (``ctx_slice`` gives its
+    slice, ``ctx_col`` its column within it).  Its rows are the entries of
+    context s one order lower, by their predicted words: ``lower`` holds
+    those keys, by default derived from the table (``lower_order``; at
+    order 2, the base's nonzero words).  Every discounted count of a chain
+    step is positive, so each slice has ``nnz`` nonzeros: the table's
+    entries in its columns.  Every chain step of a level shares its layout.
+    """
+
+    def __init__(self, table: CountTable, lower: Optional[np.ndarray] = None):
+        if lower is None and table.order > 2:
+            lower = lower_order(table)[0]
+        elif lower is None:
+            lower = np.flatnonzero(np.bincount(table.keys[:, 0]))[:, None]
+        heads = run_heads(table.contexts[:, :-1])
+        self.ctx_slice = np.cumsum(heads) - 1
+        self.slices = table.contexts[heads, :-1]
+        self.col_ids = table.contexts[:, -1]
+        self.col_start = np.append(np.flatnonzero(heads), len(heads))
+        self.ctx_col = np.arange(len(heads)) - self.col_start[self.ctx_slice]
+        self.row_ids = lower[:, 0]
+        self.row_start = context_starts(lower)
+        self.rows, self.cols = np.diff(self.row_start), np.diff(self.col_start)
+        self.nnz = np.diff(table.ctx_start[self.col_start])
+
+
 @dataclass(eq=False)
 class LowRankCPT:
     """Discounted low-rank conditional probability table for one chain step.
 
-    Slice s, keyed by interior context ``slices[s]`` (the context without
-    its oldest word), has ``dims[s] = (rows, cols, rank)``: runs of
-    ``row_ids`` (predicted words) and ``col_ids`` (oldest words), and
-    row-major factors L (rows x rank) and R (rank x cols) as runs of ``L``
-    and ``R``.  A lookup is one L-row . R-column product over the powered
-    context sum in ``denominators``, aligned with the level's contexts: the
-    level that owns the table derives them (``PlreLevel``), and a container
-    stores only the slices and factors.
+    Slice s of ``layout`` has ``dims[s] = (rows, cols, rank)``, its rank
+    ``min(rank, max(1, nnz // (rows + cols)))``, so that its factors hold
+    no more floats than it has nonzeros: ``rank`` is only a cap.  Its
+    row-major factors L (rows x rank) and R (rank x cols) are runs of ``L``
+    and ``R``, zero until ``compute_z`` writes them or a load reads them.
+    ``slices``, ``row_ids`` and ``col_ids`` are the layout's.  A lookup is
+    one L-row . R-column product over the powered context sum in
+    ``denominators``, aligned with the level's contexts: the level that
+    owns the table derives them (``PlreLevel``), and a container stores
+    only the factors.
     """
 
     order: int
     rank: int
-    slices: np.ndarray
-    dims: np.ndarray
-    row_ids: np.ndarray
-    col_ids: np.ndarray
-    L: np.ndarray
-    R: np.ndarray
+    layout: SliceLayout
     denominators: Optional[np.ndarray] = None
     reports: List[ConvergenceReport] = field(default_factory=list)
 
     def __post_init__(self):
-        # int64 ids: numpy would convert narrower index arrays on every use.
-        self.row_ids, self.col_ids = self.row_ids.astype(np.int64), self.col_ids.astype(np.int64)
-        k, s = self.order, len(self.slices)
-        if self.dims.shape != (s, 3) or self.slices.shape[1:] != (k - 2,):
-            raise ValueError(f"order {k}: slice keys disagree with slice dims")
-        rows, cols, ranks = self.dims.astype(np.int64).T
-        if np.any(ranks < 1) or np.any(ranks > np.minimum(rows, cols).clip(max=self.rank)):
-            raise ValueError(f"order {k}: slice ranks outside [1, min(rows, cols, rank)]")
-        self.row_start = segments(rows)
-        self.col_start = segments(cols)
-        self.L_start = segments(rows * ranks)
-        self.R_start = segments(ranks * cols)
-        sizes = (self.row_start, self.col_start, self.L_start, self.R_start)
-        arrays = (self.row_ids, self.col_ids, self.L, self.R)
-        if [len(a) for a in arrays] != [offsets[-1] for offsets in sizes]:
-            raise ValueError(f"order {k}: slice arrays disagree with slice dims")
+        if self.rank < 1:
+            raise ValueError(f"order {self.order}: rank must be >= 1, got {self.rank}")
+        lay = self.layout
+        self.slices, self.row_ids, self.col_ids = lay.slices, lay.row_ids, lay.col_ids
+        self.ranks = np.minimum(self.rank, np.maximum(1, lay.nnz // (lay.rows + lay.cols)))
+        self.L_start = segments(lay.rows * self.ranks)
+        self.R_start = segments(self.ranks * lay.cols)
+        self.L, self.R = np.zeros(self.L_start[-1]), np.zeros(self.R_start[-1])
 
-    def link(
-        self, parent: np.ndarray, ctx_parent: np.ndarray, oldest: np.ndarray, vsize: int
-    ) -> None:
-        """Index the slices, whose interiors are the contexts ``parent``
-        one order lower, and give each of the level's contexts (its parent
-        and its oldest word) its slice and column, or slice -1 if none."""
-        _strictly_increasing(parent, f"order {self.order} slice keys")
-        ids = np.arange(len(parent))
-        self.vsize = vsize
-        self.row_code = np.repeat(ids, np.diff(self.row_start)) * vsize + self.row_ids
-        col_code = np.repeat(ids, np.diff(self.col_start)) * vsize + self.col_ids
-        _strictly_increasing(self.row_code, f"order {self.order} slice row ids")
-        _strictly_increasing(col_code, f"order {self.order} slice column ids")
-        s, hit = _find(parent, ctx_parent)
-        pos, col_hit = _find(col_code, s * vsize + oldest)
-        self.ctx_slice = np.where(hit & col_hit, s, -1)
-        self.ctx_col = pos - self.col_start[s]
+    @property
+    def dims(self) -> np.ndarray:
+        """(rows, cols, rank) of each slice."""
+        return np.stack([self.layout.rows, self.layout.cols, self.ranks], axis=1)
 
     def factors(self, s: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(row ids, column ids, L, R) of slice s, as views."""
-        rows, cols, rank = self.dims[s].tolist()
+        lay, rank = self.layout, int(self.ranks[s])
         return (
-            self.row_ids[self.row_start[s] : self.row_start[s + 1]],
-            self.col_ids[self.col_start[s] : self.col_start[s + 1]],
-            self.L[self.L_start[s] : self.L_start[s + 1]].reshape(rows, rank),
-            self.R[self.R_start[s] : self.R_start[s + 1]].reshape(rank, cols),
+            lay.row_ids[lay.row_start[s] : lay.row_start[s + 1]],
+            lay.col_ids[lay.col_start[s] : lay.col_start[s + 1]],
+            self.L[self.L_start[s] : self.L_start[s + 1]].reshape(-1, rank),
+            self.R[self.R_start[s] : self.R_start[s + 1]].reshape(rank, -1),
         )
 
     def values(
         self, ctx: np.ndarray, words: np.ndarray, counter: Optional[OpCounter] = None
     ) -> np.ndarray:
         """Z(w | h) for a batch of the level's contexts ``ctx``; 0 where the
-        slice, its row or its column is absent."""
-        s, j = self.ctx_slice[ctx], self.ctx_col[ctx]
-        # Row codes are nonnegative, so slice -1 finds no row.
+        word is no row of the context's slice.  ``row_code`` (slice * V +
+        row id, set by ``Level.link``) finds the rows."""
+        lay = self.layout
+        s = lay.ctx_slice[ctx]
         pos, hit = _find(self.row_code, s * self.vsize + words)
-        s, j, pos = s[hit], j[hit], pos[hit]
-        rank = self.dims[s, 2].astype(np.int64)
-        cols = self.dims[s, 1].astype(np.int64)
-        left = self.L_start[s] + (pos - self.row_start[s]) * rank
-        right = self.R_start[s] + j
+        s, pos = s[hit], pos[hit]
+        rank, cols = self.ranks[s], lay.cols[s]
+        left = self.L_start[s] + (pos - lay.row_start[s]) * rank
+        right = self.R_start[s] + lay.ctx_col[ctx[hit]]
         # One rank term at a time, in order, like a plain dot product.
         dot = np.zeros(len(s))
         for t in range(int(rank.max(initial=0))):
@@ -222,19 +239,19 @@ def compute_z(
     seed: int = 0,
     threads: int = 1,
     timings: Optional[Dict[str, float]] = None,
+    layout: Optional[SliceLayout] = None,
 ) -> LowRankCPT:
     """Factorize a chain step's discounted powered counts into a LowRankCPT.
 
-    Each interior-context slice (predicted word x oldest context word) is
-    compacted to its nonzero rows/columns and factorized at rank
-    min(rank, max(1, nnz // (rows + cols))), so its factors hold no more
-    floats than it has nonzeros; ``rank`` is only the upper bound.
+    Each slice (``SliceLayout``: predicted word x oldest context word per
+    interior context, derived from ``spec.table`` unless given) is
+    factorized at its rank from the rank rule, at most ``rank``.
     Conditional queries divide by the undiscounted powered context sums, so
     column-sum preservation of the factorization is exactly what keeps each
-    level's terms summing to gamma-complementary mass.  Slices whose entries
-    are all discounted away are skipped (their contexts then contribute only
-    through gamma).  Rank-1 slices take the closed form, all at once; the
-    rest go to the batched solver, one batch per rank, each slice seeded by
+    level's terms summing to gamma-complementary mass.  Every discounted
+    count must be positive and finite, as every PLRE chain step makes it.
+    Rank-1 slices take the closed form, all at once; the rest go to the
+    batched solver, one batch per rank, each slice seeded by
     ``SeedSequence(seed, (order, step, slice))``.  Deterministic for a given
     seed, regardless of thread count.  Seconds are added to
     ``timings["slices"]`` and ``timings["nmf"]``.
@@ -246,41 +263,34 @@ def compute_z(
         raise ValueError("low-rank tables need order >= 2")
     with timed(timings, "slices"):
         v = spec.powered - spec.discount
-        bad = ~(np.isfinite(v) & (v >= -1e-9 * np.maximum(1.0, spec.powered)))
+        bad = ~(np.isfinite(v) & (v > 0.0))
         if bad.any():
             e = int(bad.argmax())
             raise FactorizationError(
-                f"negative or non-finite discounted count {v[e]} at "
+                f"nonpositive or non-finite discounted count {v[e]} at "
                 f"{tuple(table.keys[e].tolist())}: discount bound broken"
             )
-        keys, v = table.keys[v > 0.0], v[v > 0.0]
-        # Table order runs by interior (key[1:-1]), then oldest word (the
-        # slice's column), then predicted word (its row); ``ss``, ``ii``,
-        # ``jj`` and ``vals`` are the support in (slice, row, column) order,
-        # with rows and columns numbered across all slices.
-        slice_heads, col_heads = run_heads(keys[:, 1:-1]), run_heads(keys[:, 1:])
-        slice_of = np.cumsum(slice_heads) - 1
-        perm = np.lexsort((keys[:, 0], slice_of))
-        ss, words, vals = slice_of[perm], keys[perm, 0], v[perm]
-        row_heads = run_heads(np.stack([ss, words], axis=1))
-        ii, jj = np.cumsum(row_heads) - 1, (np.cumsum(col_heads) - 1)[perm]
-        n = int(slice_heads.sum())
-        row_slice, col_slice = ss[row_heads], slice_of[col_heads]
-        rows, cols = np.bincount(row_slice, minlength=n), np.bincount(col_slice, minlength=n)
-        row_start, col_start = segments(rows), segments(cols)
-        row_local, col_local = offsets(rows), offsets(cols)
-        nnz_start = segments(np.bincount(ss, minlength=n))
-
-        # Each slice stores no more factor floats than it has nonzeros:
-        # rank * (rows + cols) <= nnz, at least rank 1, at most ``rank``.
-        # As nnz <= rows * cols, that rank is below min(rows, cols) whenever
-        # the smaller side exceeds 1.
-        ranks = np.minimum(rank, np.maximum(1, np.diff(nnz_start) // (rows + cols)))
+        z = LowRankCPT(k, rank, SliceLayout(table) if layout is None else layout, spec.sums)
+        lay, ranks, L, R = z.layout, z.ranks, z.L, z.R
+        rows, n = lay.rows, len(lay.rows)
+        # The support in (slice, row, column) order, rows and columns
+        # numbered across all slices: an entry's column is its context, and
+        # its row its word's place among its interior's entries one order
+        # lower.  Table order runs by column, then row, so a stable sort by
+        # row keeps each row's columns in order.
+        row_slice = np.repeat(np.arange(n), rows)
+        vsize = int(lay.row_ids.max()) + 1
+        row_of = np.searchsorted(
+            row_slice * vsize + lay.row_ids,
+            lay.ctx_slice[table.ctx_of_entry] * vsize + table.keys[:, 0],
+        )
+        perm = np.argsort(row_of, kind="stable")
+        ii, jj, vals = row_of[perm], table.ctx_of_entry[perm], v[perm]
+        ss, col_slice = row_slice[ii], lay.ctx_slice
+        row_local, col_local = offsets(rows), lay.ctx_col
+        nnz_start = segments(lay.nnz)
         rank1 = ranks == 1
         rank1_ids = np.flatnonzero(rank1)
-        dims = np.stack([rows, cols, ranks], axis=1).tolist()
-        L_start, R_start = segments(rows * ranks), segments(ranks * cols)
-        L, R = np.zeros(L_start[-1]), np.zeros(R_start[-1])
 
         # Rank 1: L = row sums / total and R = column sums, each summed in
         # the order the slice's own row, column and total sums take.
@@ -290,9 +300,9 @@ def compute_z(
         total[rank1] = _run_sums(vals, nnz_start, rank1_ids)
         row_L = row_sums / total[row_slice]
         at = rank1[row_slice]
-        L[L_start[row_slice[at]] + row_local[at]] = row_L[at]
+        L[z.L_start[row_slice[at]] + row_local[at]] = row_L[at]
         at = rank1[col_slice]
-        R[R_start[col_slice[at]] + col_local[at]] = col_sums[at]
+        R[z.R_start[col_slice[at]] + col_local[at]] = col_sums[at]
         if not (np.isfinite(L).all() and np.isfinite(R).all()):
             raise FactorizationError(
                 f"non-finite closed-form factors in order {k}, chain step {j}"
@@ -302,8 +312,8 @@ def compute_z(
         # and column sum deviations, with factor sums taken as L.sum(axis=0)
         # and R.sum(axis=1) take them.
         L_sum, R_sum = np.zeros(n), np.zeros(n)
-        L_sum[rank1] = _run_sums(row_L, row_start, rank1_ids)
-        R_sum[rank1] = _run_sums(col_sums, col_start, rank1_ids)
+        L_sum[rank1] = _run_sums(row_L, lay.row_start, rank1_ids)
+        R_sum[rank1] = _run_sums(col_sums, lay.col_start, rank1_ids)
         row_dev = np.abs(row_L * R_sum[row_slice] - row_sums)
         col_dev = np.abs(L_sum[col_slice] * col_sums - col_sums)
         at = rank1[ss]
@@ -313,8 +323,8 @@ def compute_z(
             x[rank1_ids].tolist()
             for x in (
                 logs - total + L_sum * R_sum,
-                np.maximum.reduceat(row_dev, row_start[:-1]),
-                np.maximum.reduceat(col_dev, col_start[:-1]),
+                np.maximum.reduceat(row_dev, lay.row_start[:-1]),
+                np.maximum.reduceat(col_dev, lay.col_start[:-1]),
             )
         )
         reports: List[Optional[ConvergenceReport]] = [None] * n
@@ -329,8 +339,8 @@ def compute_z(
                 objective_history=[obj],
                 kind="rank1",
             )
-        interiors = keys[slice_heads, 1:-1]
         support = (row_local[ii], col_local[jj], vals)
+        dims = z.dims.tolist()
 
     # The other slices go to the solver in one batch per rank.
     with timed(timings, "nmf"):
@@ -347,27 +357,17 @@ def compute_z(
                 max_iters=max_iters,
                 rel_tol=rel_tol,
                 names=[
-                    f"order {k}, chain step {j}, interior {tuple(interiors[s].tolist())}"
+                    f"order {k}, chain step {j}, interior {tuple(lay.slices[s].tolist())}"
                     for s in batch
                 ],
                 threads=threads,
             )
             for s, (pair, report) in zip(batch, solved):
-                L[L_start[s] : L_start[s + 1]] = pair.L.ravel()
-                R[R_start[s] : R_start[s + 1]] = pair.R.ravel()
+                L[z.L_start[s] : z.L_start[s + 1]] = pair.L.ravel()
+                R[z.R_start[s] : z.R_start[s + 1]] = pair.R.ravel()
                 reports[s] = report
-    return LowRankCPT(
-        k,
-        rank,
-        slices=interiors.astype(np.int32),
-        dims=np.array(dims, dtype=np.int32).reshape(len(dims), 3),
-        row_ids=words[row_heads],
-        col_ids=keys[col_heads, -1],
-        L=L,
-        R=R,
-        denominators=spec.sums,
-        reports=reports,
-    )
+    z.reports = reports
+    return z
 
 
 def derive_dstar(d_gt: float, eta: int) -> float:
@@ -386,31 +386,42 @@ class PlreLevel(Level):
     ``dstar``, with one low-rank table per intermediate power in ``powers``.
 
     Its keys and counts are the order's adjusted table (``plre_levels``).
-    ``top``, ``gammas`` and each low-rank table's ``denominators`` are no
-    arguments: the level derives them from its keys, counts, d* and powers
-    with ``compute_discounts``, one way for a build and a load alike.  A
-    load passes the stored ``z_tables``; a build passes none and a
-    ``factorize`` that makes each one from its chain step."""
+    Everything else is derived, one way for a build and a load alike:
+    ``top``, ``gammas`` and each low-rank table's ``denominators`` from its
+    keys, counts, d* and powers (``compute_discounts``); ``lower``, the
+    adjusted (keys, counts) one order below, from its contexts
+    (``lower_order``; none at order 2, whose base ``PlreModel`` counts);
+    and from those the slices' ``SliceLayout``.  ``factorize(spec,
+    layout)`` makes each chain step's low-rank table, its denominators the
+    step's ``sums``: a build factorizes the step, and a load reads the
+    stored factors.  Seconds are added to ``timings`` (discounts,
+    adjusted_tables, slices)."""
 
     top: np.ndarray = field(init=False)
     gammas: np.ndarray = field(init=False)
+    z_tables: List[LowRankCPT] = field(init=False)
     dstar: float
     powers: Tuple[float, ...]
-    factorize: InitVar[Optional[Callable[[DiscountSpec], LowRankCPT]]] = None
+    factorize: InitVar[Optional[Callable[[DiscountSpec, SliceLayout], LowRankCPT]]] = None
+    timings: InitVar[Optional[Dict[str, float]]] = None
 
-    def __post_init__(self, factorize):
+    def __post_init__(self, factorize, timings):
         self.check_chain(self.order, self.powers, self.dstar)
-        # Level's shape checks hold by construction.
-        CountTable.__init__(self, self.order, self.keys, self.counts)
-        specs = compute_discounts(self, (1.0,) + self.powers + (0.0,), self.dstar)
-        self.top = specs[0].powered - specs[0].discount
-        self.gammas = np.array([spec.gamma for spec in specs])
-        if factorize is not None:
-            self.z_tables = [factorize(spec) for spec in specs[1:]]
-        if len(self.z_tables) != self.eta:
-            raise ValueError(f"order {self.order}: z tables disagree with the power chain")
-        for spec, z in zip(specs[1:], self.z_tables):
-            z.denominators = spec.sums
+        with timed(timings, "discounts"):
+            # Level's shape checks hold by construction.
+            CountTable.__init__(self, self.order, self.keys, self.counts)
+            specs = compute_discounts(self, (1.0,) + self.powers + (0.0,), self.dstar)
+            self.top = specs[0].powered - specs[0].discount
+            self.gammas = np.array([spec.gamma for spec in specs])
+        self.lower = None
+        if self.order > 2:
+            with timed(timings, "adjusted_tables"):
+                self.lower = lower_order(self)
+        self.z_tables = []
+        if self.eta:
+            with timed(timings, "slices"):
+                layout = SliceLayout(self, None if self.lower is None else self.lower[0])
+            self.z_tables = [factorize(spec, layout) for spec in specs[1:]]
 
     @staticmethod
     def check_chain(order: int, powers: Sequence[float], dstar: Optional[float] = None) -> None:
@@ -583,9 +594,7 @@ def build_plre(
                 warnings.append(f"order {k}: {warn}")
             resolved_ranks[k].append(r)
 
-    seconds = {} if timings is None else timings
-
-    def factorize(spec: DiscountSpec) -> LowRankCPT:
+    def factorize(spec: DiscountSpec, layout: SliceLayout) -> LowRankCPT:
         return compute_z(
             spec,
             resolved_ranks[spec.order][spec.level - 1],
@@ -593,7 +602,8 @@ def build_plre(
             rel_tol=nmf_rel_tol,
             seed=seed,
             threads=threads,
-            timings=seconds,
+            timings=timings,
+            layout=layout,
         )
 
     def make_level(k: int, keys: np.ndarray, counts: np.ndarray) -> PlreLevel:
@@ -603,15 +613,11 @@ def build_plre(
             d = derive_dstar(good_turing_discount(n1, n2), len(chain_mid))
         else:
             d = float(dstar)
-        # The level derives its chain once and factorizes each step of it;
-        # "discounts" is the level's time less the factorizations'.
-        factorized = seconds.get("slices", 0.0) + seconds.get("nmf", 0.0)
-        with timed(seconds, "discounts"):
-            level = PlreLevel(k, keys, counts, [], dstar=d, powers=chain_mid, factorize=factorize)
-        seconds["discounts"] -= seconds.get("slices", 0.0) + seconds.get("nmf", 0.0) - factorized
-        return level
+        return PlreLevel(
+            k, keys, counts, dstar=d, powers=chain_mid, factorize=factorize, timings=timings
+        )
 
-    levels = plre_levels(top.keys, top.counts, make_level, seconds)
+    levels = plre_levels(top.keys, top.counts, make_level)
     return PlreModel(vocab, order, levels, seed, warnings)
 
 
@@ -619,19 +625,17 @@ def plre_levels(
     keys: np.ndarray,
     counts: np.ndarray,
     make_level: Callable[[int, np.ndarray, np.ndarray], PlreLevel],
-    timings: Optional[Dict[str, float]] = None,
 ) -> Dict[int, PlreLevel]:
     """Levels n..2 from the top order's raw (keys, counts), for a build and
-    a load alike: ``make_level(k, keys, counts)`` makes each, and the next
-    order's adjusted table is derived from its contexts (``lower_order``;
-    seconds added to ``timings["adjusted_tables"]``).  No order-1 table is
-    derived: ``PlreModel`` counts its base from the order-2 keys."""
+    a load alike: ``make_level(k, keys, counts)`` makes each, and each
+    level derives the next order's adjusted table (``PlreLevel.lower``).
+    No order-1 table is derived: ``PlreModel`` counts its base from the
+    order-2 keys."""
     levels: Dict[int, PlreLevel] = {}
     for k in range(keys.shape[1], 1, -1):
         levels[k] = make_level(k, keys, counts)
         if k > 2:
-            with timed(timings, "adjusted_tables"):
-                keys, counts = lower_order(levels[k])
+            keys, counts = levels[k].lower
     return levels
 
 
@@ -639,21 +643,14 @@ def _factor_index(z: LowRankCPT) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np
     """(rank term, row) of every L entry and (rank term, column) of every R
     entry, as ids over all of z's slices at once: the concatenated factors
     then act as one block-diagonal pair, and a product with every slice is
-    a segment sum (``np.bincount``) over them."""
-    rows, cols, ranks = z.dims.astype(np.int64).T
+    a segment sum (``np.bincount``) over them.  A column is its context."""
+    rows, cols, ranks = z.layout.rows, z.layout.cols, z.ranks
     per_row, per_term = np.repeat(ranks, rows), np.repeat(cols, ranks)
     L_term = np.repeat(np.repeat(segments(ranks)[:-1], rows), per_row) + offsets(per_row)
     L_row = np.repeat(np.arange(len(per_row)), per_row)
     R_term = np.repeat(np.arange(len(per_term)), per_term)
-    R_col = np.repeat(np.repeat(z.col_start[:-1], ranks), per_term) + offsets(per_term)
+    R_col = np.repeat(np.repeat(z.layout.col_start[:-1], ranks), per_term) + offsets(per_term)
     return L_term, L_row, R_term, R_col
-
-
-def _context_columns(z: LowRankCPT) -> Tuple[np.ndarray, np.ndarray]:
-    """The level's contexts that own a slice column, and that column's id
-    over all slices."""
-    ctx = np.flatnonzero(z.ctx_slice >= 0)
-    return ctx, z.col_start[z.ctx_slice[ctx]] + z.ctx_col[ctx]
 
 
 def _order(model: PlreModel, order: Optional[int]) -> int:
@@ -670,7 +667,8 @@ def marginal(model: PlreModel, order: Optional[int] = None) -> np.ndarray:
     The sum is aggregated level by level, at a cost linear in the stored
     model: each level scatters its weighted top numerators onto their
     words, pushes each context's weighted share of every chain step onto
-    its slice column and through the factors of all slices at once, and
+    its slice column (a context is its own column over all slices) and
+    through the factors of all slices at once, and
     hands the remaining weight on to the contexts' parents one order lower;
     the base distribution takes what reaches the empty context.
     """
@@ -685,9 +683,7 @@ def marginal(model: PlreModel, order: Optional[int] = None) -> np.ndarray:
         g = weight * level.gammas[0]
         for j, z in enumerate(level.z_tables):
             L_term, L_row, R_term, R_col = _factor_index(z)
-            ctx, col = _context_columns(z)
-            w = np.zeros(len(z.col_ids))
-            w[col] = g[ctx] / z.denominators[ctx]
+            w = g / z.denominators
             rows = np.bincount(L_row, z.L * np.bincount(R_term, z.R * w[R_col])[L_term])
             acc += np.bincount(z.row_ids, weights=rows, minlength=vsize)
             g = g * level.gammas[j + 1]
@@ -719,8 +715,8 @@ def normalization_observed(model: LevelModel) -> float:
     for any level model: PLRE or a classical smoother (no chain steps).
 
     A context's sum is its top numerators over its total, plus per chain
-    step its gamma prefix times its slice column's factor mass
-    (1^T L R[:, col]) over the denominator, plus its hand-off times its
+    step its gamma prefix times its own slice column's factor mass
+    (1^T L R[:, h]) over the denominator, plus its hand-off times its
     parent's sum; the empty context sums the base distribution.
     """
     sums = np.array([model.base.sum()])
@@ -732,8 +728,7 @@ def normalization_observed(model: LevelModel) -> float:
         for j, z in enumerate(level.z_tables):
             L_term, _, R_term, R_col = _factor_index(z)
             mass = np.bincount(R_col, z.R * np.bincount(L_term, z.L)[R_term])
-            ctx, col = _context_columns(z)
-            s[ctx] += g[ctx] * mass[col] / z.denominators[ctx]
+            s += g * mass / z.denominators
             g = g * level.gammas[j + 1]
         sums = s + g * sums[level.parent]
         worst.append(np.max(np.abs(sums - 1.0)))

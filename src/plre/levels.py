@@ -6,22 +6,24 @@ KenLM, Heafield, WMT 2011): keys sorted by context, then word, carrying
 the sparse term's numerators ``top``, one row of hand-off weights per chain
 step in ``gammas`` and, for PLRE, one low-rank table per intermediate step.
 Interpolated Kneser-Ney and the other classical smoothers are levels with
-one gamma row and no low-rank tables.  One vectorized walk,
-``LevelModel.walk``, answers every query of every model from its state,
-the deepest context of the query a level holds.
+one gamma row and no low-rank tables.  Sorted contexts keep equal
+interiors (a context less its oldest word) in runs, and those interiors
+are the contexts one order lower, so each level links to the next by
+position, with no search.  One vectorized walk, ``LevelModel.walk``,
+answers every query of every model from its state, the deepest context of
+the query a level holds.
 """
 
 from __future__ import annotations
 
-import functools
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .corpus import CountTable, Vocabulary
+from .corpus import CountTable, Vocabulary, run_heads
 
 
 class OpCounter:
@@ -88,7 +90,7 @@ class Level(CountTable):
     ``gammas`` rows (one per chain step, the last one the hand-off to the
     order below) and each low-rank table's ``denominators`` are aligned
     with its contexts.  A context is coded as its ``parent``'s index one
-    order lower times V plus its oldest word.
+    order lower times V plus its oldest word (``link``).
     """
 
     order: int
@@ -104,17 +106,27 @@ class Level(CountTable):
         if self.top.shape != self.counts.shape or self.gammas.shape != rows:
             raise ValueError(f"order {self.order}: top/gammas disagree with keys")
 
-    def link(self, parents: Callable[[np.ndarray], np.ndarray], vsize: int) -> None:
-        """Index this level by ``parents``, which gives the rows one order
-        lower of its contexts' and its slices' interiors."""
+    def link(self, lower: Optional["Level"], vsize: int) -> None:
+        """Index this level for the walk.  A context's parent, its row one
+        order lower, is its interior (the context less its oldest word):
+        sorted contexts keep equal interiors in runs, so the parent is the
+        run's index, and the runs' interiors must be ``lower``'s contexts
+        (at order 2 the one interior is the empty context, and ``lower`` is
+        None).  A low-rank table's slices are those interiors too, and the
+        rows of slice s the entries of ``lower``'s context s (the base's
+        words at order 2)."""
+        heads = run_heads(self.contexts[:, :-1])
+        self.parent = np.cumsum(heads) - 1
+        if lower is not None and not np.array_equal(self.contexts[heads, :-1], lower.contexts):
+            raise ValueError(f"order {self.order}: a context has no lower-order parent")
         self.vsize = vsize
-        self.parent = parents(self.contexts[:, :-1])
         self.ctx_code = self.parent * vsize + self.contexts[:, -1]
         _strictly_increasing(self.ctx_code, f"order {self.order} contexts")
         self.entry_code = self.ctx_of_entry * vsize + self.keys[:, 0]
         _strictly_increasing(self.entry_code, f"order {self.order} keys")
         for z in self.z_tables:
-            z.link(parents(z.slices), self.parent, self.contexts[:, -1], vsize)
+            z.vsize = vsize
+            z.row_code = z.row_ids if lower is None else lower.entry_code
 
     def terms(
         self, ctx: np.ndarray, words: np.ndarray, counter: Optional[OpCounter] = None
@@ -146,17 +158,7 @@ class LevelModel:
         self.base_counts = np.asarray(base_counts, dtype=np.int64)
         self.base = make_base_distribution(self.base_counts)
         for k in range(2, order + 1):
-            levels[k].link(functools.partial(self._parents, k), len(vocab))
-
-    def _parents(self, k: int, interiors: np.ndarray) -> np.ndarray:
-        """The rows one order below k of contexts the levels there hold."""
-        rows = np.zeros(len(interiors), dtype=np.int64)
-        for j in range(2, k):
-            level = self.levels[j]
-            rows, hit = _find(level.ctx_code, rows * level.vsize + interiors[:, j - 2])
-            if not hit.all():
-                raise ValueError(f"order {k}: a context has no lower-order parent")
-        return rows
+            levels[k].link(levels.get(k - 1), len(vocab))
 
     def count_arrays(self) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
         """(keys, counts) of every order 1..n, sorted by context then word:

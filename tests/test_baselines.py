@@ -11,6 +11,7 @@ from plre.baselines import (
     mkn_discounts,
 )
 from plre.corpus import (
+    CountTable,
     Vocabulary,
     adjusted_tables,
     build_vocabulary,
@@ -267,6 +268,19 @@ class TestModelAssembly:
         _, vocab, enc = toy_corpus
         with pytest.raises(ValueError):
             NgramLM.build(vocab, count_all_orders(enc, 2), "katz")
+
+    def test_lower_order_lacking_an_interior_of_the_order_above_is_rejected(self, toy_corpus):
+        # a context's parent is its interior's row one order lower, which the
+        # sorted interiors give by position: every interior must be there
+        _, vocab, enc = toy_corpus
+        tables = count_all_orders(enc, 3)
+        lower = tables[2]
+        keep = np.ones(len(lower.keys), dtype=bool)
+        keep[lower.ctx_start[1] : lower.ctx_start[2]] = False
+        tables[2] = CountTable(2, lower.keys[keep], lower.counts[keep])
+        discounts = {k: DiscountParams.single(0.5) for k in (2, 3)}
+        with pytest.raises(ValueError, match="order 3: a context has no lower-order parent"):
+            NgramLM(vocab, 3, "abs", tables, discounts)
 
     def test_state_codes_past_int64_are_rejected(self, toy_corpus):
         # a (state, word) query code is below (contexts + 1) * V

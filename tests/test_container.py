@@ -57,15 +57,10 @@ def _join(blob, header, sections, rehash):
     return blob[:8] + struct.pack("<Q", len(hjson)) + hjson + body
 
 
-def _first_float(header, name, payload):
-    """Byte offset of the first f64 in a section, None if it holds none."""
-    kind, *rest = name.split(".")
-    if kind == "z":
-        k, s = int(rest[0]), header["slices"][".".join(rest)]
-        dims = np.frombuffer(bytes(payload), "<i4", count=3 * s, offset=4 * s * (k - 2))
-        dims = dims.reshape(s, 3)
-        return 4 * (s * (k - 2) + 3 * s + int(dims[:, 0].sum()) + int(dims[:, 1].sum()))
-    return None
+def _first_float(name):
+    """Byte offset of the first f64 in a section, None if it holds none: a
+    ``z.k.j`` section is its factors alone."""
+    return 0 if name.startswith("z.") else None
 
 
 def _sample_queries(vocab_size, rng, n=300, max_ctx=2):
@@ -218,6 +213,16 @@ class TestCorruption:
         blob[4:8] = struct.pack("<I", 4)
         saved.write_bytes(bytes(blob))
         with pytest.raises(ContainerError, match="unsupported container version 4"):
+            load_model(str(saved))
+        assert main(["verify", "--model", str(saved)]) == 6
+
+    def test_version_5_file_exits_6(self, saved, capsys):
+        # format 5 also stored each slice's interior, dims, row ids and
+        # column ids in z.k.j, and a header map of slice counts
+        blob = bytearray(saved.read_bytes())
+        blob[4:8] = struct.pack("<I", 5)
+        saved.write_bytes(bytes(blob))
+        with pytest.raises(ContainerError, match="unsupported container version 5"):
             load_model(str(saved))
         assert main(["verify", "--model", str(saved)]) == 6
 
@@ -416,7 +421,7 @@ class TestSectionChecks:
     def test_negative_factor_exits_6(self, blob, rehash, tmp_path, capsys):
         header, sections = _split(blob)
         name, payload = next(sec for sec in sections if sec[0] == "z.3.1")
-        at = _first_float(header, name, payload)
+        at = _first_float(name)
         payload[at : at + 8] = struct.pack("<d", -1.0)
         edited = _join(blob, header, sections, rehash)
         with pytest.raises(ContainerError, match="negative" if rehash else "hash"):
@@ -431,18 +436,85 @@ class TestSectionChecks:
         assert len(header["sections"]) == 4
         for i, name in enumerate(header["sections"]):
             edits = ["truncate"]
-            if _first_float(header, name, _split(blob)[1][i][1]) is not None:
+            if _first_float(name) is not None:
                 edits.append("nan")
             for edit in edits:
                 header, sections = _split(blob)
                 payload = sections[i][1]
                 if edit == "nan":
-                    at = _first_float(header, name, payload)
+                    at = _first_float(name)
                     payload[at : at + 8] = struct.pack("<d", float("nan"))
                 else:
                     del payload[-1]
                 code = self._verify(tmp_path, _join(blob, header, sections, rehash=True))
                 assert code in (6, 7), (name, edit, code)
+
+
+class TestFactorSections:
+    # A z.k.j section is every slice's L, then every slice's R, sized by
+    # the layout its level derives: a section one float longer or shorter
+    # is corrupt, and an edited factor fails verification.
+    @pytest.mark.parametrize("edit", ["add", "remove"])
+    def test_rehashed_float_added_or_removed_exits_6(self, toy_plre3, edit, tmp_path, capsys):
+        path = tmp_path / "m.plre"
+        save_model(toy_plre3, str(path))
+        blob = path.read_bytes()
+        names = [name for name in _split(blob)[0]["sections"] if name.startswith("z.")]
+        assert names == ["z.3.1", "z.2.1"]
+        for name in names:
+            header, sections = _split(blob)
+            payload = dict(sections)[name]
+            if edit == "add":
+                payload += struct.pack("<d", 0.5)
+            else:
+                del payload[-8:]
+            path.write_bytes(_join(blob, header, sections, rehash=True))
+            with pytest.raises(ContainerError, match=f"section {name}: (trailing|truncated)"):
+                load_model(str(path))
+            assert main(["verify", "--model", str(path)]) == 6
+
+    @pytest.mark.parametrize("rank", [0, -1])
+    def test_rehashed_rank_below_one_exits_6(self, toy_plre3, rank, tmp_path, capsys):
+        # the header's rank caps size the factors, so they are checked too
+        path = tmp_path / "m.plre"
+        save_model(toy_plre3, str(path))
+        blob = path.read_bytes()
+        header, sections = _split(blob)
+        header["ranks"]["3"] = [rank]
+        path.write_bytes(_join(blob, header, sections, rehash=True))
+        with pytest.raises(ContainerError, match=f"order 3: rank must be >= 1, got {rank}"):
+            load_model(str(path))
+        assert main(["verify", "--model", str(path)]) == 6
+
+    @pytest.mark.parametrize(
+        "model,name,kind",
+        [
+            ("toy_plre3", "z.3.1", "rank1"),
+            ("toy_plre3", "z.2.1", "iterative"),
+            ("toy_plre3_rank1", "z.3.1", "rank1"),
+            ("toy_plre3_rank1", "z.2.1", "rank1"),
+        ],
+    )
+    def test_rehashed_last_factor_edit_exits_7(
+        self, model, name, kind, request, tmp_path, capsys
+    ):
+        # the last float is the last slice's last R entry, one column's mass
+        model = request.getfixturevalue(model)
+        k, j = map(int, name.split(".")[1:])
+        assert model.levels[k].z_tables[j - 1].reports[-1].kind == kind
+        path = tmp_path / "m.plre"
+        save_model(model, str(path))
+        blob = path.read_bytes()
+        header, sections = _split(blob)
+        payload = dict(sections)[name]
+        (last,) = struct.unpack("<d", payload[-8:])
+        payload[-8:] = struct.pack("<d", 1.5 * last)
+        path.write_bytes(_join(blob, header, sections, rehash=True))
+        load_model(str(path))
+        capsys.readouterr()
+        assert main(["verify", "--model", str(path), "--json"]) == 7
+        checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert not checks["normalization_observed"]["passed"]
 
 
 class TestPlreLayout:
@@ -454,20 +526,35 @@ class TestPlreLayout:
             (4, {2: (0.6, 0.3), 3: (0.6, 0.3), 4: ()}),
         ],
     )
-    def test_sections_are_counts_and_factors_per_level(self, toy_corpus, tmp_path, order, powers):
+    @pytest.mark.parametrize("rank", [1, 3])
+    def test_sections_are_counts_and_factors_per_level(
+        self, toy_corpus, tmp_path, order, powers, rank
+    ):
+        # a slice is its interior, so a z.k.j section is every slice's L,
+        # then every slice's R, and the header lists no slices
         _, vocab, enc = toy_corpus
-        ranks = {k: (1,) * len(chain) for k, chain in powers.items()}
+        ranks = {k: (rank,) * len(chain) for k, chain in powers.items()}
         model = build_plre(count_ngrams(enc, order), vocab, powers=powers, ranks=ranks, seed=0)
         p1, p2 = tmp_path / "a.plre", tmp_path / "b.plre"
         save_model(model, str(p1))
         want = ["vocab", f"counts.{order}"]
         for k in range(order, 1, -1):
             want += [f"z.{k}.{j}" for j in range(1, len(powers[k]) + 1)]
-        header = _read_header(str(p1))
+        header, sections = _split(p1.read_bytes())
         assert header["sections"] == want
         assert header["entries"] == {str(order): len(model.levels[order].keys)}
         assert set(header["sha256"]) == set(want) | {"header"}
-        save_model(load_model(str(p1)), str(p2))
+        assert "slices" not in header
+        for name, payload in sections[2:]:
+            k, j = map(int, name.split(".")[1:])
+            z = model.levels[k].z_tables[j - 1]
+            assert bytes(payload) == z.L.astype("<f8").tobytes() + z.R.astype("<f8").tobytes()
+        loaded = load_model(str(p1))
+        for k, level in loaded.levels.items():
+            for z, built in zip(level.z_tables, model.levels[k].z_tables):
+                for field in ("slices", "dims", "row_ids", "col_ids"):
+                    assert np.array_equal(getattr(z, field), getattr(built, field)), (k, field)
+        save_model(loaded, str(p2))
         assert p1.read_bytes() == p2.read_bytes()
 
     @pytest.mark.parametrize("model", ["toy_plre3", "toy_plre3_rank1", "toy_plre3_eta0"])
@@ -765,11 +852,17 @@ def test_readme_section_tables_list_what_save_model_writes(toy_corpus, tmp_path)
     )
     path = tmp_path / "m.plre"
     save_model(model, str(path))
+    header, sections = _split(path.read_bytes())
     names = [
         re.sub(r"^z\.\d+\.\d+$", "z.k.j", re.sub(r"^counts\.\d+$", "counts.n", name))
-        for name in _read_header(str(path))["sections"]
+        for name in header["sections"]
     ]
     assert list(dict.fromkeys(names)) == plre_table
+    # z.k.j holds the factors alone: every slice's L, then every slice's R
+    for name, payload in sections[2:]:
+        k, j = map(int, name.split(".")[1:])
+        z = model.levels[k].z_tables[j - 1]
+        assert len(payload) == 8 * (len(z.L) + len(z.R)), name
     for order in (1, 3):
         save_model(NgramLM.build(vocab, {order: count_ngrams(enc, order)}, "kn"), str(path))
         header = _read_header(str(path))

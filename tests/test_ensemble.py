@@ -29,7 +29,7 @@ from plre.ensemble import (
     power_counts,
     verify_marginal,
 )
-from plre.errors import ConfigError
+from plre.errors import ConfigError, FactorizationError
 
 from conftest import ZReader, count_table, dense_marginal, dict_plre_levels, looped_error_bound
 
@@ -194,14 +194,15 @@ class TestComputeZ:
             for h in list(table.context_totals)[:25]:
                 assert z.cond(w, h) == pytest.approx(c / table.total, abs=1e-12)
 
-    def test_fully_discounted_slice_is_skipped(self):
-        # with d* = 1 and target power 0, singleton entries vanish; a
-        # context made only of singletons then contributes nothing here
+    def test_nonpositive_discounted_count_is_rejected(self):
+        # with d* = 1 and target power 0, singleton entries are discounted
+        # to zero, which no PLRE chain does (its d* < 1): every slice is an
+        # interior whose entries all stay positive, so compute_z refuses it
         table = count_table(2, {(5, 3): 1, (6, 3): 1, (5, 4): 3})
         [spec] = compute_discounts(table, (1.0, 0.0), 1.0)
-        z = ZReader(compute_z(spec, rank=2), list(table.context_totals))
-        assert z.cond(5, (3,)) == 0.0
-        assert z.cond(5, (4,)) > 0.0
+        message = r"nonpositive or non-finite discounted count 0.0 at \(5, 3\)"
+        with pytest.raises(FactorizationError, match=message):
+            compute_z(spec, rank=2)
 
     def test_unknown_word_or_context_is_zero(self, toy_corpus):
         _, vocab, enc = toy_corpus
