@@ -218,7 +218,7 @@ def _level_summary(order: int, step: int, reports) -> dict:
 
 def _emit(args: argparse.Namespace, report: dict, text_lines: List[str]) -> None:
     if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(json.dumps(report, sort_keys=True))
     else:
         for line in text_lines:
             print(line)

@@ -183,6 +183,15 @@ class CountTable:
         return int(self.counts.sum())
 
     @functools.cached_property
+    def interior_runs(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(CSR offsets of the runs of equal interiors among the contexts,
+        each context's run index).  A context's interior is the context less
+        its oldest word; sorted contexts keep equal interiors in runs, in
+        order, so a run's index is its interior's row one order lower."""
+        heads = run_heads(self.contexts[:, :-1])
+        return np.append(np.flatnonzero(heads), len(heads)), np.cumsum(heads) - 1
+
+    @functools.cached_property
     def distinct_counts(self) -> Tuple[np.ndarray, np.ndarray]:
         """(the distinct counts, each entry's index among them): the run
         heads of the sorted counts, then one search per entry.  Unlike
@@ -250,9 +259,9 @@ def lower_order(table: CountTable, summed: bool = False) -> Tuple[np.ndarray, np
     A key less its oldest word is its context's interior and its word, and
     sorted contexts keep equal interiors together and in order, so one
     int64 sort of ``interior index * V + word`` sorts by context, then word."""
-    heads = run_heads(table.contexts[:, :-1])
+    runs, ctx_interior = table.interior_runs
     vsize = int(table.keys[:, 0].max()) + 1
-    codes = (np.cumsum(heads) - 1)[table.ctx_of_entry] * vsize + table.keys[:, 0]
+    codes = ctx_interior[table.ctx_of_entry] * vsize + table.keys[:, 0]
     if summed:
         perm = np.argsort(codes)
         codes, weights = codes[perm], table.counts[perm]
@@ -261,7 +270,7 @@ def lower_order(table: CountTable, summed: bool = False) -> Tuple[np.ndarray, np
     starts = _runs(codes[:, None])
     counts = np.add.reduceat(weights, starts[:-1]) if summed else np.diff(starts)
     interior, words = np.divmod(codes[starts[:-1]], vsize)
-    return np.column_stack([words, table.contexts[heads, :-1][interior]]), counts
+    return np.column_stack([words, table.contexts[runs[:-1], :-1][interior]]), counts
 
 
 def _lower_tables(top: CountTable, summed: bool) -> Dict[int, CountTable]:

@@ -47,14 +47,13 @@ from .corpus import (
     context_starts,
     lower_order,
     offsets,
-    run_heads,
     segments,
 )
 from .corpus import adjusted_tables  # noqa: F401  (not called here; bench/run.py traces it)
 from .errors import ConfigError, FactorizationError
 from .factorization import ConvergenceReport, SparseMatrix, nmf_gkl_many
 from .factorization import nmf_gkl  # noqa: F401  (not called here; bench/run.py traces it)
-from .levels import Level, LevelModel, OpCounter, _find, timed
+from .levels import Level, LevelModel, OpCounter, timed
 
 
 def power_counts(table: CountTable, power: float) -> np.ndarray:
@@ -134,12 +133,10 @@ class SliceLayout:
             lower = lower_order(table)[0]
         elif lower is None:
             lower = np.flatnonzero(np.bincount(table.keys[:, 0]))[:, None]
-        heads = run_heads(table.contexts[:, :-1])
-        self.ctx_slice = np.cumsum(heads) - 1
-        self.slices = table.contexts[heads, :-1]
+        self.col_start, self.ctx_slice = table.interior_runs
+        self.slices = table.contexts[self.col_start[:-1], :-1]
         self.col_ids = table.contexts[:, -1]
-        self.col_start = np.append(np.flatnonzero(heads), len(heads))
-        self.ctx_col = np.arange(len(heads)) - self.col_start[self.ctx_slice]
+        self.ctx_col = np.arange(len(self.ctx_slice)) - self.col_start[self.ctx_slice]
         self.row_ids = lower[:, 0]
         self.row_start = context_starts(lower)
         self.rows, self.cols = np.diff(self.row_start), np.diff(self.col_start)
@@ -159,7 +156,8 @@ class LowRankCPT:
     one L-row . R-column product over the powered context sum in
     ``denominators``, aligned with the level's contexts: the level that
     owns the table derives them (``PlreLevel``), and a container stores
-    only the factors.
+    only the factors.  A lookup runs no search: its row is where the walk
+    found (parent context, word) among the entries one order lower.
     """
 
     order: int
@@ -194,25 +192,31 @@ class LowRankCPT:
         )
 
     def values(
-        self, ctx: np.ndarray, words: np.ndarray, counter: Optional[OpCounter] = None
+        self,
+        ctx: np.ndarray,
+        pos: np.ndarray,
+        hit: np.ndarray,
+        counter: Optional[OpCounter] = None,
     ) -> np.ndarray:
         """Z(w | h) for a batch of the level's contexts ``ctx``; 0 where the
-        word is no row of the context's slice.  ``row_code`` (slice * V +
-        row id, set by ``Level.link``) finds the rows."""
+        word is no row of the context's slice.  The rows of slice s are the
+        entries of context s one order lower (the base's words at order 2),
+        so the walk's search there gives each query's row: ``pos`` is its
+        place among them all and ``hit`` whether it is one."""
         lay = self.layout
+        ctx, pos = ctx[hit], pos[hit]
         s = lay.ctx_slice[ctx]
-        pos, hit = _find(self.row_code, s * self.vsize + words)
-        s, pos = s[hit], pos[hit]
         rank, cols = self.ranks[s], lay.cols[s]
         left = self.L_start[s] + (pos - lay.row_start[s]) * rank
-        right = self.R_start[s] + lay.ctx_col[ctx[hit]]
-        # One rank term at a time, in order, like a plain dot product.
-        dot = np.zeros(len(s))
-        for t in range(int(rank.max(initial=0))):
+        right = self.R_start[s] + lay.ctx_col[ctx]
+        # One rank term at a time, in order, like a plain dot product; every
+        # slice has the first.
+        dot = self.L[left] * self.R[right]
+        for t in range(1, int(rank.max(initial=0))):
             live = rank > t
             dot[live] += self.L[left[live] + t] * self.R[right[live] + t * cols[live]]
-        out = np.zeros(len(words))
-        out[hit] = dot / self.denominators[ctx[hit]]
+        out = np.zeros(len(hit))
+        out[hit] = dot / self.denominators[ctx]
         if counter is not None:
             counter.muladds += int(rank.sum())
         return out

@@ -11,7 +11,10 @@ interiors (a context less its oldest word) in runs, and those interiors
 are the contexts one order lower, so each level links to the next by
 position, with no search.  One vectorized walk, ``LevelModel.walk``,
 answers every query of every model from its state, the deepest context of
-the query a level holds.
+the query a level holds.  It searches each level's entries once per batch:
+a low-rank table's slice s is context s one order lower, and its rows are
+that context's entries, so the search the walk runs there for its next
+step finds the table's rows too.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .corpus import CountTable, Vocabulary, run_heads
+from .corpus import CountTable, Vocabulary
 
 
 class OpCounter:
@@ -115,29 +118,33 @@ class Level(CountTable):
         None).  A low-rank table's slices are those interiors too, and the
         rows of slice s the entries of ``lower``'s context s (the base's
         words at order 2)."""
-        heads = run_heads(self.contexts[:, :-1])
-        self.parent = np.cumsum(heads) - 1
-        if lower is not None and not np.array_equal(self.contexts[heads, :-1], lower.contexts):
+        runs, self.parent = self.interior_runs
+        if lower is not None and not np.array_equal(self.contexts[runs[:-1], :-1], lower.contexts):
             raise ValueError(f"order {self.order}: a context has no lower-order parent")
         self.vsize = vsize
         self.ctx_code = self.parent * vsize + self.contexts[:, -1]
         _strictly_increasing(self.ctx_code, f"order {self.order} contexts")
         self.entry_code = self.ctx_of_entry * vsize + self.keys[:, 0]
         _strictly_increasing(self.entry_code, f"order {self.order} keys")
-        for z in self.z_tables:
-            z.vsize = vsize
-            z.row_code = z.row_ids if lower is None else lower.entry_code
 
     def terms(
-        self, ctx: np.ndarray, words: np.ndarray, counter: Optional[OpCounter] = None
+        self,
+        ctx: np.ndarray,
+        found: Tuple[np.ndarray, np.ndarray],
+        rows: Optional[Tuple[np.ndarray, np.ndarray]],
+        counter: Optional[OpCounter] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """(level value, gamma hand-off) for a batch of words after the
-        level's contexts ``ctx``."""
-        pos, hit = _find(self.entry_code, ctx * self.vsize + words)
+        """(level value, gamma hand-off) for a batch of queries after the
+        level's contexts ``ctx``.  ``found`` is (position, hit) of each
+        query's (context, word) code among ``entry_code``; ``rows`` is the
+        same for the low-rank tables' rows, the (parent, word) code among
+        the entries one order lower (the word among the base's at order
+        2), and may be None for a level without low-rank tables."""
+        pos, hit = found
         value = np.where(hit, self.top[pos], 0.0) / self.totals[ctx]
         g = self.gammas[0, ctx]
         for j, z in enumerate(self.z_tables):
-            value += g * z.values(ctx, words, counter)
+            value += g * z.values(ctx, *rows, counter)
             g = g * self.gammas[j + 1, ctx]
         return value, g
 
@@ -172,7 +179,10 @@ class LevelModel:
         """The state of each row of ``contexts`` (most recent word first,
         truncated to order-1): the id of its deepest context a level holds.
         A shorter context adds nothing to P(w | h) and hands off with
-        multiplier 1, so P depends on h only through its state."""
+        multiplier 1, so P depends on h only through its state.  Each level
+        is searched once, for the rows whose context the level below held,
+        in the order of their codes (a search on sorted keys stays in
+        cache), and the rows found are put back in place."""
         contexts = np.asarray(contexts, dtype=np.int64)[:, : self.order - 1]
         state = np.zeros(len(contexts), dtype=np.int64)
         # Level k searches only the rows ``at`` whose context level k-1
@@ -181,7 +191,10 @@ class LevelModel:
         at, row = every, 0
         for k in range(2, contexts.shape[1] + 2):
             level, oldest = self.levels[k], contexts[at, k - 2]
-            row, hit = _find(level.ctx_code, row * level.vsize + oldest)
+            codes = row * level.vsize + oldest
+            by_code = np.argsort(codes)
+            row, hit = np.empty_like(codes), np.empty(len(codes), dtype=bool)
+            row[by_code], hit[by_code] = _find(level.ctx_code, codes[by_code])
             hit &= (oldest >= 0) & (oldest < level.vsize)
             if not hit.all():
                 at, row = (np.flatnonzero(hit) if at is every else at[hit]), row[hit]
@@ -197,19 +210,49 @@ class LevelModel:
         """P(w | state) for a batch: each level from the state's order down
         adds its value weighted by the hand-offs above it and hands on to
         the parent context; the base distribution takes what is left.
-        Low-rank multiply-adds are added to ``counter``."""
+        Low-rank multiply-adds are added to ``counter``.
+
+        Unless it already is, the batch is sorted by state (stably), so
+        the queries a level answers are a suffix of it: those of its order
+        or deeper, at their own contexts or their contexts' ancestors.
+        Each level's entries are searched once, for that suffix.  The
+        search serves the level's sparse term and the low-rank tables one
+        order up, whose slice s is this level's context s and whose rows
+        are that context's entries; the order-2 tables' rows, the base's
+        words, take one more search.  Answers come back in input order."""
+        states = np.asarray(states, dtype=np.int64)
         words = np.asarray(words, dtype=np.int64)
-        states = np.array(states, dtype=np.int64)  # stepped down in place
+        by_state = None
+        if np.any(states[1:] < states[:-1]):
+            by_state = np.argsort(states, kind="stable")
+            states, words = states[by_state], words[by_state]
+        n, start, vsize = self.order, self.state_start, len(self.vocab)
+        # lo[k - 1] is the first query of order k or deeper.  Level k's
+        # contexts are its own queries', then the parents of those of
+        # level k + 1, in suffix order.
+        lo = np.searchsorted(states, start[:n]).tolist()
+        ctx = {n: states[lo[n - 1] :] - start[n - 1]}
+        for k in range(n, 2, -1):
+            own = states[lo[k - 2] : lo[k - 1]] - start[k - 2]
+            ctx[k - 1] = np.concatenate((own, self.levels[k].parent[ctx[k]]))
+        found = {
+            k: _find(self.levels[k].entry_code, c * vsize + words[lo[k - 1] :])
+            for k, c in ctx.items()
+        }
+        if self.levels[2].z_tables:  # their rows are the base's words
+            found[1] = _find(self.levels[2].z_tables[0].layout.row_ids, words)
         acc = np.zeros(len(words))
         mult = np.ones(len(words))
-        for k in range(self.order, 1, -1):
-            ok = states >= self.state_start[k - 1]
-            ctx = states[ok] - self.state_start[k - 1]
-            value, g = self.levels[k].terms(ctx, words[ok], counter)
-            acc[ok] += mult[ok] * value
-            mult[ok] *= g
-            states[ok] = self.state_start[k - 2] + self.levels[k].parent[ctx]
-        return acc + mult * self.base[words]
+        for k in range(n, 1, -1):
+            level, at = self.levels[k], lo[k - 1]
+            rows = tuple(a[at - lo[k - 2] :] for a in found[k - 1]) if level.z_tables else None
+            value, g = level.terms(ctx[k], found[k], rows, counter)
+            acc[at:] += mult[at:] * value
+            mult[at:] *= g
+        out = acc + mult * self.base[words]
+        if by_state is not None:
+            out[by_state] = out.copy()
+        return out
 
     def score(self, words, contexts, counter: Optional[OpCounter] = None) -> np.ndarray:
         """P(w | h) for a batch: ``words`` (n,) and ``contexts`` (n x c,

@@ -1,13 +1,17 @@
 """End-to-end command-line behavior: exit codes, JSON contracts, files."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import plre
 from plre import cli
 from plre.baselines import NgramLM
 from plre.cli import _normalization_sweep, main, run_checks
@@ -757,3 +761,31 @@ class TestExitCodes:
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         assert capsys.readouterr().out.startswith("plre ")
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_commands_in_their_own_process_end_with_one_strict_json_line(tmp_path, toy_corpus):
+    # The entry point as a user runs it: nothing on stderr, and the last
+    # line of stdout is the whole report, with no NaN or Infinity in it.
+    sentences = toy_corpus[0]
+    train, test, model = tmp_path / "train.txt", tmp_path / "test.txt", tmp_path / "toy.plre"
+    write_corpus(str(train), sentences[:200])
+    write_corpus(str(test), sentences[200:])
+    src = str(Path(plre.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for args in (
+        ["train", "--corpus", str(train), "--model", str(model), "--smoother", "plre", "--order", "3"],
+        ["eval", "--model", str(model), "--corpus", str(test)],
+        ["verify", "--model", str(model)],
+    ):
+        done = subprocess.run(
+            [sys.executable, "-m", "plre.cli", *args, "--json"],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
+        report = json.loads(done.stdout.splitlines()[-1], parse_constant=_no_constant)
+        assert report["command"] == args[0]

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from plre import evaluation
+from plre import ensemble, evaluation, levels
 from plre.baselines import NgramLM
 from plre.corpus import Vocabulary, build_vocabulary, count_all_orders, count_ngrams
 from plre.ensemble import build_plre
@@ -327,6 +327,95 @@ class TestStates:
                 want[len(_deepest(model, h))] += 1
         assert report.context_orders == want
         assert sum(report.context_orders) == report.tokens
+
+
+WALK_MODELS = ("plre-rank1", "plre-rank3", "kn")
+
+
+@pytest.fixture(scope="module")
+def walk_models(toy_corpus):
+    """PLRE at rank 1 or 3 with two powers at every order, and kn, at
+    orders 2-4 on the toy corpus, built on first use."""
+    _, vocab, encoded = toy_corpus
+    built = {}
+
+    def get(kind, order):
+        if (kind, order) not in built:
+            top = count_ngrams(encoded, order)
+            if kind == "kn":
+                built[kind, order] = NgramLM.build(vocab, {order: top}, "kn")
+            else:
+                rank = int(kind[-1])
+                built[kind, order] = build_plre(
+                    top,
+                    vocab,
+                    powers={k: (0.6, 0.3) for k in range(2, order + 1)},
+                    ranks={k: (rank, rank) for k in range(2, order + 1)},
+                    seed=0,
+                )
+        return built[kind, order]
+
+    return get
+
+
+def _every_order_batch(model, rng):
+    """A shuffled (states, words) batch with states of every order, each
+    several times: observed entries (sparse and low-rank hits), the same
+    states with random words, the empty context, and repeated queries."""
+    states, words = [np.zeros(6, dtype=np.int64)], [rng.integers(0, len(model.vocab), 6)]
+    for k in range(2, model.order + 1):
+        level = model.levels[k]
+        entries = rng.integers(0, len(level.keys), 12)
+        ctx = np.repeat(level.ctx_of_entry[entries], 2)
+        states.append(model.state_start[k - 1] + ctx)
+        words.append(np.stack([level.keys[entries, 0], rng.integers(0, len(model.vocab), 12)], 1).ravel())
+    states, words = np.concatenate(states), np.concatenate(words)
+    again = rng.integers(0, len(states), 10)
+    states, words = np.append(states, states[again]), np.append(words, words[again])
+    shuffle = rng.permutation(len(states))
+    return states[shuffle], words[shuffle]
+
+
+class TestWalk:
+    @pytest.mark.parametrize("order", [3, 4])
+    @pytest.mark.parametrize("kind", WALK_MODELS)
+    def test_each_level_is_searched_once_per_batch(self, monkeypatch, walk_models, kind, order):
+        model = walk_models(kind, order)
+        rng = np.random.default_rng(order)
+        states, words = _every_order_batch(model, rng)
+        searches = []
+        find = levels._find
+
+        def spy(table, codes):
+            searches.append(len(codes))
+            return find(table, codes)
+
+        for module in (levels, ensemble):  # wherever a search is looked up
+            monkeypatch.setattr(module, "_find", spy, raising=False)
+        model.walk(states, words)
+        # one entry search per level, and the order-2 low-rank rows (the
+        # base's words); every other low-rank lookup reuses a level's search
+        low_rank_rows = 1 if model.levels[2].z_tables else 0
+        assert len(searches) <= (order - 1) + low_rank_rows
+        assert all(n <= len(states) for n in searches)
+        searches.clear()
+        top = model.levels[order].contexts
+        model.states(top[rng.integers(0, len(top), 50)])
+        assert len(searches) == order - 1
+
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    @pytest.mark.parametrize("kind", WALK_MODELS)
+    def test_a_shuffled_batch_is_answered_in_input_order(self, walk_models, kind, order):
+        model = walk_models(kind, order)
+        if kind == "plre-rank3":
+            assert max(z.ranks.max() for lv in model.levels.values() for z in lv.z_tables) > 1
+        states, words = _every_order_batch(model, np.random.default_rng(10 + order))
+        assert np.any(states[1:] < states[:-1])
+        given = (states.copy(), words.copy())
+        got = model.walk(states, words)
+        want = [model.walk(states[i : i + 1], words[i : i + 1])[0] for i in range(len(states))]
+        assert [x.hex() for x in got.tolist()] == [x.hex() for x in want]
+        assert np.array_equal(states, given[0]) and np.array_equal(words, given[1])
 
 
 def _deepest(model, h):
