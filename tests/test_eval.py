@@ -417,6 +417,26 @@ class TestWalk:
         assert [x.hex() for x in got.tolist()] == [x.hex() for x in want]
         assert np.array_equal(states, given[0]) and np.array_equal(words, given[1])
 
+    @pytest.mark.parametrize("smoother", ["mle", "abs", "kn", "mkn"])
+    def test_an_order_one_model_is_its_base_distribution(self, toy_corpus, smoother):
+        # no levels: every query, walked, scored or in a perplexity, is
+        # answered by the base distribution alone
+        sentences, vocab, encoded = toy_corpus
+        model = NgramLM.build(vocab, {1: count_ngrams(encoded, 1)}, smoother)
+        assert model.levels == {}
+        rng = np.random.default_rng(1)
+        words = rng.integers(0, len(vocab), 40)
+        states = model.states(np.zeros((40, 0), dtype=np.int64))
+        assert not states.any()
+        assert np.array_equal(model.walk(states, words), model.base[words])
+        assert np.array_equal(model.score(words, np.zeros((40, 0), dtype=np.int64)), model.base[words])
+        assert np.array_equal(model.dist(), model.base)
+        assert model.prob(int(words[0])) == model.base[words[0]]
+        report = perplexity(model, sentences[:20])
+        ids = [vocab.encode(s) + [vocab.eos_id] for s in sentences[:20]]
+        logprob = sum(math.log(model.base[w]) for s in ids for w in s)
+        assert report.perplexity == pytest.approx(math.exp(-logprob / sum(map(len, ids))), rel=1e-12)
+
 
 def _deepest(model, h):
     """The longest prefix of context ``h`` (most recent word first) that a
