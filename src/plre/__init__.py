@@ -55,16 +55,7 @@ from .errors import (
     VerificationError,
 )
 from .evaluation import EvalReport, log_prob_sentence, perplexity
-from .factorization import (
-    ConvergenceReport,
-    FactorPair,
-    SparseMatrix,
-    best_rank1,
-    gkl,
-    nmf_gkl,
-    nmf_gkl_many,
-    sum_residual,
-)
+from .factorization import ConvergenceReport, best_rank1, nmf_gkl, nmf_gkl_many
 from .levels import make_base_distribution
 from .synthetic import synthesize_corpus
 
@@ -83,7 +74,6 @@ __all__ = [
     "EmptyCorpusError",
     "EvalError",
     "EvalReport",
-    "FactorPair",
     "FactorizationError",
     "LowRankCPT",
     "NgramLM",
@@ -91,7 +81,6 @@ __all__ = [
     "PlreError",
     "PlreLevel",
     "PlreModel",
-    "SparseMatrix",
     "TrainConfig",
     "VerificationError",
     "Vocabulary",
@@ -106,7 +95,6 @@ __all__ = [
     "count_of_counts",
     "default_powers",
     "derive_dstar",
-    "gkl",
     "good_turing_discount",
     "load_config",
     "load_model",
@@ -121,7 +109,6 @@ __all__ = [
     "power_counts",
     "read_sentences",
     "save_model",
-    "sum_residual",
     "synthesize_corpus",
     "verify_marginal",
 ]

@@ -51,7 +51,7 @@ from .corpus import (
 )
 from .corpus import adjusted_tables  # noqa: F401  (not called here; bench/run.py traces it)
 from .errors import ConfigError, FactorizationError
-from .factorization import ConvergenceReport, SparseMatrix, nmf_gkl_many
+from .factorization import ConvergenceReport, factor_index, fit_reports, nmf_gkl_many
 from .factorization import nmf_gkl  # noqa: F401  (not called here; bench/run.py traces it)
 from .levels import Level, LevelModel, OpCounter, timed
 
@@ -256,9 +256,10 @@ def compute_z(
     count must be positive and finite, as every PLRE chain step makes it.
     Rank-1 slices take the closed form, all at once; the rest go to the
     batched solver, one batch per rank, each slice seeded by
-    ``SeedSequence(seed, (order, step, slice))``.  Deterministic for a given
-    seed, regardless of thread count.  Seconds are added to
-    ``timings["slices"]`` and ``timings["nmf"]``.
+    ``SeedSequence(seed, (order, step, slice))``, which writes their
+    factors into the table; one batched pass then reports on every slice.
+    Deterministic for a given seed, regardless of thread count.  Seconds
+    are added to ``timings["slices"]`` and ``timings["nmf"]``.
     """
     if rank < 1:
         raise ConfigError(f"rank must be >= 1, got {rank}")
@@ -290,7 +291,7 @@ def compute_z(
         )
         perm = np.argsort(row_of, kind="stable")
         ii, jj, vals = row_of[perm], table.ctx_of_entry[perm], v[perm]
-        ss, col_slice = row_slice[ii], lay.ctx_slice
+        col_slice = lay.ctx_slice
         row_local, col_local = offsets(rows), lay.ctx_col
         nnz_start = segments(lay.nnz)
         rank1 = ranks == 1
@@ -302,75 +303,32 @@ def compute_z(
         col_sums = np.bincount(jj, vals, minlength=len(col_slice))
         total = np.ones(n)
         total[rank1] = _run_sums(vals, nnz_start, rank1_ids)
-        row_L = row_sums / total[row_slice]
         at = rank1[row_slice]
-        L[z.L_start[row_slice[at]] + row_local[at]] = row_L[at]
+        L[z.L_start[row_slice[at]] + row_local[at]] = (row_sums / total[row_slice])[at]
         at = rank1[col_slice]
         R[z.R_start[col_slice[at]] + col_local[at]] = col_sums[at]
-        if not (np.isfinite(L).all() and np.isfinite(R).all()):
-            raise FactorizationError(
-                f"non-finite closed-form factors in order {k}, chain step {j}"
-            )
-
-        # Reports.  A rank-1 slice's residuals are the product's largest row
-        # and column sum deviations, with factor sums taken as L.sum(axis=0)
-        # and R.sum(axis=1) take them.
-        L_sum, R_sum = np.zeros(n), np.zeros(n)
-        L_sum[rank1] = _run_sums(row_L, lay.row_start, rank1_ids)
-        R_sum[rank1] = _run_sums(col_sums, lay.col_start, rank1_ids)
-        row_dev = np.abs(row_L * R_sum[row_slice] - row_sums)
-        col_dev = np.abs(L_sum[col_slice] * col_sums - col_sums)
-        at = rank1[ss]
-        pred = row_L[ii[at]] * col_sums[jj[at]]
-        logs = np.bincount(ss[at], vals[at] * np.log(vals[at] / pred), minlength=n)
-        gkl, row_res, col_res = (
-            x[rank1_ids].tolist()
-            for x in (
-                logs - total + L_sum * R_sum,
-                np.maximum.reduceat(row_dev, lay.row_start[:-1]),
-                np.maximum.reduceat(col_dev, lay.col_start[:-1]),
-            )
-        )
-        reports: List[Optional[ConvergenceReport]] = [None] * n
-        for s, obj, row, col in zip(rank1_ids.tolist(), gkl, row_res, col_res):
-            reports[s] = ConvergenceReport(
-                iterations=0,
-                final_gkl=obj,
-                max_row_residual=row,
-                max_col_residual=col,
-                rank=1,
-                converged=True,
-                objective_history=[obj],
-                kind="rank1",
-            )
-        support = (row_local[ii], col_local[jj], vals)
-        dims = z.dims.tolist()
+        support = (row_local[ii], col_local[jj], vals, nnz_start)
+        dims, factors = z.dims, (L, R, z.L_start, z.R_start)
+        del v, row_of, perm, ii, jj  # the solver and reports need only the support
 
     # The other slices go to the solver in one batch per rank.
+    solved = {}
     with timed(timings, "nmf"):
         for r in np.unique(ranks[~rank1]).tolist():
             batch = np.flatnonzero(ranks == r).tolist()
-            matrices = [
-                SparseMatrix(*dims[s][:2], *(a[nnz_start[s] : nnz_start[s + 1]] for a in support))
+            seeds = [np.random.SeedSequence(entropy=seed, spawn_key=(k, j, s)) for s in batch]
+            names = [
+                f"order {k}, chain step {j}, interior {tuple(lay.slices[s].tolist())}"
                 for s in batch
             ]
-            solved = nmf_gkl_many(
-                matrices,
-                r,
-                [np.random.SeedSequence(entropy=seed, spawn_key=(k, j, s)) for s in batch],
-                max_iters=max_iters,
-                rel_tol=rel_tol,
-                names=[
-                    f"order {k}, chain step {j}, interior {tuple(lay.slices[s].tolist())}"
-                    for s in batch
-                ],
-                threads=threads,
+            fits = nmf_gkl_many(
+                support, dims, factors, batch, r, seeds, max_iters, rel_tol, names, threads
             )
-            for s, (pair, report) in zip(batch, solved):
-                L[z.L_start[s] : z.L_start[s + 1]] = pair.L.ravel()
-                R[z.R_start[s] : z.R_start[s + 1]] = pair.R.ravel()
-                reports[s] = report
-    z.reports = reports
+            solved.update(zip(batch, fits))
+    with timed(timings, "slices"):
+        if not (np.isfinite(L).all() and np.isfinite(R).all()):
+            raise FactorizationError(f"non-finite factors in order {k}, chain step {j}")
+        z.reports = fit_reports(support, dims, factors, solved)
     return z
 
 
@@ -572,6 +530,8 @@ def build_plre(
     order = top.order
     if order < 2:
         raise ConfigError("PLRE needs order >= 2")
+    if nmf_max_iters < 1:
+        raise ConfigError(f"nmf_max_iters must be >= 1, got {nmf_max_iters}")
     if powers is None:
         powers = default_powers(order)
     if ranks is None:
@@ -643,18 +603,10 @@ def plre_levels(
     return levels
 
 
-def _factor_index(z: LowRankCPT) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(rank term, row) of every L entry and (rank term, column) of every R
-    entry, as ids over all of z's slices at once: the concatenated factors
-    then act as one block-diagonal pair, and a product with every slice is
-    a segment sum (``np.bincount``) over them.  A column is its context."""
-    rows, cols, ranks = z.layout.rows, z.layout.cols, z.ranks
-    per_row, per_term = np.repeat(ranks, rows), np.repeat(cols, ranks)
-    L_term = np.repeat(np.repeat(segments(ranks)[:-1], rows), per_row) + offsets(per_row)
-    L_row = np.repeat(np.arange(len(per_row)), per_row)
-    R_term = np.repeat(np.arange(len(per_term)), per_term)
-    R_col = np.repeat(np.repeat(z.layout.col_start[:-1], ranks), per_term) + offsets(per_term)
-    return L_term, L_row, R_term, R_col
+def _factor_index(z: LowRankCPT) -> Tuple[np.ndarray, ...]:
+    """``factor_index`` of z's slices; a column is its context."""
+    lay = z.layout
+    return factor_index(lay.rows, lay.cols, z.ranks, lay.col_start)
 
 
 def _order(model: PlreModel, order: Optional[int]) -> int:

@@ -10,7 +10,7 @@ import functools
 import math
 import operator
 from collections import Counter
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 import pytest
@@ -20,7 +20,7 @@ from plre.ensemble import build_plre, derive_dstar
 from plre.baselines import NgramLM, good_turing_discount
 from plre.errors import EvalError
 from plre.evaluation import EvalReport
-from plre.factorization import FactorPair, SparseMatrix, nmf_gkl, nmf_gkl_many
+from plre.factorization import nmf_gkl
 from plre.synthetic import synthesize_corpus
 
 TINY_TEXT = """\
@@ -358,6 +358,25 @@ def looped_error_bound(model, order: int) -> float:
     return bound + weight[0] * float(np.max(np.abs(model.base - ideal)))
 
 
+def dense_gkl(M, P) -> float:
+    """gKL(M, P) over two dense matrices, 0 * log(0 / x) taken as 0:
+    infinite where a positive entry of M meets a zero of P."""
+    M, P = np.asarray(M, dtype=np.float64), np.asarray(P, dtype=np.float64)
+    at = M > 0.0
+    if (P[at] <= 0.0).any():
+        return math.inf
+    return float(np.sum(M[at] * np.log(M[at] / P[at])) - M.sum() + P.sum())
+
+
+def dense_residuals(M, P) -> Tuple[float, float]:
+    """The largest |row sum| and |column sum| deviations of P from M."""
+    M, P = np.asarray(M, dtype=np.float64), np.asarray(P, dtype=np.float64)
+    return (
+        float(np.abs(P.sum(axis=1) - M.sum(axis=1)).max()),
+        float(np.abs(P.sum(axis=0) - M.sum(axis=0)).max()),
+    )
+
+
 def count_table(order: int, entries: Dict[Key, int]) -> CountTable:
     """A CountTable from most-recent-first keys to counts."""
     keys = sorted(entries, key=lambda key: (key[1:], key[0]))
@@ -402,17 +421,31 @@ def _dict_powered(entries: Dict[Key, int], power: float):
 
 
 def _dict_slice_matrix(entries: Dict[Tuple[int, int], float]):
-    """A slice compacted to its nonzero rows and columns, with their ids."""
+    """A slice as a dense matrix over its nonzero rows and columns, with
+    their ids."""
     row_ids = sorted({w for w, _ in entries})
     col_ids = sorted({x for _, x in entries})
     row_index = {w: i for i, w in enumerate(row_ids)}
     col_index = {x: j for j, x in enumerate(col_ids)}
-    items = sorted((row_index[w], col_index[x], v) for (w, x), v in entries.items())
-    ii, jj, vals = zip(*items)
-    return SparseMatrix(len(row_ids), len(col_ids), ii, jj, vals), row_ids, col_ids
+    M = np.zeros((len(row_ids), len(col_ids)))
+    for (w, x), v in entries.items():
+        M[row_index[w], col_index[x]] = v
+    return M, row_ids, col_ids
 
 
-def _dict_z(entries, powered, sums, next_power, dstar, rank, level, seed, threads):
+def _dict_rank1(M: np.ndarray):
+    """The closed-form rank-1 factors of a dense slice, L = row sums / total
+    and R = column sums: each row and column summed left to right over its
+    nonzeros, and the total as numpy sums the nonzeros in row-major order."""
+    rows, cols = M.shape
+    add = functools.partial(functools.reduce, operator.add)
+    total = M[M > 0].sum()
+    row_sums = [add([v for v in M[i].tolist() if v > 0], 0.0) for i in range(rows)]
+    col_sums = [add([v for v in M[:, j].tolist() if v > 0], 0.0) for j in range(cols)]
+    return np.array(row_sums).reshape(rows, 1) / total, np.array(col_sums).reshape(1, cols)
+
+
+def _dict_z(entries, powered, sums, next_power, dstar, rank, level, seed):
     order = len(next(iter(entries)))
     slice_entries: Dict[Key, Dict[Tuple[int, int], float]] = {}
     for key, p in powered.items():
@@ -421,23 +454,16 @@ def _dict_z(entries, powered, sums, next_power, dstar, rank, level, seed, thread
             slice_entries.setdefault(key[1:-1], {})[(key[0], key[-1])] = v
     interiors = sorted(slice_entries)
     slices = [_dict_slice_matrix(slice_entries[h]) for h in interiors]
-    # Each slice's rank: its nonzeros over its rows plus columns, in [1, rank].
-    batches: Dict[int, List[int]] = {}
-    for idx, h in enumerate(interiors):
-        rows = len({w for w, _ in slice_entries[h]})
-        cols = len({x for _, x in slice_entries[h]})
-        r = min(rank, max(1, len(slice_entries[h]) // (rows + cols)))
-        batches.setdefault(r, []).append(idx)
-    pairs: List[FactorPair] = [None] * len(slices)
-    for r, batch in batches.items():
-        matrices = [slices[idx][0] for idx in batch]
+    # Each slice's rank: its nonzeros over its rows plus columns, in [1, rank];
+    # higher ranks solved alone, from the slice's own seed.
+    pairs = []
+    for idx, (M, _, _) in enumerate(slices):
+        r = min(rank, max(1, len(np.flatnonzero(M)) // sum(M.shape)))
         if r == 1:
-            solved = [nmf_gkl(M, 1) for M in matrices]
+            pairs.append(_dict_rank1(M))
         else:
-            seeds = [np.random.SeedSequence(seed, spawn_key=(order, level, i)) for i in batch]
-            solved = nmf_gkl_many(matrices, r, seeds, threads=threads)
-        for idx, (pair, _) in zip(batch, solved):
-            pairs[idx] = pair
+            seq = np.random.SeedSequence(seed, spawn_key=(order, level, idx))
+            pairs.append(nmf_gkl(M, r, seed=seq)[0])
 
     def cat(parts, dtype):
         return np.concatenate(parts).astype(dtype) if parts else np.zeros(0, dtype=dtype)
@@ -445,19 +471,20 @@ def _dict_z(entries, powered, sums, next_power, dstar, rank, level, seed, thread
     return {
         "slices": np.array(interiors, dtype=np.int32).reshape(len(interiors), order - 2),
         "dims": np.array(
-            [(len(r), len(c), p.rank) for p, (_, r, c) in zip(pairs, slices)], dtype=np.int32
+            [(*M.shape, L.shape[1]) for (M, _, _), (L, _) in zip(slices, pairs)], dtype=np.int32
         ).reshape(len(pairs), 3),
         "row_ids": cat([r for _, r, _ in slices], np.int64),
         "col_ids": cat([c for _, _, c in slices], np.int64),
-        "L": cat([p.L.ravel() for p in pairs], np.float64),
-        "R": cat([p.R.ravel() for p in pairs], np.float64),
+        "L": cat([L.ravel() for L, _ in pairs], np.float64),
+        "R": cat([R.ravel() for _, R in pairs], np.float64),
         "denominators": np.array([sums[h] for h in sorted(sums)]),
+        "matrices": [M for M, _, _ in slices],
     }
 
 
-def dict_plre_levels(encoded, order, powers, ranks, dstar="gt-root", seed=0, threads=1):
+def dict_plre_levels(encoded, order, powers, ranks, dstar="gt-root", seed=0):
     """Per order k: the level's keys, counts, top numerators and gammas,
-    and each low-rank table's arrays, built through dicts."""
+    and each low-rank table's arrays and dense slices, built through dicts."""
     tables = {order: dict_counts(encoded, order)}
     for k in range(order - 1, 0, -1):
         lower: Dict[Key, int] = {}
@@ -487,7 +514,7 @@ def dict_plre_levels(encoded, order, powers, ranks, dstar="gt-root", seed=0, thr
             "top": np.array([float(entries[key]) - d * entries[key] ** chain[1] for key in keys]),
             "gammas": np.array([[g[h] for h in contexts] for g in gammas]),
             "z": [
-                _dict_z(entries, *powered[j], chain[j + 1], d, ranks[k][j - 1], j, seed, threads)
+                _dict_z(entries, *powered[j], chain[j + 1], d, ranks[k][j - 1], j, seed)
                 for j in range(1, len(chain) - 1)
             ],
         }

@@ -28,17 +28,10 @@ from plre.ensemble import (
     verify_marginal,
 )
 from plre.evaluation import perplexity
-from plre.factorization import (
-    FactorPair,
-    SparseMatrix,
-    best_rank1,
-    gkl,
-    nmf_gkl,
-    sum_residual,
-)
+from plre.factorization import best_rank1, nmf_gkl
 from plre.synthetic import synthesize_corpus
 
-from conftest import ZReader
+from conftest import ZReader, dense_gkl, dense_residuals
 
 
 def _toy(seed):
@@ -170,23 +163,23 @@ def test_factorizer_descends_and_preserves_sums_on_random_matrices():
         for j in range(30):
             if dense[:, j].sum() == 0.0:
                 dense[rng.integers(30), j] = 8.0 * rng.random() + 0.1
-        m = SparseMatrix.from_dense(dense)
-        total = m.total()
+        total = dense.sum()
 
-        pair, report = nmf_gkl(m, 4, max_iters=2000, rel_tol=1e-9, seed=trial)
+        (L, R), report = nmf_gkl(dense, 4, max_iters=2000, rel_tol=1e-9, seed=trial)
         hist = report.objective_history
         for prev, cur in zip(hist, hist[1:]):
             assert cur <= prev + 1e-9 * max(1.0, abs(prev))
-        row_dev, col_dev = sum_residual(m, pair)
+        row_dev, col_dev = dense_residuals(dense, L @ R)
         assert col_dev <= 1e-12 * total
         assert row_dev < 1e-5 * total
 
-        best = gkl(m, best_rank1(m))
+        L, R = best_rank1(dense)
+        best = dense_gkl(dense, L @ R)
         for _ in range(1000):
             left = rng.random((30, 1)) + 1e-3
             right = rng.random((1, 30)) + 1e-3
             left *= total / (left.sum() * right.sum())
-            assert best <= gkl(m, FactorPair(left, right)) + 1e-9
+            assert best <= dense_gkl(dense, left @ right) + 1e-9
 
 
 def test_every_smoother_normalizes_over_observed_and_unseen_contexts():

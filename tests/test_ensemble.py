@@ -31,7 +31,15 @@ from plre.ensemble import (
 )
 from plre.errors import ConfigError, FactorizationError
 
-from conftest import ZReader, count_table, dense_marginal, dict_plre_levels, looped_error_bound
+from conftest import (
+    ZReader,
+    count_table,
+    dense_gkl,
+    dense_marginal,
+    dense_residuals,
+    dict_plre_levels,
+    looped_error_bound,
+)
 
 
 def _bigram_table(mat):
@@ -239,8 +247,8 @@ def test_array_build_is_byte_equal_to_the_dict_build(toy_corpus, name):
     # ranks and closed forms, all as arrays, against the entry-by-entry build
     _, vocab, enc = toy_corpus
     cfg = dict(ORACLE_CONFIGS[name])
-    order = cfg.pop("order")
-    model = build_plre(count_ngrams(enc, order), vocab, seed=0, **cfg)
+    order, threads = cfg.pop("order"), cfg.pop("threads", 1)
+    model = build_plre(count_ngrams(enc, order), vocab, seed=0, threads=threads, **cfg)
     want = dict_plre_levels(enc, order, seed=0, **cfg)
 
     def same(got, expected):
@@ -261,6 +269,34 @@ def test_array_build_is_byte_equal_to_the_dict_build(toy_corpus, name):
             kinds.update(r.kind for r in z.reports)
     if name.startswith("rank4"):
         assert kinds == {"rank1", "iterative"}
+
+
+@pytest.mark.parametrize("name", ["rank1", "rank4", "rank4-threads3", "order4-two-powers"])
+def test_every_slice_report_matches_dense_oracles(toy_corpus, name):
+    # final_gkl and both residuals of every slice, closed form and iterative,
+    # against gKL and sum deviations over the dense slice and L @ R
+    _, vocab, enc = toy_corpus
+    cfg = dict(ORACLE_CONFIGS[name.replace("-threads3", "")])
+    if name == "rank4-threads3":
+        cfg["threads"] = 3
+    order = cfg.pop("order")
+    model = build_plre(count_ngrams(enc, order), vocab, seed=0, **cfg)
+    cfg.pop("threads", None)
+    want = dict_plre_levels(enc, order, seed=0, **cfg)
+    kinds = set()
+    for k, level in model.levels.items():
+        for z, zref in zip(level.z_tables, want[k]["z"]):
+            assert len(z.reports) == len(zref["matrices"]) == len(z.slices)
+            for s, (report, M) in enumerate(zip(z.reports, zref["matrices"])):
+                _, _, L, R = z.factors(s)
+                tol = 1e-12 * M.sum()
+                row, col = dense_residuals(M, L @ R)
+                assert abs(report.final_gkl - dense_gkl(M, L @ R)) <= tol, (k, s)
+                assert abs(report.max_row_residual - row) <= tol, (k, s)
+                assert abs(report.max_col_residual - col) <= tol, (k, s)
+                assert report.rank == L.shape[1]
+                kinds.add(report.kind)
+    assert kinds == ({"rank1"} if name == "rank1" else {"rank1", "iterative"})
 
 
 @pytest.mark.parametrize("name", list(ORACLE_CONFIGS) + ["rank-vocab"])
