@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -95,7 +96,9 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--verbose", action="store_true", help="timing and diagnostics")
 
 
+@functools.lru_cache(maxsize=None)
 def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     p = argparse.ArgumentParser(
         prog="plre",
         description="Train and evaluate low-rank power-ensemble n-gram models.",
@@ -319,6 +322,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         "total_logprob": rep.total_logprob,
         "perplexity": rep.perplexity,
         "distinct_queries": rep.distinct,
+        "distinct_contexts": rep.contexts,
         "context_orders": {str(k): c for k, c in enumerate(rep.context_orders, 1)},
     }
     lines = [
@@ -326,7 +330,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
         f"({model.smoother} order {model.order}, oov rate {oov_rate:.4%})"
     ]
     if args.verbose:
-        lines.append(f"queries: {rep.distinct} distinct (state, word) of {rep.tokens} scored")
+        lines.append(
+            f"queries: {rep.distinct} distinct (state, word) of {rep.tokens} scored, "
+            f"{rep.contexts} distinct contexts resolved"
+        )
         orders = " ".join(f"{k}:{c}" for k, c in report["context_orders"].items())
         lines.append(f"context orders: {orders}")
         lines.append(f"timing: eval {elapsed:.2f}s")

@@ -5,9 +5,14 @@ log-probability per predicted token.  eos is predicted, bos never is; test
 tokens outside the vocabulary are scored as unk and counted in the report.
 
 P(w | h) depends on h only through its state, its deepest context the model
-holds.  Each token is resolved to its state chunk by chunk; each distinct
-(state, word) query of the whole stream is then scored once, in sorted
-order, and each sentence's log-probabilities are still summed left to
+holds.  Each predicted token is packed, chunk by chunk, into one int64
+code: its full-length context (most recent word most significant), then
+its word, as base-V digits.  One sort of the stream's codes gives its
+distinct n-grams and, one digit shorter, its distinct contexts; each
+distinct context is resolved to its state once, and each distinct (state,
+word) query is walked once, in sorted order.  Where V**order overflows
+int64, a token's code is its state times V plus its word instead, resolved
+chunk by chunk.  Each sentence's log-probabilities are still summed left to
 right, so the result is bit-identical to scoring every token in text order.
 """
 
@@ -16,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,18 +39,29 @@ class EvalReport:
     # tokens by the order of their state, orders 1..n: the order of their
     # deepest observed context plus the predicted word
     context_orders: List[int] = field(default_factory=list)
+    # distinct full-length contexts of the stream resolved to states (where
+    # V**order overflows int64, the distinct states)
+    contexts: int = 0
 
 
-# Tokens resolved to states per chunk (whole sentences, so a little more),
-# and queries per model.walk call: bounds the scorer's working arrays.
+# Tokens packed per chunk (whole sentences, so a little more), and contexts
+# per model.states call and queries per model.walk call: bounds the
+# scorer's working arrays beside its few whole-stream ones.
 SCORE_CHUNK = 4096
 
 
+def _packs(model) -> bool:
+    """Whether a context and its word fit one int64 code as base-V digits."""
+    return len(model.vocab) ** model.order <= 2**63
+
+
 def _codes(model, ids: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The query code, state times V plus word, of each predicted token of
-    a chunk: ``ids`` holds the sentences back to back and ``lengths`` their
-    lengths.  Each sentence is padded with order-1 bos ids and one eos id;
-    every real token plus eos is predicted from its full-length context."""
+    """The code of each predicted token of a chunk: ``ids`` holds the
+    sentences back to back and ``lengths`` their lengths.  Each sentence is
+    padded with order-1 bos ids and one eos id; every real token plus eos
+    is predicted from its full-length context, packed most recent word
+    first, then the word, as base-V digits (or, where V**order overflows
+    int64, the context's state times V plus the word)."""
     vocab = model.vocab
     vsize, bos, eos, pad = len(vocab), vocab.bos_id, vocab.eos_id, model.order - 1
     words = np.insert(ids, np.cumsum(lengths), eos)
@@ -55,48 +71,121 @@ def _codes(model, ids: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     if words.min() < 0 or words.max() >= vsize:
         raise EvalError(f"a word id is outside the vocabulary of {vsize}")
     # Each sentence is preceded by pad bos ids in the stream the contexts
-    # are read from, most recent word first.
+    # are read from.
     at = np.arange(len(words)) + pad * np.repeat(np.arange(1, len(sizes) + 1), sizes)
     stream = np.full(len(words) + pad * len(sizes), bos, dtype=np.int64)
     stream[at] = words
-    return model.states(stream[at[:, None] - np.arange(1, pad + 1)]) * vsize + words
+    if not _packs(model):
+        return model.states(stream[at[:, None] - np.arange(1, pad + 1)]) * vsize + words
+    # Horner's rule over the chunk's padded stream, on slices, then the
+    # predicted positions.
+    code = np.zeros(len(stream) - pad, dtype=np.int64)
+    for back in [*range(1, pad + 1), 0]:
+        code *= vsize
+        code += stream[pad - back : len(stream) - back]
+    return code[at - pad]
 
 
-def _logprobs(model, codes: np.ndarray, sizes: np.ndarray) -> Tuple[np.ndarray, int, List[int]]:
-    """Natural-log probability of each sentence, longest first, the number
-    of distinct queries scored and the tokens per state order, from the
-    query codes of sentences of ``sizes`` tokens back to back.  ``codes``
-    is overwritten.
+def _runs(sorted_codes: np.ndarray) -> np.ndarray:
+    """The mask of the first code of each run of equal sorted codes."""
+    first = np.empty(len(sorted_codes), dtype=bool)
+    first[:1] = True
+    np.not_equal(sorted_codes[1:], sorted_codes[:-1], out=first[1:])
+    return first
+
+
+def _ranks(first: np.ndarray, order: Optional[np.ndarray] = None) -> np.ndarray:
+    """Each sorted code's run index, from the runs' ``first`` mask, put
+    back through ``order`` (the argsort that sorted the codes) if given, in
+    the narrowest unsigned type that holds the number of runs.  It is
+    filled SCORE_CHUNK codes at a time, so no other array as long as
+    ``first`` is made."""
+    ranks = np.empty(len(first), dtype=np.min_scalar_type(np.count_nonzero(first)))
+    top = -1
+    for lo in range(0, len(first), SCORE_CHUNK):
+        run = np.cumsum(first[lo : lo + SCORE_CHUNK]) + top
+        ranks[slice(lo, lo + len(run)) if order is None else order[lo : lo + len(run)]] = run
+        top = run[-1]
+    return ranks
+
+
+def _dedup(codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct codes, sorted, and each code's index among them in the
+    narrowest unsigned type.  ``codes`` is sorted in place and the distinct
+    codes are its prefix; besides it, only its argsort and a mask are as
+    long."""
+    order = codes.argsort()
+    codes.sort()
+    first = _runs(codes)
+    inverse = _ranks(first, order)
+    del order
+    distinct = codes[: np.count_nonzero(first)]
+    distinct[:] = codes[first]
+    return distinct, inverse
+
+
+def _logprobs(
+    model, codes: np.ndarray, sizes: np.ndarray
+) -> Tuple[np.ndarray, int, int, List[int]]:
+    """Natural-log probability of each sentence, longest first, the numbers
+    of distinct queries walked and contexts resolved, and the tokens per
+    state order, from the codes of sentences of ``sizes`` tokens back to
+    back.  ``codes`` is overwritten.
 
     A probability that is not positive and finite is a hard error: every
     smoother here is total over the vocabulary, so a zero or NaN means a
     broken model, not a surprising sentence.
+
+    Each array is dropped once used: besides SCORE_CHUNK-sized batches, at
+    most the codes, their argsort, a mask and a narrow rank per token are
+    live at once.
     """
     vsize = len(model.vocab)
-    # A token's distinct query is its code's rank among the distinct codes.
-    order = codes.argsort()
-    codes.sort()
-    first = np.r_[True, codes[1:] != codes[:-1]]
-    distinct = codes[first]
-    by_order = np.diff(np.searchsorted(codes, model.state_start * vsize)).tolist()
-    codes[:] = first
-    np.cumsum(codes, out=codes)  # in place: from the bool mask it would copy
-    codes -= 1
-    inverse = np.empty(len(codes), dtype=np.min_scalar_type(len(distinct)))
-    inverse[order] = codes
-    del order, first
-    logs = np.empty(len(distinct))  # probabilities until checked
+    grams, inverse = _dedup(codes)
+    # Sorted n-grams keep each context's in a run: each distinct context is
+    # resolved to its state once, in sorted batches.  Where the codes hold
+    # state codes, a context key is its state already.
+    first = _runs(grams // vsize)
+    state = grams[first] // vsize
+    ctx = _ranks(first)
+    del first
+    if _packs(model):
+        digits = vsize ** np.arange(model.order - 2, -1, -1)
+        state = np.concatenate(
+            [
+                model.states(state[lo : lo + SCORE_CHUNK, None] // digits % vsize)
+                for lo in range(0, len(state), SCORE_CHUNK)
+            ]
+        )
+    contexts = len(state)
+    # Tokens by state order, counted per order: a bincount would copy the
+    # tokens' orders as int64.
+    depth = np.searchsorted(model.state_start, state, side="right") - 1
+    depth = depth.astype(np.min_scalar_type(model.order))[ctx][inverse]
+    by_order = [int(np.count_nonzero(depth == k)) for k in range(model.order)]
+    del depth
+    # Each distinct (state, word) query is walked once, in sorted batches.
+    grams %= vsize
+    state = state[ctx]
+    state *= vsize
+    grams += state
+    del state, ctx
+    distinct, gram_query = _dedup(grams)
+    inverse[:] = gram_query[inverse]  # now each token's query
+    del gram_query
+    probs = np.empty(len(distinct))
     for lo in range(0, len(distinct), SCORE_CHUNK):
         batch = distinct[lo : lo + SCORE_CHUNK]
-        logs[lo : lo + len(batch)] = model.walk(batch // vsize, batch % vsize)
-    bad = ~(np.isfinite(logs) & (logs > 0.0))
+        probs[lo : lo + len(batch)] = model.walk(batch // vsize, batch % vsize)
+    bad = ~(np.isfinite(probs) & (probs > 0.0))
     if bad.any():
         q = inverse[np.flatnonzero(bad[inverse])[0]]  # the first in text order
         state, w = divmod(int(distinct[q]), vsize)
-        raise EvalError(f"probability {logs[q]} for id {w} after {model.context(state)}")
-    # math.log, not np.log, which differs in the last bit on some inputs.
-    for lo in range(0, len(logs), SCORE_CHUNK):
-        logs[lo : lo + SCORE_CHUNK] = list(map(math.log, logs[lo : lo + SCORE_CHUNK].tolist()))
+        raise EvalError(f"probability {probs[q]} for id {w} after {model.context(state)}")
+    # math.log, not np.log, which differs in the last bit on some inputs;
+    # a memoryview yields one Python float at a time.
+    logs = np.fromiter(map(math.log, memoryview(probs)), dtype=np.float64, count=len(probs))
+    del probs
     # Each sentence's log-probabilities are summed in order, as predicted:
     # position j of every sentence longer than j at once.  Longest first,
     # those sentences are a prefix.
@@ -106,7 +195,7 @@ def _logprobs(model, codes: np.ndarray, sizes: np.ndarray) -> Tuple[np.ndarray, 
     sums = np.zeros(len(sizes))
     for j, live in enumerate(longer.tolist()):
         sums[:live] += logs[inverse[starts[:live] + j]]
-    return sums, len(distinct), by_order
+    return sums, len(distinct), contexts, by_order
 
 
 def log_prob_sentence(model, sentence_ids: Sequence[int]) -> float:
@@ -140,8 +229,8 @@ def perplexity(model, sentences: Sequence[Sequence[str]]) -> EvalReport:
         ids[unknown] = unk
         codes[done : ends[stop - 1]] = _codes(model, ids, lengths[start:stop])
         start = stop
-    sums, distinct, by_order = _logprobs(model, codes, lengths + 1)
+    sums, distinct, contexts, by_order = _logprobs(model, codes, lengths + 1)
     total_tokens = int(ends[-1])
     total_logprob = math.fsum(sums.tolist())
     ppl = math.exp(-total_logprob / total_tokens)
-    return EvalReport(total_tokens, oov, total_logprob, ppl, distinct, by_order)
+    return EvalReport(total_tokens, oov, total_logprob, ppl, distinct, by_order, contexts)

@@ -111,11 +111,13 @@ EVAL_SCHEMA = {
     "required": [
         "command", "model", "smoother", "order", "tokens", "oov",
         "oov_rate", "total_logprob", "perplexity", "distinct_queries",
-        "context_orders",
+        "distinct_contexts", "context_orders",
     ],
     "properties": {
         "command": {"const": "eval"},
         "distinct_queries": {"type": "integer", "minimum": 1},
+        # distinct full-length contexts, each resolved to its state once
+        "distinct_contexts": {"type": "integer", "minimum": 1},
         # tokens by the order of their deepest observed context, "1".."n"
         "context_orders": {
             "type": "object",
@@ -316,6 +318,7 @@ class TestEval:
         assert report["perplexity"] == direct.perplexity
         assert report["tokens"] == direct.tokens
         assert report["distinct_queries"] == direct.distinct <= direct.tokens
+        assert report["distinct_contexts"] == direct.contexts <= direct.tokens
         orders = report["context_orders"]
         assert list(orders) == [str(k) for k in range(1, report["order"] + 1)]
         assert list(orders.values()) == direct.context_orders
@@ -327,7 +330,10 @@ class TestEval:
         model = load_model(str(ws["kn_model"]))
         direct = perplexity(model, read_sentences(str(ws["test"])))
         out = capsys.readouterr().out
-        assert f"queries: {direct.distinct} distinct (state, word) of {direct.tokens} scored" in out
+        assert (
+            f"queries: {direct.distinct} distinct (state, word) of {direct.tokens} scored, "
+            f"{direct.contexts} distinct contexts resolved"
+        ) in out
         hist = " ".join(f"{k}:{c}" for k, c in enumerate(direct.context_orders, 1))
         assert f"context orders: {hist}" in out
 
@@ -389,6 +395,18 @@ class TestVerify:
         assert normalization_observed(lm) <= 1e-12
         lm.levels[2].gammas[0, 0] = float("nan")
         assert not normalization_observed(lm) <= 1e-8
+
+    def test_a_second_verify_in_process_reports_the_same(self, ws, capsys):
+        # the parser is built once per process and reused
+        reports = []
+        for _ in range(2):
+            assert main(["verify", "--model", str(ws["plre_model"]), "--json"]) == 0
+            report = json.loads(capsys.readouterr().out)
+            for check in report["checks"]:
+                check.pop("seconds")
+            reports.append(report)
+        assert reports[0] == reports[1]
+        assert cli._parser() is cli._parser()
 
     def test_plre_model_runs_full_check_set(self, ws, capsys):
         code = main(["verify", "--model", str(ws["plre_model"]), "--json"])

@@ -1,6 +1,7 @@
 """Perplexity evaluation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -174,6 +175,19 @@ def _spy_walks(monkeypatch, model):
     return calls
 
 
+def _spy_states(monkeypatch, model):
+    """Record the context rows of every model.states call, as tuples."""
+    rows = []
+    states = model.states
+
+    def spy(contexts):
+        rows.append([tuple(h) for h in np.asarray(contexts).tolist()])
+        return states(contexts)
+
+    monkeypatch.setattr(model, "states", spy)
+    return rows
+
+
 def _walked_codes(model, calls):
     """Each walked query's code, state times V plus word, in Python
     integers, in the order walked."""
@@ -256,6 +270,9 @@ class TestChunkedScoring:
         codes = _walked_codes(model, calls)
         assert codes == sorted(set(codes))
         assert codes[-1] < int(model.state_start[-1]) * len(vocab) < 2**63
+        # the context keys are states here
+        states = {_deepest(model, h) for s in heldout_with_oov for h, _ in _token_queries(model, s)}
+        assert got.contexts == len(states)
 
     def test_each_call_scores_distinct_queries_in_sorted_order(
         self, monkeypatch, toy_kn3, heldout_with_oov
@@ -288,6 +305,50 @@ class TestChunkedScoring:
         report = perplexity(toy_kn3, [sentence] * 50)
         codes = _walked_codes(toy_kn3, calls)
         assert len(codes) == report.distinct == len(_state_queries(toy_kn3, sentence))
+
+    @pytest.mark.parametrize("chunk", [5, evaluation.SCORE_CHUNK])
+    def test_each_distinct_context_is_resolved_once(
+        self, monkeypatch, toy_kn3, heldout_with_oov, chunk
+    ):
+        monkeypatch.setattr(evaluation, "SCORE_CHUNK", chunk)
+        calls = _spy_states(monkeypatch, toy_kn3)
+        report = perplexity(toy_kn3, heldout_with_oov)
+        want = {h for s in heldout_with_oov for h, _ in _token_queries(toy_kn3, s)}
+        rows = [h for call in calls for h in call]
+        assert len(rows) == len(set(rows)) == report.contexts == len(want)
+        assert set(rows) == want
+        assert max(map(len, calls)) <= chunk
+        # a sentence repeated, each copy in a chunk of its own at 5, adds none
+        sentence = heldout_with_oov[-1]
+        assert len(sentence) + 1 > 5
+        calls.clear()
+        again = perplexity(toy_kn3, heldout_with_oov + [sentence] * 30)
+        assert sum(map(len, calls)) == again.contexts == len(want)
+
+
+# Peak tracemalloc bytes per held-out token of the scorer on the stream of
+# test_scorer_memory_per_token_is_bounded read 25.51 (kn) and 29.61 (plre).
+# The bounds are the figures of a scorer that resolved every token's
+# context on its own, 27.61 and 33.77, plus under 20%.
+PEAK_BYTES_PER_TOKEN = {"kn": 33.0, "plre": 40.0}
+
+
+@pytest.mark.parametrize("smoother", sorted(PEAK_BYTES_PER_TOKEN))
+def test_scorer_memory_per_token_is_bounded(toy_models, smoother):
+    # 65,689 tokens, 34,495 distinct queries: the whole-stream arrays (a
+    # code, an argsort, a mask and a narrow rank per token) and the
+    # SCORE_CHUNK batches make the peak
+    model = toy_models(smoother, 3)
+    stream = synthesize_corpus(4000, vocab_size=400, n_topics=8, seed=13)
+    perplexity(model, stream)  # lazily built model arrays are not the scorer's
+    tracemalloc.start()
+    try:
+        report = perplexity(model, stream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.tokens == 65_689
+    assert peak / report.tokens <= PEAK_BYTES_PER_TOKEN[smoother]
 
 
 class TestStates:
