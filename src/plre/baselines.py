@@ -19,12 +19,12 @@ powers holds exactly these quantities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple, Union
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .corpus import CountTable, Vocabulary, adjusted_tables, context_starts, marginal_tables
-from .levels import Level, LevelModel, _strictly_increasing, timed
+from .corpus import CountTable, Vocabulary, adjusted_tables, marginal_tables
+from .levels import Level, LevelModel, timed
 
 SMOOTHERS = ("mle", "abs", "kn", "mkn")
 
@@ -93,7 +93,7 @@ class NgramLM(LevelModel):
 
     Each order above 1 is a sorted-array level with one gamma row and no
     low-rank tables, so queries go through the walk PLRE uses.  ``tables``
-    maps every order 1..n to a CountTable or to its (keys, counts).
+    maps every order 1..n to its CountTable.
     """
 
     def __init__(
@@ -101,19 +101,14 @@ class NgramLM(LevelModel):
         vocab: Vocabulary,
         order: int,
         smoother: str,
-        tables: Mapping[int, Union[CountTable, Tuple[np.ndarray, np.ndarray]]],
+        tables: Mapping[int, CountTable],
         discounts: Dict[int, DiscountParams],
     ):
         if smoother not in SMOOTHERS:
             raise ValueError(f"unknown smoother {smoother!r}")
-        arrays = {
-            k: (t.keys, t.counts) if isinstance(t, CountTable) else t for k, t in tables.items()
-        }
-        levels = {k: _level(k, *arrays[k], discounts[k]) for k in range(2, order + 1)}
-        words, counts = arrays[1]
-        _strictly_increasing(words[:, 0], "order 1 keys")
+        levels = {k: _level(tables[k], discounts[k]) for k in range(2, order + 1)}
         base_counts = np.zeros(len(vocab), dtype=np.int64)
-        base_counts[words[:, 0]] = counts
+        base_counts[tables[1].words] = tables[1].counts
         super().__init__(vocab, order, levels, base_counts)
         self.smoother = smoother
         self.discounts = discounts
@@ -155,14 +150,14 @@ class NgramLM(LevelModel):
             return cls(vocab, top.order, smoother, tables, discounts)
 
 
-def _level(order: int, keys: np.ndarray, counts: np.ndarray, dp: DiscountParams) -> Level:
+def _level(table: CountTable, dp: DiscountParams) -> Level:
     """One order as a level: numerators max(c - D(c), 0) and the gamma row
     (D1 N1(h) + D2 N2(h) + D3+ N3+(h)) / c(h), with D(c) picked per count."""
-    starts = context_starts(keys)[:-1]
+    counts, starts = table.counts, table.ctx_start[:-1]
     n1, n2, n3p = (
         np.add.reduceat(kind.astype(np.int64), starts)
         for kind in (counts <= 1, counts == 2, counts > 2)
     )
-    gamma = (dp.d1 * n1 + dp.d2 * n2 + dp.d3plus * n3p) / np.add.reduceat(counts, starts)
+    gamma = (dp.d1 * n1 + dp.d2 * n2 + dp.d3plus * n3p) / table.totals
     top = np.maximum(counts - dp.for_count(counts), 0.0)
-    return Level(order, keys, counts, top, gamma[None], [])
+    return Level(table, top, gamma[None])

@@ -47,6 +47,7 @@ from .ensemble import (
     build_plre,
     marginal_error_bound,
     normalization_observed,
+    rank1_closed_form,
     verify_marginal,
 )
 from .errors import (
@@ -344,11 +345,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def _normalization_sweep(model, seed: int, n_contexts: int = 100) -> float:
     """Max |sum_w P(w|h) - 1| over seeded random full-length contexts h,
     summed through the query walk: each context resolved to its state
-    once, then ``walk`` in chunks of at most SCORE_CHUNK queries.  Observed
-    contexts are normalization_observed's."""
+    once, then ``walk`` in chunks of at most SCORE_CHUNK queries, sorted by
+    state as the walk needs.  Observed contexts are normalization_observed's."""
     rng = np.random.default_rng(seed)
     vsize = len(model.vocab)
-    states = model.states(rng.integers(0, vsize, size=(n_contexts, model.order - 1)))
+    states = np.sort(model.states(rng.integers(0, vsize, size=(n_contexts, model.order - 1))))
     sums = np.zeros(n_contexts)
     for lo in range(0, n_contexts * vsize, SCORE_CHUNK):
         query = np.arange(lo, min(lo + SCORE_CHUNK, n_contexts * vsize))
@@ -362,10 +363,10 @@ def _kn_reduction_deviation(model: PlreModel, seed: int, n_queries: int = 2000) 
     """Max |PLRE - interpolated KN with D = d*| over sampled queries.
 
     Only meaningful when every level has no intermediate powers; the
-    reference model is built from the model's count arrays.
+    reference model is built from the model's count tables.
     """
     discounts = {k: DiscountParams.single(d) for k, d in model.dstars.items()}
-    ref = NgramLM(model.vocab, model.order, "kn", model.count_arrays(), discounts)
+    ref = NgramLM(model.vocab, model.order, "kn", model.tables(), discounts)
     level = model.levels[model.order]
     rng = np.random.default_rng(seed)
     contexts = level.contexts[rng.integers(len(level.contexts), size=n_queries)]
@@ -407,6 +408,7 @@ def run_checks(model, seed: int) -> List[dict]:
             allowance = MARGINAL_ULPS * sys.float_info.epsilon * len(model.levels[k].totals)
             bound = marginal_error_bound(model, k)
             check(f"marginal_order_{k}", verify_marginal(model, k), bound + allowance)
+        check("rank1_closed_form", *rank1_closed_form(model))
         check("gamma_closed_form", model.check_gamma_closed_form(), 1e-12)
         check("local_discount_identity", model.check_local_constraints(), 1e-12)
         check("discount_bounds", model.check_discount_bounds(), 1e-12)

@@ -15,14 +15,15 @@ model one ``z.k.j`` per order k = n..2 and intermediate power j:
     z.k.j       every slice's L (rows x rank), then every slice's R
                 (rank x cols), row-major, in slice order
 
-The rest is derived on load by the code that built it.  ``plre_levels``,
-the build's own loop, derives each lower order's adjusted table from the
-level above; each level derives its top numerators, gammas and low-rank
-denominators from its keys, counts, d* and powers, and its slices' layout
-from its contexts and the order below (``PlreLevel``): slice s of order k
-is the order-(k-1) context s, its rows that context's entries and its
-columns the order-k contexts it is the interior of.  The unigram base
-comes from the order-2 keys (``PlreModel``).  A baseline is rebuilt by
+The rest is derived on load by the code that built it.  The keys' digits
+are read once into trie codes (``CountTable.from_keys``), and
+``plre_levels``, the build's own loop, derives each lower order's adjusted
+table from the one above; each level derives its top numerators, gammas
+and low-rank denominators from its counts, d* and powers, and its slices'
+layout from its table and the one below (``PlreLevel``): slice s of order
+k is the order-(k-1) context s, its rows that context's entries and its
+columns the order-k contexts it is the parent of.  The unigram base comes
+from the order-2 words (``PlreModel``).  A baseline is rebuilt by
 ``NgramLM.build``.  So a loaded model answers queries bit-identically, and
 a rebuild with the same seed produces byte-identical files.  Sections a
 loader does not read, as earlier layouts wrote them, are hash-checked and
@@ -111,21 +112,21 @@ def save_model(model, path: str, config_echo: Optional[dict] = None) -> None:
     """Serialize an NgramLM or PlreModel to a container file."""
     if not isinstance(model, (PlreModel, NgramLM)):
         raise TypeError(f"cannot serialize {type(model).__name__}")
-    keys, counts = model.count_arrays()[model.order]
+    top = model.tables()[model.order]
     header = {
         "format_version": FORMAT_VERSION,
         "kind": "plre" if isinstance(model, PlreModel) else "baseline",
         "order": model.order,
         "smoother": model.smoother,
         "vocab_size": len(model.vocab),
-        "entries": {str(model.order): len(keys)},
+        "entries": {str(model.order): len(top.counts)},
     }
     if config_echo is not None:
         header["config"] = config_echo
     vocab_text = "".join(word + "\n" for word in model.vocab.id_to_word)
     sections: List[Tuple[str, bytes]] = [
         ("vocab", vocab_text.encode("utf-8")),
-        (f"counts.{model.order}", _bytes(keys, "<i4") + _bytes(counts, "<i8")),
+        (f"counts.{model.order}", _bytes(top.keys, "<i4") + _bytes(top.counts, "<i8")),
     ]
 
     if isinstance(model, PlreModel):
@@ -208,11 +209,10 @@ def load_model(path: str):
         vocab = Vocabulary(words)
         if len(vocab) != header.get("vocab_size"):
             raise ContainerError(f"{path}: vocab size disagrees with header")
-        keys, counts = _read_counts(header, payloads, len(vocab))
+        top = CountTable.from_keys(*_read_counts(header, payloads, len(vocab)))
         if header.get("kind") == "plre":
-            return _load_plre(header, payloads, vocab, keys, counts)
+            return _load_plre(header, payloads, vocab, top)
         if header.get("kind") == "baseline":
-            top = CountTable(keys.shape[1], keys, counts)
             return NgramLM.build(vocab, {top.order: top}, header["smoother"])
     except LookupError as exc:
         raise ContainerError(f"{path}: missing container field {exc}") from exc
@@ -235,15 +235,12 @@ def _read_counts(header: dict, payloads: Dict[str, bytes], vsize: int):
 
 
 def _load_plre(
-    header: dict,
-    payloads: Dict[str, bytes],
-    vocab: Vocabulary,
-    keys: np.ndarray,
-    counts: np.ndarray,
+    header: dict, payloads: Dict[str, bytes], vocab: Vocabulary, top: CountTable
 ) -> PlreModel:
     factors: List[Tuple[str, LowRankCPT]] = []
 
-    def make_level(k: int, keys: np.ndarray, counts: np.ndarray) -> PlreLevel:
+    def make_level(table: CountTable, lower: CountTable) -> PlreLevel:
+        k = table.order
         ranks = header["ranks"][str(k)]
 
         def sized(spec: DiscountSpec, layout: SliceLayout) -> LowRankCPT:
@@ -253,13 +250,12 @@ def _load_plre(
 
         powers = tuple(map(float, header["powers"][str(k)]))
         dstar = float(header["dstars"][str(k)])
-        return PlreLevel(k, keys, counts, dstar=dstar, powers=powers, factorize=sized)
+        return PlreLevel(table, lower, dstar, powers, sized)
 
-    levels = plre_levels(keys, counts, make_level)
+    levels = plre_levels(top, make_level)
     seed, warnings = int(header.get("seed", 0)), list(header.get("warnings", []))
-    model = PlreModel(vocab, keys.shape[1], levels, seed, warnings)
-    # Each section holds its factors alone, sized by the layout, which
-    # means something only once linking has checked the keys' order.
+    model = PlreModel(vocab, top.order, levels, seed, warnings)
+    # Each section holds its factors alone, sized by the layout.
     for name, z in factors:
         cur = _Cursor(payloads[name], name)
         z.L, z.R = cur.floats(len(z.L)), cur.floats(len(z.R))

@@ -8,6 +8,13 @@ Conventions used throughout the toolkit:
   most-recent-word-first:
   ``(w_i, w_{i-1}, ..., w_{i-n+1})``.  The context of a key is ``key[1:]``,
   i.e. ``(w_{i-1}, ..., w_{i-n+1})``.
+* A count table holds 1-D trie codes, not keys (the context encoding of
+  Pauls and Klein, ACL 2011; KenLM's trie, Heafield, WMT 2011): a row one
+  order lower times RADIX plus a word id.  A context is coded by its parent
+  (the context less its oldest word) and its oldest word, an entry by its
+  context and its word.  Ids are i4, below RADIX, so a code fits int64 for
+  any vocabulary and order.  Sorted codes order contexts and entries as
+  sorted keys would; keys are derived where digits are needed.
 * The order-k counter pads each sentence with ``k-1`` bos symbols and one
   eos symbol, so every counted position has a full-length context and the
   unigram table contains no bos.
@@ -29,6 +36,12 @@ BOS = "<s>"
 EOS = "</s>"
 
 Key = Tuple[int, ...]
+
+# A trie code's row is ``code >> CODE_BITS``, its word ``code & WORD_MASK``.
+CODE_BITS = 31
+RADIX = 1 << CODE_BITS
+WORD_MASK = RADIX - 1
+ROOT = np.zeros(1, dtype=np.int64)  # the code of order 1's one, empty context
 
 
 class Vocabulary:
@@ -96,30 +109,33 @@ def offsets(sizes: np.ndarray) -> np.ndarray:
     return np.arange(int(sizes.sum())) - np.repeat(segments(sizes)[:-1], sizes)
 
 
-def run_heads(rows: np.ndarray) -> np.ndarray:
-    """True at the first of each run of equal consecutive rows."""
-    heads = np.zeros(len(rows), dtype=bool)
+def run_heads(values: np.ndarray) -> np.ndarray:
+    """True at the first of each run of equal consecutive values."""
+    heads = np.empty(len(values), dtype=bool)
     heads[:1] = True
-    # Column by column: a 2-d comparison and its row-wise any() cost ~5x.
-    for col in rows.T:
-        heads[1:] |= col[1:] != col[:-1]
+    np.not_equal(values[1:], values[:-1], out=heads[1:])
     return heads
 
 
-def _runs(rows: np.ndarray) -> np.ndarray:
-    """CSR offsets of the runs of equal consecutive rows."""
-    return np.append(np.flatnonzero(run_heads(rows)), len(rows))
+def run_starts(values: np.ndarray) -> np.ndarray:
+    """CSR offsets of the runs of equal consecutive values."""
+    return np.append(np.flatnonzero(run_heads(values)), len(values))
 
 
-def context_starts(keys: np.ndarray) -> np.ndarray:
-    """CSR offsets of the runs of equal contexts (``keys[:, 1:]``) in keys
-    sorted by context."""
-    return _runs(keys[:, 1:])
-
-
-def _key_columns(order: int) -> List[int]:
-    """The columns keys sort by, most significant first: context, then word."""
-    return list(range(1, order)) + [0]
+def _read_digits(keys: np.ndarray) -> Tuple[Tuple[np.ndarray, ...], np.ndarray]:
+    """(trie, entry codes) of keys sorted by context, then word, repeats
+    allowed: after context column m, the runs of equal prefixes are the
+    order-(m+1) contexts, each split from its parent's run by a word."""
+    heads = np.zeros(len(keys), dtype=bool)
+    heads[:1] = True
+    row = np.zeros(len(keys), dtype=np.int64)  # each key's context row so far
+    trie = [ROOT]
+    for col in keys.T[1:]:
+        heads[1:] |= col[1:] != col[:-1]
+        at = np.flatnonzero(heads)
+        trie.append(row[at] * RADIX + col[at])
+        row = np.cumsum(heads) - 1
+    return tuple(trie), row * RADIX + keys[:, 0]
 
 
 class RowMap(abc.Mapping):
@@ -150,29 +166,63 @@ class RowMap(abc.Mapping):
 
 
 class CountTable:
-    """Counts for one n-gram order as sorted arrays.
+    """Counts for one n-gram order as sorted 1-D trie codes.
 
-    ``keys`` (n x order, most-recent-first, int64) are sorted by context,
-    then predicted word, and carry ``counts``.  Context c owns entries
-    ``ctx_start[c]:ctx_start[c+1]`` and has ``totals[c]``.  ``entries`` and
-    ``context_totals`` are read-only mapping views keyed by tuples.
+    ``trie[m - 1]`` codes the order-m contexts, m = 1..order (order 1's
+    one context is the empty one, coded 0), each by its parent's row and
+    its oldest word; ``ctx_code`` is this order's, ``parent`` their rows.
+    ``entry_code`` codes each entry by its context's row and its predicted
+    word (``words``), and carries ``counts``.  Every code array strictly
+    increases.  Context c owns entries ``ctx_start[c]:ctx_start[c+1]`` and
+    has ``totals[c]``.  ``keys`` (n x order) and ``contexts`` are derived
+    digits, ``entries`` and ``context_totals`` read-only mapping views of
+    them keyed by tuples.
     """
 
-    def __init__(self, order: int, keys: np.ndarray, counts: np.ndarray):
-        n = len(keys)
-        if n == 0 or keys.shape != (n, order) or counts.shape != (n,):
-            raise ValueError(f"order {order}: table arrays disagree in length")
-        self.order = order
-        self.keys = keys.astype(np.int64, copy=False)
+    def __init__(self, trie: Tuple[np.ndarray, ...], entry_code: np.ndarray, counts: np.ndarray):
+        if len(entry_code) == 0 or counts.shape != entry_code.shape:
+            raise ValueError(f"order {len(trie)}: table arrays disagree in length")
+        self.order = len(trie)
+        self.trie = trie
+        self.ctx_code = trie[-1]
+        self.parent = self.ctx_code >> CODE_BITS
+        self.entry_code = entry_code
         self.counts = counts.astype(np.int64, copy=False)
-        self.ctx_start = context_starts(self.keys)
-        self.contexts = self.keys[self.ctx_start[:-1], 1:]
-        self.totals = np.add.reduceat(self.counts, self.ctx_start[:-1])
-        self.ctx_of_entry = np.repeat(np.arange(len(self.contexts)), np.diff(self.ctx_start))
+        self.ctx_of_entry = entry_code >> CODE_BITS
+        self.words = entry_code & WORD_MASK
+        self.ctx_start = run_starts(self.ctx_of_entry)  # every context has an entry
+        # Integer sums, exact in floats too: a bincount is the fastest.
+        self.totals = self.context_sums(self.counts).astype(np.int64)
+
+    @classmethod
+    def from_keys(cls, keys: np.ndarray, counts: np.ndarray) -> "CountTable":
+        """The table of ``keys`` (ids below RADIX), which must be sorted by
+        context, then word, and unique."""
+        trie, entry_code = _read_digits(keys)
+        for codes in (*trie[1:], entry_code):
+            if np.any(codes[1:] <= codes[:-1]):
+                raise ValueError(f"order {keys.shape[1]} keys must be sorted and unique")
+        return cls(trie, entry_code, np.asarray(counts))
+
+    def _digits(self, rows: np.ndarray) -> np.ndarray:
+        """The words of this order's contexts at ``rows``, most recent first."""
+        digits = np.empty((len(rows), self.order - 1), dtype=np.int64)
+        for m in range(self.order - 1, 0, -1):
+            code = self.trie[m][rows]
+            digits[:, m - 1], rows = code & WORD_MASK, code >> CODE_BITS
+        return digits
+
+    @property
+    def keys(self) -> np.ndarray:
+        return np.column_stack([self.words, self._digits(self.ctx_of_entry)])
+
+    @functools.cached_property
+    def contexts(self) -> np.ndarray:
+        return self._digits(np.arange(len(self.ctx_code)))
 
     @property
     def entries(self) -> RowMap:
-        return RowMap(self.keys, self.counts, _key_columns(self.order))
+        return RowMap(self.keys, self.counts, [*range(1, self.order), 0])
 
     @property
     def context_totals(self) -> RowMap:
@@ -183,27 +233,37 @@ class CountTable:
         return int(self.counts.sum())
 
     @functools.cached_property
-    def interior_runs(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(CSR offsets of the runs of equal interiors among the contexts,
-        each context's run index).  A context's interior is the context less
-        its oldest word; sorted contexts keep equal interiors in runs, in
-        order, so a run's index is its interior's row one order lower."""
-        heads = run_heads(self.contexts[:, :-1])
-        return np.append(np.flatnonzero(heads), len(heads)), np.cumsum(heads) - 1
-
-    @functools.cached_property
     def distinct_counts(self) -> Tuple[np.ndarray, np.ndarray]:
         """(the distinct counts, each entry's index among them): the run
         heads of the sorted counts, then one search per entry.  Unlike
         ``np.bincount``, this allocates nothing by the largest count."""
         ordered = np.sort(self.counts)
-        distinct = ordered[np.append(True, ordered[1:] != ordered[:-1])]
+        distinct = ordered[run_heads(ordered)]
         return distinct, np.searchsorted(distinct, self.counts)
 
     def context_sums(self, values: np.ndarray) -> np.ndarray:
         """Per context, the sum of ``values`` (one per entry), added in key
         order: it follows from the keys and the values alone."""
-        return np.bincount(self.ctx_of_entry, values, len(self.contexts))
+        return np.bincount(self.ctx_of_entry, values, len(self.ctx_code))
+
+    def lower_codes(self) -> np.ndarray:
+        """Each entry less its oldest word, coded one order lower: its
+        context's parent times RADIX plus its word."""
+        return (self.parent * RADIX)[self.ctx_of_entry] + self.words
+
+    def lower(self, summed: bool = False) -> "CountTable":
+        """The table one order lower, one sort of ``lower_codes``: each code
+        once, with the number of entries that share it (the adjusted table)
+        or, if ``summed``, their counts' sum (the marginals)."""
+        codes = self.lower_codes()
+        if summed:
+            perm = np.argsort(codes)
+            codes, weights = codes[perm], self.counts[perm]
+        else:
+            codes = np.sort(codes)
+        starts = run_starts(codes)
+        counts = np.add.reduceat(weights, starts[:-1]) if summed else np.diff(starts)
+        return CountTable(self.trie[:-1], codes[starts[:-1]], counts)
 
 
 def count_ngrams(
@@ -216,7 +276,7 @@ def count_ngrams(
 
     Each sentence is padded with ``order-1`` bos ids and a single eos id;
     keys are most-recent-word-first.  The windows of the padded stream are
-    sorted, and each run of equal windows is one entry.
+    sorted and read into codes, and each run of equal codes is one entry.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
@@ -231,13 +291,17 @@ def count_ngrams(
     stream = np.full(starts[-1], bos_id, dtype=np.int64)
     stream[np.repeat(starts[:-1] + order - 1, lens) + offsets(lens)] = tokens
     stream[starts[1:] - 1] = eos_id
+    if stream.min() < 0 or stream.max() >= RADIX:
+        raise ValueError("a word id is outside [0, 2**31)")
     body = np.repeat(starts[:-1] + order - 1, lens + 1) + offsets(lens + 1)
     # Every position after the bos pad is predicted: key = (w_i, ..., w_{i-order+1}).
     windows = np.stack([stream[body - j] for j in range(order)], axis=1)
-    # One lexsort: packing a window into one int64 code would overflow.
-    windows = windows[np.lexsort([windows[:, c] for c in reversed(_key_columns(order))])]
-    starts = _runs(windows)
-    return CountTable(order, windows[starts[:-1]], np.diff(starts))
+    # One lexsort by context, then word: packing a window into one int64
+    # code would overflow.
+    windows = windows[np.lexsort(windows.T[[0, *range(order - 1, 0, -1)]])]
+    trie, codes = _read_digits(windows)
+    starts = run_starts(codes)
+    return CountTable(trie, codes[starts[:-1]], np.diff(starts))
 
 
 def count_all_orders(
@@ -251,33 +315,12 @@ def count_all_orders(
     return marginal_tables(count_ngrams(sentences, max_order, bos_id, eos_id))
 
 
-def lower_order(table: CountTable, summed: bool = False) -> Tuple[np.ndarray, np.ndarray]:
-    """(keys, counts) of the order below ``table``: its keys less their
-    oldest word, each once, with the number of keys that share it (the
-    adjusted table) or, if ``summed``, their counts' sum (the marginals).
-
-    A key less its oldest word is its context's interior and its word, and
-    sorted contexts keep equal interiors together and in order, so one
-    int64 sort of ``interior index * V + word`` sorts by context, then word."""
-    runs, ctx_interior = table.interior_runs
-    vsize = int(table.keys[:, 0].max()) + 1
-    codes = ctx_interior[table.ctx_of_entry] * vsize + table.keys[:, 0]
-    if summed:
-        perm = np.argsort(codes)
-        codes, weights = codes[perm], table.counts[perm]
-    else:
-        codes = np.sort(codes)
-    starts = _runs(codes[:, None])
-    counts = np.add.reduceat(weights, starts[:-1]) if summed else np.diff(starts)
-    interior, words = np.divmod(codes[starts[:-1]], vsize)
-    return np.column_stack([words, table.contexts[runs[:-1], :-1][interior]]), counts
-
-
 def _lower_tables(top: CountTable, summed: bool) -> Dict[int, CountTable]:
-    """``top`` and each lower order, derived from the one above it."""
+    """``top`` and each lower order, derived from the one above it: the one
+    loop every model derives its orders with."""
     tables = {top.order: top}
     for k in range(top.order - 1, 0, -1):
-        tables[k] = CountTable(k, *lower_order(tables[k + 1], summed))
+        tables[k] = tables[k + 1].lower(summed)
     return tables
 
 

@@ -34,22 +34,24 @@ query is the one all models share (``levels.LevelModel.score``).
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import InitVar, dataclass, field
+import sys
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .baselines import count_of_counts, good_turing_discount
 from .corpus import (
+    WORD_MASK,
     CountTable,
     Vocabulary,
-    context_starts,
-    lower_order,
+    adjusted_tables,
     offsets,
+    run_starts,
     segments,
 )
-from .corpus import adjusted_tables  # noqa: F401  (not called here; bench/run.py traces it)
 from .errors import ConfigError, FactorizationError
 from .factorization import ConvergenceReport, factor_index, fit_reports, nmf_gkl_many
 from .factorization import nmf_gkl  # noqa: F401  (not called here; bench/run.py traces it)
@@ -114,31 +116,25 @@ def compute_discounts(
 
 class SliceLayout:
     """Where a level's low-rank tables keep each slice, derived from the
-    level's table and the keys one order below.
+    level's table and ``lower``, the table one order below.
 
-    Slice s is interior s: the order-(k-1) context s, which is the interior
-    (the context less its oldest word) of a run of the table's sorted
+    Slice s is ``lower``'s context s, the parent of a run of the table's
     contexts.  Its columns are that run's contexts, by their oldest words,
     so a context is its own column over all slices (``ctx_slice`` gives its
-    slice, ``ctx_col`` its column within it).  Its rows are the entries of
-    context s one order lower, by their predicted words: ``lower`` holds
-    those keys, by default derived from the table (``lower_order``; at
-    order 2, the base's nonzero words).  Every discounted count of a chain
-    step is positive, so each slice has ``nnz`` nonzeros: the table's
-    entries in its columns.  Every chain step of a level shares its layout.
+    slice, ``ctx_col`` its column within it).  Its rows are ``lower``'s
+    entries of context s, by their words, numbered across all slices as
+    ``lower``'s entries are.  Every discounted count of a chain step is
+    positive, so each slice has ``nnz`` nonzeros: the table's entries in
+    its columns.  Every chain step of a level shares its layout.
     """
 
-    def __init__(self, table: CountTable, lower: Optional[np.ndarray] = None):
-        if lower is None and table.order > 2:
-            lower = lower_order(table)[0]
-        elif lower is None:
-            lower = np.flatnonzero(np.bincount(table.keys[:, 0]))[:, None]
-        self.col_start, self.ctx_slice = table.interior_runs
-        self.slices = table.contexts[self.col_start[:-1], :-1]
-        self.col_ids = table.contexts[:, -1]
-        self.ctx_col = np.arange(len(self.ctx_slice)) - self.col_start[self.ctx_slice]
-        self.row_ids = lower[:, 0]
-        self.row_start = context_starts(lower)
+    def __init__(self, table: CountTable, lower: CountTable):
+        self.lower = lower
+        self.ctx_slice = table.parent
+        self.col_start = run_starts(table.parent)
+        self.col_ids = table.ctx_code & WORD_MASK
+        self.ctx_col = np.arange(len(table.parent)) - self.col_start[table.parent]
+        self.row_ids, self.row_start = lower.words, lower.ctx_start
         self.rows, self.cols = np.diff(self.row_start), np.diff(self.col_start)
         self.nnz = np.diff(table.ctx_start[self.col_start])
 
@@ -152,7 +148,7 @@ class LowRankCPT:
     no more floats than it has nonzeros: ``rank`` is only a cap.  Its
     row-major factors L (rows x rank) and R (rank x cols) are runs of ``L``
     and ``R``, zero until ``compute_z`` writes them or a load reads them.
-    ``slices``, ``row_ids`` and ``col_ids`` are the layout's.  A lookup is
+    ``row_ids`` and ``col_ids`` are the layout's.  A lookup is
     one L-row . R-column product over the powered context sum in
     ``denominators``, aligned with the level's contexts: the level that
     owns the table derives them (``PlreLevel``), and a container stores
@@ -170,11 +166,22 @@ class LowRankCPT:
         if self.rank < 1:
             raise ValueError(f"order {self.order}: rank must be >= 1, got {self.rank}")
         lay = self.layout
-        self.slices, self.row_ids, self.col_ids = lay.slices, lay.row_ids, lay.col_ids
+        self.row_ids, self.col_ids = lay.row_ids, lay.col_ids
         self.ranks = np.minimum(self.rank, np.maximum(1, lay.nnz // (lay.rows + lay.cols)))
         self.L_start = segments(lay.rows * self.ranks)
         self.R_start = segments(self.ranks * lay.cols)
         self.L, self.R = np.zeros(self.L_start[-1]), np.zeros(self.R_start[-1])
+
+    @property
+    def slices(self) -> np.ndarray:
+        """Each slice's interior, most recent word first."""
+        return self.layout.lower.contexts
+
+    @functools.cached_property
+    def index(self) -> Tuple[np.ndarray, ...]:
+        """``factor_index`` of the slices, a column its context, made once."""
+        lay = self.layout
+        return factor_index(lay.rows, lay.cols, self.ranks, lay.col_start)
 
     @property
     def dims(self) -> np.ndarray:
@@ -275,20 +282,16 @@ def compute_z(
                 f"nonpositive or non-finite discounted count {v[e]} at "
                 f"{tuple(table.keys[e].tolist())}: discount bound broken"
             )
-        z = LowRankCPT(k, rank, SliceLayout(table) if layout is None else layout, spec.sums)
+        z = LowRankCPT(k, rank, layout or SliceLayout(table, table.lower()), spec.sums)
         lay, ranks, L, R = z.layout, z.ranks, z.L, z.R
         rows, n = lay.rows, len(lay.rows)
         # The support in (slice, row, column) order, rows and columns
         # numbered across all slices: an entry's column is its context, and
-        # its row its word's place among its interior's entries one order
-        # lower.  Table order runs by column, then row, so a stable sort by
-        # row keeps each row's columns in order.
+        # its row its code one order lower among the entries there.  Table
+        # order runs by column, then row, so a stable sort by row keeps
+        # each row's columns in order.
         row_slice = np.repeat(np.arange(n), rows)
-        vsize = int(lay.row_ids.max()) + 1
-        row_of = np.searchsorted(
-            row_slice * vsize + lay.row_ids,
-            lay.ctx_slice[table.ctx_of_entry] * vsize + table.keys[:, 0],
-        )
+        row_of = np.searchsorted(lay.lower.entry_code, table.lower_codes())
         perm = np.argsort(row_of, kind="stable")
         ii, jj, vals = row_of[perm], table.ctx_of_entry[perm], v[perm]
         col_slice = lay.ctx_slice
@@ -318,7 +321,7 @@ def compute_z(
             batch = np.flatnonzero(ranks == r).tolist()
             seeds = [np.random.SeedSequence(entropy=seed, spawn_key=(k, j, s)) for s in batch]
             names = [
-                f"order {k}, chain step {j}, interior {tuple(lay.slices[s].tolist())}"
+                f"order {k}, chain step {j}, interior {tuple(z.slices[s].tolist())}"
                 for s in batch
             ]
             fits = nmf_gkl_many(
@@ -342,47 +345,37 @@ def derive_dstar(d_gt: float, eta: int) -> float:
     return d_gt ** (1.0 / (eta + 1))
 
 
-@dataclass(eq=False)
 class PlreLevel(Level):
     """One order's stack: a level whose chain steps each discount by
     ``dstar``, with one low-rank table per intermediate power in ``powers``.
 
-    Its keys and counts are the order's adjusted table (``plre_levels``).
-    Everything else is derived, one way for a build and a load alike:
-    ``top``, ``gammas`` and each low-rank table's ``denominators`` from its
-    keys, counts, d* and powers (``compute_discounts``); ``lower``, the
-    adjusted (keys, counts) one order below, from its contexts
-    (``lower_order``; none at order 2, whose base ``PlreModel`` counts);
-    and from those the slices' ``SliceLayout``.  ``factorize(spec,
-    layout)`` makes each chain step's low-rank table, its denominators the
-    step's ``sums``: a build factorizes the step, and a load reads the
-    stored factors.  Seconds are added to ``timings`` (discounts,
-    adjusted_tables, slices)."""
+    Its table is the order's adjusted table (``plre_levels``), and the rest
+    is derived, one way for a build and a load alike: ``top``, ``gammas``
+    and the low-rank ``denominators`` from its counts, d* and powers
+    (``compute_discounts``), and the ``SliceLayout`` from its table and
+    ``lower``, the adjusted table one order below.  ``factorize(spec,
+    layout)`` makes each chain step's low-rank table: a build factorizes
+    the step, and a load reads the stored factors.  Seconds are added to
+    ``timings`` (discounts, slices)."""
 
-    top: np.ndarray = field(init=False)
-    gammas: np.ndarray = field(init=False)
-    z_tables: List[LowRankCPT] = field(init=False)
-    dstar: float
-    powers: Tuple[float, ...]
-    factorize: InitVar[Optional[Callable[[DiscountSpec, SliceLayout], LowRankCPT]]] = None
-    timings: InitVar[Optional[Dict[str, float]]] = None
-
-    def __post_init__(self, factorize, timings):
-        self.check_chain(self.order, self.powers, self.dstar)
+    def __init__(
+        self,
+        table: CountTable,
+        lower: CountTable,
+        dstar: float,
+        powers: Sequence[float],
+        factorize: Optional[Callable[[DiscountSpec, SliceLayout], LowRankCPT]] = None,
+        timings: Optional[Dict[str, float]] = None,
+    ):
+        self.check_chain(table.order, powers, dstar)
         with timed(timings, "discounts"):
-            # Level's shape checks hold by construction.
-            CountTable.__init__(self, self.order, self.keys, self.counts)
-            specs = compute_discounts(self, (1.0,) + self.powers + (0.0,), self.dstar)
-            self.top = specs[0].powered - specs[0].discount
-            self.gammas = np.array([spec.gamma for spec in specs])
-        self.lower = None
-        if self.order > 2:
-            with timed(timings, "adjusted_tables"):
-                self.lower = lower_order(self)
-        self.z_tables = []
+            specs = compute_discounts(table, (1.0,) + tuple(powers) + (0.0,), dstar)
+            top = specs[0].powered - specs[0].discount
+            super().__init__(table, top, np.array([spec.gamma for spec in specs]))
+        self.dstar, self.powers = dstar, tuple(powers)
         if self.eta:
             with timed(timings, "slices"):
-                layout = SliceLayout(self, None if self.lower is None else self.lower[0])
+                layout = SliceLayout(self, lower)
             self.z_tables = [factorize(spec, layout) for spec in specs[1:]]
 
     @staticmethod
@@ -405,7 +398,7 @@ class PlreModel(LevelModel):
 
     The base's numerators are continuation counts: for each word, the
     number of order-2 entries that predict it, i.e. the order-1 adjusted
-    table, counted from the order-2 keys."""
+    table, counted from the order-2 words."""
 
     def __init__(
         self,
@@ -415,7 +408,7 @@ class PlreModel(LevelModel):
         seed: int,
         warnings: Optional[List[str]] = None,
     ):
-        base_counts = np.bincount(levels[2].keys[:, 0], minlength=len(vocab))
+        base_counts = np.bincount(levels[2].words, minlength=len(vocab))
         super().__init__(vocab, order, levels, base_counts)
         self.seed = seed
         self.warnings = warnings or []
@@ -570,43 +563,32 @@ def build_plre(
             layout=layout,
         )
 
-    def make_level(k: int, keys: np.ndarray, counts: np.ndarray) -> PlreLevel:
-        chain_mid = tuple(powers.get(k, ()))
+    def make_level(table: CountTable, lower: CountTable) -> PlreLevel:
+        chain_mid = tuple(powers.get(table.order, ()))
         if dstar == "gt-root":
-            n1, n2, _, _ = count_of_counts(counts)
+            n1, n2, _, _ = count_of_counts(table.counts)
             d = derive_dstar(good_turing_discount(n1, n2), len(chain_mid))
         else:
             d = float(dstar)
-        return PlreLevel(
-            k, keys, counts, dstar=d, powers=chain_mid, factorize=factorize, timings=timings
-        )
+        return PlreLevel(table, lower, d, chain_mid, factorize, timings)
 
-    levels = plre_levels(top.keys, top.counts, make_level)
+    levels = plre_levels(top, make_level, timings)
     return PlreModel(vocab, order, levels, seed, warnings)
 
 
 def plre_levels(
-    keys: np.ndarray,
-    counts: np.ndarray,
-    make_level: Callable[[int, np.ndarray, np.ndarray], PlreLevel],
+    top: CountTable,
+    make_level: Callable[[CountTable, CountTable], PlreLevel],
+    timings: Optional[Dict[str, float]] = None,
 ) -> Dict[int, PlreLevel]:
-    """Levels n..2 from the top order's raw (keys, counts), for a build and
-    a load alike: ``make_level(k, keys, counts)`` makes each, and each
-    level derives the next order's adjusted table (``PlreLevel.lower``).
-    No order-1 table is derived: ``PlreModel`` counts its base from the
-    order-2 keys."""
-    levels: Dict[int, PlreLevel] = {}
-    for k in range(keys.shape[1], 1, -1):
-        levels[k] = make_level(k, keys, counts)
-        if k > 2:
-            keys, counts = levels[k].lower
-    return levels
-
-
-def _factor_index(z: LowRankCPT) -> Tuple[np.ndarray, ...]:
-    """``factor_index`` of z's slices; a column is its context."""
-    lay = z.layout
-    return factor_index(lay.rows, lay.cols, z.ranks, lay.col_start)
+    """Levels n..2 from the top order's raw count table, for a build and a
+    load alike: ``adjusted_tables``, the loop every model derives its
+    lower orders with, gives each order's table, and ``make_level(table,
+    lower)`` makes each level from its table and the one below it.
+    Derivation seconds are added to ``timings["adjusted_tables"]``."""
+    with timed(timings, "adjusted_tables"):
+        tables = adjusted_tables(top)
+    return {k: make_level(tables[k], tables[k - 1]) for k in range(top.order, 1, -1)}
 
 
 def _order(model: PlreModel, order: Optional[int]) -> int:
@@ -635,10 +617,10 @@ def marginal(model: PlreModel, order: Optional[int] = None) -> np.ndarray:
     for kk in range(k, 1, -1):
         level = model.levels[kk]
         share = (weight / level.totals)[level.ctx_of_entry] * level.top
-        acc += np.bincount(level.keys[:, 0], weights=share, minlength=vsize)
+        acc += np.bincount(level.words, weights=share, minlength=vsize)
         g = weight * level.gammas[0]
         for j, z in enumerate(level.z_tables):
-            L_term, L_row, R_term, R_col = _factor_index(z)
+            L_term, L_row, R_term, R_col = z.index
             w = g / z.denominators
             rows = np.bincount(L_row, z.L * np.bincount(R_term, z.R * w[R_col])[L_term])
             acc += np.bincount(z.row_ids, weights=rows, minlength=vsize)
@@ -660,9 +642,7 @@ def verify_marginal(model: PlreModel, order: Optional[int] = None) -> float:
     """
     k = _order(model, order)
     level = model.levels[k]
-    expected = np.zeros(len(model.vocab))
-    np.add.at(expected, level.keys[:, 0], level.counts)
-    expected /= float(level.totals.sum())
+    expected = np.bincount(level.words, level.counts, len(model.vocab)) / float(level.totals.sum())
     return float(np.max(np.abs(marginal(model, k) - expected)))
 
 
@@ -682,13 +662,40 @@ def normalization_observed(model: LevelModel) -> float:
         s = np.add.reduceat(level.top, level.ctx_start[:-1]) / level.totals
         g = level.gammas[0]
         for j, z in enumerate(level.z_tables):
-            L_term, _, R_term, R_col = _factor_index(z)
+            L_term, _, R_term, R_col = z.index
             mass = np.bincount(R_col, z.R * np.bincount(L_term, z.L)[R_term])
             s += g * mass / z.denominators
             g = g * level.gammas[j + 1]
         sums = s + g * sums[level.parent]
         worst.append(np.max(np.abs(sums - 1.0)))
     return float(np.max(worst))
+
+
+def rank1_closed_form(model: PlreModel) -> Tuple[float, float]:
+    """(largest relative deviation of a rank-1 slice's factor row sums from
+    their targets, its rounding tolerance).  A row's target sums, in table
+    order as the build does, c^rho_j - d* c^rho_{j+1} over the entries
+    whose code one order lower is the row's (one search among the entry
+    codes there): stale factors show here, not in the marginal bound,
+    which takes its residuals from the factors.  L times the sum of R
+    rounds by at most (3 nnz + 2) / 2 ulps: the row, the columns and the
+    total each sum at most the slice's nnz terms."""
+    worst, nnz = [0.0], 0
+    for level in (level for level in model.levels.values() if level.z_tables):
+        lower = level.z_tables[0].layout.lower
+        row_of = np.searchsorted(lower.entry_code, level.lower_codes())
+        powered = [power_counts(level, rho) for rho in (1.0, *level.powers, 0.0)]
+        for j, z in enumerate(level.z_tables, start=1):
+            v = powered[j] - level.dstar * powered[j + 1]
+            target = np.bincount(row_of, v)
+            L_term, L_row, R_term, _ = z.index
+            rows = np.bincount(L_row, z.L * np.bincount(R_term, z.R)[L_term])
+            rank1 = z.ranks == 1
+            at = rank1[lower.ctx_of_entry]
+            worst.append(np.max(np.abs(rows[at] - target[at]) / target[at], initial=0.0))
+            nnz = max(nnz, int(z.layout.nnz[rank1].max(initial=0)))
+    # np.max, unlike max(), keeps a NaN
+    return float(np.max(worst)), (3 * nnz + 2) * sys.float_info.epsilon
 
 
 def marginal_error_bound(model: PlreModel, order: Optional[int] = None) -> float:
@@ -718,13 +725,13 @@ def marginal_error_bound(model: PlreModel, order: Optional[int] = None) -> float
         counts = level.counts.astype(np.float64)
         for j, z in enumerate(level.z_tables, start=1):
             # Factor row sums minus target row sums, summed per word over
-            # the slices; entries discounted to zero have no target.
+            # the slices (the targets first, then the factors, each in
+            # order); entries discounted to zero have no target.
             v = counts ** chain[j] - level.dstar * counts ** chain[j + 1]
-            resid = np.zeros(len(model.vocab))
-            np.add.at(resid, level.keys[:, 0], -np.maximum(v, 0.0))
-            L_term, L_row, R_term, _ = _factor_index(z)
+            L_term, L_row, R_term, _ = z.index
             rows = np.bincount(L_row, z.L * np.bincount(R_term, z.R)[L_term])
-            np.add.at(resid, z.row_ids, rows)
+            words = np.concatenate((level.words, z.row_ids))
+            resid = np.bincount(words, np.concatenate((-np.maximum(v, 0.0), rows)), len(model.vocab))
             bound += lam * (level.dstar ** j) / total * float(np.max(np.abs(resid)))
         upper_total = total
     # The order-2 level hands d*^(eta+1) * T_1 / T_2 of what reaches it to

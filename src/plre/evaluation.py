@@ -25,6 +25,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .corpus import run_heads
 from .errors import EvalError
 
 
@@ -86,14 +87,6 @@ def _codes(model, ids: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return code[at - pad]
 
 
-def _runs(sorted_codes: np.ndarray) -> np.ndarray:
-    """The mask of the first code of each run of equal sorted codes."""
-    first = np.empty(len(sorted_codes), dtype=bool)
-    first[:1] = True
-    np.not_equal(sorted_codes[1:], sorted_codes[:-1], out=first[1:])
-    return first
-
-
 def _ranks(first: np.ndarray, order: Optional[np.ndarray] = None) -> np.ndarray:
     """Each sorted code's run index, from the runs' ``first`` mask, put
     back through ``order`` (the argsort that sorted the codes) if given, in
@@ -116,7 +109,7 @@ def _dedup(codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     long."""
     order = codes.argsort()
     codes.sort()
-    first = _runs(codes)
+    first = run_heads(codes)
     inverse = _ranks(first, order)
     del order
     distinct = codes[: np.count_nonzero(first)]
@@ -145,7 +138,7 @@ def _logprobs(
     # Sorted n-grams keep each context's in a run: each distinct context is
     # resolved to its state once, in sorted batches.  Where the codes hold
     # state codes, a context key is its state already.
-    first = _runs(grams // vsize)
+    first = run_heads(grams // vsize)
     state = grams[first] // vsize
     ctx = _ranks(first)
     del first

@@ -1,15 +1,16 @@
 """Sorted-array n-gram levels and the one query walk every model shares.
 
 A model of order n keeps one level per order n, n-1, ..., 2 over a unigram
-base distribution.  A level is one sorted-array table (the layout of
-KenLM, Heafield, WMT 2011): keys sorted by context, then word, carrying
-the sparse term's numerators ``top``, one row of hand-off weights per chain
-step in ``gammas`` and, for PLRE, one low-rank table per intermediate step.
-Interpolated Kneser-Ney and the other classical smoothers are levels with
-one gamma row and no low-rank tables.  Sorted contexts keep equal
-interiors (a context less its oldest word) in runs, and those interiors
-are the contexts one order lower, so each level links to the next by
-position, with no search.  One vectorized walk, ``LevelModel.walk``,
+base distribution.  A level is one count table of sorted 1-D trie codes
+(``corpus.CountTable``; the trie of KenLM, Heafield, WMT 2011): each
+context is its parent's row one order lower times RADIX plus its oldest
+word, and each entry its context's row times RADIX plus its word.  The
+entries carry the sparse term's numerators ``top``, one row of hand-off
+weights per chain step in ``gammas`` and, for PLRE, one low-rank table per
+intermediate step.  Interpolated Kneser-Ney and the other classical
+smoothers are levels with one gamma row and no low-rank tables.  Every
+level of a model shares one trie, so a context's parent row is its link to
+the next level, with no search.  One vectorized walk, ``LevelModel.walk``,
 answers every query of every model from its state, the deepest context of
 the query a level holds.  It searches each level's entries once per batch:
 a low-rank table's slice s is context s one order lower, and its rows are
@@ -21,12 +22,11 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .corpus import CountTable, Vocabulary
+from .corpus import RADIX, ROOT, CountTable, Vocabulary
 
 
 class OpCounter:
@@ -51,16 +51,9 @@ def timed(seconds: Optional[Dict[str, float]], stage: str) -> Iterator[None]:
 
 
 def _find(table: np.ndarray, codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(position, found) of each code in a strictly increasing code table."""
-    if len(table) == 0:
-        return np.zeros(len(codes), dtype=np.int64), np.zeros(len(codes), dtype=bool)
+    """(position, found) of each code in a nonempty strictly increasing table."""
     pos = np.minimum(np.searchsorted(table, codes), len(table) - 1)
     return pos, table[pos] == codes
-
-
-def _strictly_increasing(codes: np.ndarray, what: str) -> None:
-    if np.any(codes[1:] <= codes[:-1]):
-        raise ValueError(f"{what} must be sorted and unique")
 
 
 def make_base_distribution(
@@ -85,47 +78,19 @@ def make_base_distribution(
     return numer / numer.sum()
 
 
-@dataclass(eq=False)
 class Level(CountTable):
     """One order's count table with its smoothing terms.
 
     The table's entries carry the sparse term's ``top`` numerators;
     ``gammas`` rows (one per chain step, the last one the hand-off to the
     order below) and each low-rank table's ``denominators`` are aligned
-    with its contexts.  A context is coded as its ``parent``'s index one
-    order lower times V plus its oldest word (``link``).
+    with its contexts.  A level is made from its table's arrays and
+    whatever the table has derived from them, with no copy.
     """
 
-    order: int
-    keys: np.ndarray
-    counts: np.ndarray
-    top: np.ndarray
-    gammas: np.ndarray
-    z_tables: List
-
-    def __post_init__(self):
-        super().__init__(self.order, self.keys, self.counts)
-        rows = (len(self.z_tables) + 1, len(self.contexts))
-        if self.top.shape != self.counts.shape or self.gammas.shape != rows:
-            raise ValueError(f"order {self.order}: top/gammas disagree with keys")
-
-    def link(self, lower: Optional["Level"], vsize: int) -> None:
-        """Index this level for the walk.  A context's parent, its row one
-        order lower, is its interior (the context less its oldest word):
-        sorted contexts keep equal interiors in runs, so the parent is the
-        run's index, and the runs' interiors must be ``lower``'s contexts
-        (at order 2 the one interior is the empty context, and ``lower`` is
-        None).  A low-rank table's slices are those interiors too, and the
-        rows of slice s the entries of ``lower``'s context s (the base's
-        words at order 2)."""
-        runs, self.parent = self.interior_runs
-        if lower is not None and not np.array_equal(self.contexts[runs[:-1], :-1], lower.contexts):
-            raise ValueError(f"order {self.order}: a context has no lower-order parent")
-        self.vsize = vsize
-        self.ctx_code = self.parent * vsize + self.contexts[:, -1]
-        _strictly_increasing(self.ctx_code, f"order {self.order} contexts")
-        self.entry_code = self.ctx_of_entry * vsize + self.keys[:, 0]
-        _strictly_increasing(self.entry_code, f"order {self.order} keys")
+    def __init__(self, table: CountTable, top: np.ndarray, gammas: np.ndarray):
+        vars(self).update(vars(table))
+        self.top, self.gammas, self.z_tables = top, gammas, []
 
     def terms(
         self,
@@ -158,22 +123,21 @@ class LevelModel:
         self.levels = levels
         # State ids: 0 is the empty context, then order k's contexts from
         # state_start[k-1] on, k = 2..n; a query code is state * V + word.
-        sizes = [1] + [len(levels[k].contexts) for k in range(2, order + 1)]
+        sizes = [1] + [len(levels[k].ctx_code) for k in range(2, order + 1)]
         self.state_start = np.cumsum([0] + sizes)
         if int(self.state_start[-1]) * len(vocab) > np.iinfo(np.int64).max:
             raise ValueError(f"{self.state_start[-1]} states x V overflow int64 query codes")
         self.base_counts = np.asarray(base_counts, dtype=np.int64)
         self.base = make_base_distribution(self.base_counts)
-        for k in range(2, order + 1):
-            levels[k].link(levels.get(k - 1), len(vocab))
+        # Parents are rows one order lower: each trie must extend the one below.
+        for k in range(3, order + 1):
+            if not all(map(np.array_equal, levels[k].trie, levels[k - 1].trie)):
+                raise ValueError(f"order {k}: a context has no lower-order parent")
 
-    def count_arrays(self) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
-        """(keys, counts) of every order 1..n, sorted by context then word:
-        the base's nonzero unigram counts, then each level's table."""
+    def tables(self) -> Dict[int, CountTable]:
+        """Every order's count table: the base's nonzero counts, the levels."""
         words = np.flatnonzero(self.base_counts)
-        out = {1: (words[:, None], self.base_counts[words])}
-        out.update((k, (level.keys, level.counts)) for k, level in self.levels.items())
-        return out
+        return {1: CountTable((ROOT,), words, self.base_counts[words]), **self.levels}
 
     def states(self, contexts) -> np.ndarray:
         """The state of each row of ``contexts`` (most recent word first,
@@ -191,11 +155,11 @@ class LevelModel:
         at, row = every, 0
         for k in range(2, contexts.shape[1] + 2):
             level, oldest = self.levels[k], contexts[at, k - 2]
-            codes = row * level.vsize + oldest
+            codes = row * RADIX + oldest
             by_code = np.argsort(codes)
             row, hit = np.empty_like(codes), np.empty(len(codes), dtype=bool)
             row[by_code], hit[by_code] = _find(level.ctx_code, codes[by_code])
-            hit &= (oldest >= 0) & (oldest < level.vsize)
+            hit &= (oldest >= 0) & (oldest < RADIX)
             if not hit.all():
                 at, row = (np.flatnonzero(hit) if at is every else at[hit]), row[hit]
             state[at] = self.state_start[k - 1] + row
@@ -228,7 +192,7 @@ class LevelModel:
         if np.any(states[1:] < states[:-1]):
             by_state = np.argsort(states, kind="stable")
             states, words = states[by_state], words[by_state]
-        n, start, vsize = self.order, self.state_start, len(self.vocab)
+        n, start = self.order, self.state_start
         # lo[k - 1] is the first query of order k or deeper.  Level k's
         # contexts are its own queries', then the parents of those of
         # level k + 1, in suffix order.
@@ -238,7 +202,7 @@ class LevelModel:
             own = states[lo[k - 2] : lo[k - 1]] - start[k - 2]
             ctx[k - 1] = np.concatenate((own, self.levels[k].parent[ctx[k]]))
         found = {
-            k: _find(self.levels[k].entry_code, c * vsize + words[lo[k - 1] :])
+            k: _find(self.levels[k].entry_code, c * RADIX + words[lo[k - 1] :])
             for k, c in ctx.items()
         }
         if self.levels[2].z_tables:  # their rows are the base's words

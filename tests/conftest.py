@@ -305,7 +305,7 @@ def sequential_logprobs(model, sentences):
         padded = [bos] * pad + ids
         contexts = [padded[i : i + pad][::-1] for i in range(len(ids))]
         probs = model.score(
-            np.array(ids, dtype=np.int64), np.array(contexts, dtype=np.int64).reshape(-1, pad)
+            np.array(ids, dtype=np.int64), np.array(contexts, dtype=np.int64).reshape(len(ids), pad)
         ).tolist()
         for w, h, p in zip(ids, contexts, probs):
             if not 0.0 < p < math.inf:
@@ -380,8 +380,7 @@ def dense_residuals(M, P) -> Tuple[float, float]:
 def count_table(order: int, entries: Dict[Key, int]) -> CountTable:
     """A CountTable from most-recent-first keys to counts."""
     keys = sorted(entries, key=lambda key: (key[1:], key[0]))
-    return CountTable(
-        order,
+    return CountTable.from_keys(
         np.array(keys, dtype=np.int64).reshape(len(keys), order),
         np.array([entries[key] for key in keys], dtype=np.int64),
     )

@@ -277,7 +277,7 @@ class TestModelAssembly:
         lower = tables[2]
         keep = np.ones(len(lower.keys), dtype=bool)
         keep[lower.ctx_start[1] : lower.ctx_start[2]] = False
-        tables[2] = CountTable(2, lower.keys[keep], lower.counts[keep])
+        tables[2] = CountTable.from_keys(lower.keys[keep], lower.counts[keep])
         discounts = {k: DiscountParams.single(0.5) for k in (2, 3)}
         with pytest.raises(ValueError, match="order 3: a context has no lower-order parent"):
             NgramLM(vocab, 3, "abs", tables, discounts)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import re
 import struct
 from pathlib import Path
@@ -15,6 +16,7 @@ from plre.container import FORMAT_VERSION, load_model, save_model
 from plre.corpus import adjusted_tables, count_all_orders, count_ngrams
 from plre.ensemble import build_plre
 from plre.errors import ContainerError
+from plre.evaluation import perplexity
 
 from conftest import write_corpus
 
@@ -319,7 +321,7 @@ class TestBaselineLayout:
             save_model(model, str(p1))
             header = _read_header(str(p1))
             assert header["sections"] == ["vocab", f"counts.{order}"]
-            assert header["entries"] == {str(order): len(model.count_arrays()[order][0])}
+            assert header["entries"] == {str(order): len(model.tables()[order].counts)}
             assert "discounts" not in header
             save_model(load_model(str(p1)), str(p2))
             assert p1.read_bytes() == p2.read_bytes(), (smoother, order)
@@ -331,7 +333,7 @@ def _save_every_order(model, path):
     save_model(model, str(path))
     blob = path.read_bytes()
     header, sections = _split(blob)
-    arrays = sorted(model.count_arrays().items())
+    arrays = [(k, (t.keys, t.counts)) for k, t in sorted(model.tables().items())]
     sections[1:1] = [
         [f"counts.{k}", bytearray(keys.astype("<i4").tobytes() + counts.astype("<i8").tobytes())]
         for k, (keys, counts) in arrays[:-1]
@@ -515,6 +517,100 @@ class TestFactorSections:
         assert main(["verify", "--model", str(path), "--json"]) == 7
         checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
         assert not checks["normalization_observed"]["passed"]
+
+
+def _count_swapping_edit(model):
+    """(row, word) of a top-order key whose word can change to another
+    without changing the shape of any derived table or any context's
+    counts: its context has no other entry, and its entry one order lower
+    has count 2 where the new word's has count 1, so the two counts swap.
+    Only the rows of the low-rank slices one order lower change."""
+    top, mid = model.levels[model.order], model.levels[model.order - 1]
+    by_context = {}
+    for (w, *q), c in mid.entries.items():
+        by_context.setdefault(tuple(q), {})[w] = c
+    keys, single = top.keys, np.diff(top.ctx_start) == 1
+    for e in np.flatnonzero(single[top.ctx_of_entry]).tolist():
+        words = by_context[tuple(keys[e, 1:-1].tolist())]
+        if words[keys[e, 0]] == 2:
+            for w, c in words.items():
+                if c == 1:
+                    return e, w
+    raise AssertionError("no count-swapping edit in this model")
+
+
+class TestRank1ClosedForm:
+    def test_rehashed_key_edit_that_keeps_the_layout_exits_7(self, toy_corpus, tmp_path, capsys):
+        # rank-1 factors are a closed form of their level's counts: a key
+        # edit that keeps every size loads, and swaps two counts one order
+        # lower, so normalization and the marginal bound (which takes its
+        # residuals from the factors) stay clean; only the factors' row
+        # sums no longer meet their targets
+        _, vocab, enc = toy_corpus
+        model = build_plre(
+            count_ngrams(enc, 4),
+            vocab,
+            powers={2: (0.6, 0.3), 3: (0.6, 0.3), 4: ()},
+            ranks={2: (1, 1), 3: (1, 1), 4: ()},
+        )
+        path = tmp_path / "m.plre"
+        save_model(model, str(path))
+        assert main(["verify", "--model", str(path)]) == 0
+        blob = path.read_bytes()
+        header, sections = _split(blob)
+        payload = dict(sections)["counts.4"]
+        n = header["entries"]["4"]
+        keys = np.frombuffer(bytes(payload), "<i4", count=4 * n).reshape(n, 4).copy()
+        row, word = _count_swapping_edit(model)
+        keys[row, 0] = word
+        payload[: 16 * n] = keys.tobytes()
+        path.write_bytes(_join(blob, header, sections, rehash=True))
+        loaded = load_model(str(path))
+        for k in (2, 3):
+            for z, built in zip(loaded.levels[k].z_tables, model.levels[k].z_tables):
+                assert np.array_equal(z.dims, built.dims)
+                assert z.L.tobytes() == built.L.tobytes()
+        capsys.readouterr()
+        assert main(["verify", "--model", str(path), "--json"]) == 7
+        checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert not checks.pop("rank1_closed_form")["passed"]
+        assert all(c["passed"] for c in checks.values()), checks
+
+
+class TestFuzz:
+    def test_rehashed_byte_edits_and_tail_cuts_never_escape(
+        self, toy_plre3, toy_kn3, toy_corpus, tmp_path, capsys
+    ):
+        # a seeded single-byte edit or tail cut in any section of a PLRE
+        # and a kn container, rehashed: the load rejects it (6), verify
+        # fails it (7), or it is a model that verifies and answers finite
+        # probabilities; nothing else escapes
+        sentences = toy_corpus[0][:10]
+        rng = np.random.default_rng(21)
+        outcomes = {}
+        for model in (toy_plre3, toy_kn3):
+            path = tmp_path / "m.plre"
+            save_model(model, str(path))
+            blob = path.read_bytes()
+            for i, name in enumerate(_split(blob)[0]["sections"]):
+                for trial in range(32):
+                    header, sections = _split(blob)
+                    payload = sections[i][1]
+                    if trial % 4 == 0:
+                        del payload[-int(rng.integers(1, 17)) :]
+                    else:
+                        payload[int(rng.integers(len(payload)))] ^= int(rng.integers(1, 256))
+                    edited = tmp_path / "edited.plre"
+                    edited.write_bytes(_join(blob, header, sections, rehash=True))
+                    code = main(["verify", "--model", str(edited)])
+                    err = capsys.readouterr().err
+                    assert code in (0, 6, 7), (model.smoother, name, trial, code, err)
+                    if code == 0:
+                        rep = perplexity(load_model(str(edited)), sentences)
+                        assert math.isfinite(rep.perplexity), (model.smoother, name, trial)
+                    outcomes[code] = outcomes.get(code, 0) + 1
+        assert sum(outcomes.values()) == 32 * 6
+        assert outcomes.get(6, 0) > 0 and outcomes.get(0, 0) + outcomes.get(7, 0) > 0
 
 
 class TestPlreLayout:

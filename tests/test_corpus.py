@@ -5,9 +5,12 @@ import pytest
 
 from collections import Counter
 
+from plre.baselines import NgramLM
+from plre.container import load_model, save_model
 from plre.corpus import (
     BOS,
     EOS,
+    RADIX,
     UNK,
     Vocabulary,
     adjusted_tables,
@@ -18,6 +21,7 @@ from plre.corpus import (
     read_sentences,
     run_heads,
 )
+from plre.ensemble import build_plre
 from plre.errors import DataError, EmptyCorpusError
 from plre.synthetic import synthesize_corpus
 
@@ -176,6 +180,15 @@ class TestCounting:
             count_ngrams([], 2)
 
 
+def _big_id_sentences():
+    """300 sentences of 4,000 ids in all, each near 3e6: the corpus of
+    ``test_ids_whose_ngram_space_exceeds_int64``."""
+    rng = np.random.default_rng(12)
+    big = 3_000_000 + rng.integers(0, 6, size=4000)
+    cuts = np.sort(rng.choice(np.arange(1, len(big)), size=300, replace=False))
+    return [s.tolist() for s in np.split(big, cuts)]
+
+
 def _table_from_matrix(mat):
     """Bigram CountTable from a matrix with rows = predicted word."""
     entries = {}
@@ -252,11 +265,107 @@ class TestAdjustedTables:
         assert (Vocabulary.bos_id,) not in tabs[1].entries
 
 
-@pytest.mark.parametrize("shape", [(0, 2), (1, 3), (40, 0), (40, 1), (40, 3)])
-def test_run_heads_marks_the_first_row_of_each_run(shape):
-    rows = np.random.default_rng(7).integers(0, 2, size=shape)
-    want = [i == 0 or rows[i].tolist() != rows[i - 1].tolist() for i in range(shape[0])]
-    assert run_heads(rows).tolist() == want
+def _oracle_codes(entries):
+    """The trie codes of one order's table from its most-recent-first tuple
+    keys alone: each order's contexts (this order's, cut short) sorted as
+    tuples and numbered, a context coded by its parent's number and its
+    oldest word, an entry by its context's number and its word."""
+    order = len(next(iter(entries)))
+    keys = sorted(entries, key=lambda key: (key[1:], key[0]))
+    contexts = {m: sorted({key[1:m] for key in keys}) for m in range(1, order + 1)}
+    row = {m: {h: i for i, h in enumerate(hs)} for m, hs in contexts.items()}
+    trie = [[0]] + [
+        [row[m - 1][h[:-1]] * RADIX + h[-1] for h in contexts[m]] for m in range(2, order + 1)
+    ]
+    totals = Counter()
+    for key in keys:
+        totals[key[1:]] += entries[key]
+    return {
+        "trie": trie,
+        "ctx_code": trie[-1],
+        "parent": [row[max(order - 1, 1)][h[:-1]] for h in contexts[order]],
+        "entry_code": [row[order][key[1:]] * RADIX + key[0] for key in keys],
+        "counts": [entries[key] for key in keys],
+        "totals": [totals[h] for h in contexts[order]],
+    }
+
+
+class _Sized:
+    """A vocabulary of n ids, as far as a model build reads one: its length."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __len__(self):
+        return self.n
+
+
+class TestTrieCodes:
+    @pytest.mark.parametrize("corpus", ["toy", "ids-near-3e6"])
+    def test_every_level_equals_the_tuple_oracle(self, toy_corpus, corpus):
+        # PLRE at orders 2-5 and kn at order 8: each level's codes, parents,
+        # counts and totals, and the base, from the adjusted tuple tables
+        if corpus == "toy":
+            _, vocab, enc = toy_corpus
+        else:
+            enc = _big_id_sentences()
+            vocab = _Sized(3_000_006)
+        for smoother, order in [("plre", 2), ("plre", 3), ("plre", 4), ("plre", 5), ("kn", 8)]:
+            top = count_ngrams(enc, order)
+            if smoother == "plre":
+                model = build_plre(top, vocab, seed=0)
+            else:
+                model = NgramLM.build(vocab, {order: top}, smoother)
+            ref = ref_adjusted_counts(enc, order)
+            for k, level in model.levels.items():
+                want = _oracle_codes({tuple(reversed(key)): c for key, c in ref[k].items()})
+                assert [codes.tolist() for codes in level.trie] == want["trie"], (order, k)
+                for field in ("ctx_code", "parent", "entry_code", "counts", "totals"):
+                    assert getattr(level, field).tolist() == want[field], (order, k, field)
+            words = np.flatnonzero(model.base_counts)
+            assert dict(zip(words.tolist(), model.base_counts[words].tolist())) == {
+                w: c for (w,), c in ref[1].items()
+            }
+
+    @pytest.mark.parametrize("order", [2, 3, 4, 5])
+    def test_a_loaded_plre_model_has_the_built_arrays(self, toy_corpus, tmp_path, order):
+        _, vocab, enc = toy_corpus
+        built = build_plre(count_ngrams(enc, order), vocab, seed=0)
+        save_model(built, str(tmp_path / "m.plre"))
+        loaded = load_model(str(tmp_path / "m.plre"))
+        assert loaded.base_counts.tobytes() == built.base_counts.tobytes()
+        for k, level in built.levels.items():
+            other = loaded.levels[k]
+            pairs = list(zip(level.trie, other.trie)) + [
+                (getattr(level, name), getattr(other, name))
+                for name in (
+                    "entry_code",
+                    "ctx_of_entry",
+                    "words",
+                    "parent",
+                    "ctx_start",
+                    "counts",
+                    "totals",
+                    "top",
+                    "gammas",
+                )
+            ]
+            for z, zz in zip(level.z_tables, other.z_tables):
+                lay, other_lay = z.layout, zz.layout
+                pairs += [(z.ranks, zz.ranks), (z.L, zz.L), (z.R, zz.R)]
+                pairs += [(z.denominators, zz.denominators)]
+                pairs += [(getattr(lay, n), getattr(other_lay, n)) for n in vars(lay) if n != "lower"]
+            assert len(other.trie) == len(level.trie) == k
+            assert len(other.z_tables) == len(level.z_tables)
+            for a, b in pairs:
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), k
+
+
+@pytest.mark.parametrize("size,high", [(0, 2), (1, 3), (40, 1), (40, 2), (40, 5)])
+def test_run_heads_marks_the_first_of_each_run(size, high):
+    values = np.random.default_rng(7).integers(0, high, size=size)
+    want = [i == 0 or values[i] != values[i - 1] for i in range(size)]
+    assert run_heads(values).tolist() == want
 
 
 class TestReadSentences:

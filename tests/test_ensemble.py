@@ -15,7 +15,6 @@ from plre.corpus import (
     adjusted_tables,
     build_vocabulary,
     count_ngrams,
-    lower_order,
 )
 from plre.ensemble import (
     OpCounter,
@@ -101,7 +100,7 @@ class TestPoweredCounts:
         rng = np.random.default_rng(3)
         counts = np.concatenate([np.arange(1, 50001), rng.integers(1, 50001, size=20000)])
         n = len(counts)
-        table = CountTable(1, np.arange(n)[:, None], counts)
+        table = CountTable.from_keys(np.arange(n)[:, None], counts)
         for rho in (0.3, 0.5, 0.6):
             want = np.array([float(c) ** rho for c in counts.tolist()])
             assert power_counts(table, rho).tobytes() == want.tobytes()
@@ -417,26 +416,27 @@ class TestBuildPlre:
         ]
 
     @pytest.mark.parametrize("order", [2, 3, 4])
-    def test_build_and_load_derive_orders_n_minus_1_to_2_once(
+    def test_build_and_load_derive_each_lower_order_once(
         self, toy_corpus, monkeypatch, tmp_path, order
     ):
-        # one level loop for both, each lower order derived from the level
-        # above it, and no order-1 table: the base comes from order-2 keys
+        # one loop for both, each lower order derived from the table above
+        # it, down to order 1, whose words are the order-2 slices' rows
         _, vocab, enc = toy_corpus
         derived = []
+        lower = CountTable.lower
 
         def spy(table, *args):
             derived.append(table.order - 1)
-            return lower_order(table, *args)
+            return lower(table, *args)
 
-        monkeypatch.setattr(ensemble, "lower_order", spy)
+        monkeypatch.setattr(CountTable, "lower", spy)
         timings = {}
         model = build_plre(count_ngrams(enc, order), vocab, seed=0, timings=timings)
-        assert derived == list(range(order - 1, 1, -1))
-        assert ("adjusted_tables" in timings) == (order > 2)
+        assert derived == list(range(order - 1, 0, -1))
+        assert timings["adjusted_tables"] > 0.0
         save_model(model, str(tmp_path / "m.plre"))
         load_model(str(tmp_path / "m.plre"))
-        assert derived == 2 * list(range(order - 1, 1, -1))
+        assert derived == 2 * list(range(order - 1, 0, -1))
 
     def test_invalid_fixed_dstar_rejected(self, toy_corpus, toy_top3):
         _, vocab, _ = toy_corpus
