@@ -40,9 +40,7 @@ from .ensemble import (
     compute_z,
     default_powers,
     derive_dstar,
-    marginal_error_bound,
     power_counts,
-    verify_marginal,
 )
 from .errors import (
     ConfigError,
@@ -58,6 +56,7 @@ from .evaluation import EvalReport, log_prob_sentence, perplexity
 from .factorization import ConvergenceReport, best_rank1, nmf_gkl, nmf_gkl_many
 from .levels import make_base_distribution
 from .synthetic import synthesize_corpus
+from .verify import marginal_error_bound, verify_marginal
 
 __version__ = "0.1.0"
 

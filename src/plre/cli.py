@@ -14,7 +14,8 @@ Exit codes
 
 With --json every command prints exactly one JSON object on stdout; the
 schemas are documented in the README.  Timing is always measured and is
-printed in text mode only at --verbose.
+printed in text mode only at --verbose.  ``run_checks`` lists verify's
+checks and tolerances; ``plre.verify`` computes them.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import __version__
-from .baselines import DiscountParams, NgramLM
+from .baselines import NgramLM
 from .config import TrainConfig, _apply_key, load_config
 from .container import load_model, save_model
 from .corpus import (
@@ -42,14 +43,7 @@ from .corpus import (
     count_ngrams,
     read_sentences,
 )
-from .ensemble import (
-    PlreModel,
-    build_plre,
-    marginal_error_bound,
-    normalization_observed,
-    rank1_closed_form,
-    verify_marginal,
-)
+from .ensemble import PlreModel, build_plre
 from .errors import (
     ConfigError,
     ContainerError,
@@ -58,8 +52,16 @@ from .errors import (
     PlreError,
     VerificationError,
 )
-from .evaluation import SCORE_CHUNK, perplexity
+from .evaluation import perplexity
 from .levels import timed
+from .verify import (
+    kn_reduction_deviation,
+    marginal_error_bound,
+    normalization_observed,
+    normalization_sweep,
+    rank1_closed_form,
+    verify_marginal,
+)
 
 SMOOTHER_CHOICES = ("mle", "abs", "kn", "mkn", "plre")
 # The config keys that train flags override, each the dest of its flag.
@@ -342,38 +344,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _normalization_sweep(model, seed: int, n_contexts: int = 100) -> float:
-    """Max |sum_w P(w|h) - 1| over seeded random full-length contexts h,
-    summed through the query walk: each context resolved to its state
-    once, then ``walk`` in chunks of at most SCORE_CHUNK queries, sorted by
-    state as the walk needs.  Observed contexts are normalization_observed's."""
-    rng = np.random.default_rng(seed)
-    vsize = len(model.vocab)
-    states = np.sort(model.states(rng.integers(0, vsize, size=(n_contexts, model.order - 1))))
-    sums = np.zeros(n_contexts)
-    for lo in range(0, n_contexts * vsize, SCORE_CHUNK):
-        query = np.arange(lo, min(lo + SCORE_CHUNK, n_contexts * vsize))
-        h = query // vsize
-        sums += np.bincount(h, model.walk(states[h], query % vsize), minlength=n_contexts)
-    # np.max, unlike max(), keeps a NaN
-    return float(np.max(np.abs(sums - 1.0)))
-
-
-def _kn_reduction_deviation(model: PlreModel, seed: int, n_queries: int = 2000) -> float:
-    """Max |PLRE - interpolated KN with D = d*| over sampled queries.
-
-    Only meaningful when every level has no intermediate powers; the
-    reference model is built from the model's count tables.
-    """
-    discounts = {k: DiscountParams.single(d) for k, d in model.dstars.items()}
-    ref = NgramLM(model.vocab, model.order, "kn", model.tables(), discounts)
-    level = model.levels[model.order]
-    rng = np.random.default_rng(seed)
-    contexts = level.contexts[rng.integers(len(level.contexts), size=n_queries)]
-    words = rng.integers(len(model.vocab), size=n_queries)
-    return float(np.max(np.abs(model.score(words, contexts) - ref.score(words, contexts))))
-
-
 def run_checks(model, seed: int) -> List[dict]:
     """Every invariant check that applies to the model, each a dict of its
     name, max violation, tolerance, verdict and seconds."""
@@ -395,7 +365,7 @@ def run_checks(model, seed: int) -> List[dict]:
         )
         last = now
 
-    check("normalization_sweep", _normalization_sweep(model, seed), 1e-8)
+    check("normalization_sweep", normalization_sweep(model, seed), 1e-8)
     check("normalization_observed", normalization_observed(model), 1e-8)
     if isinstance(model, PlreModel):
         for k in range(2, model.order + 1):
@@ -413,7 +383,7 @@ def run_checks(model, seed: int) -> List[dict]:
         check("local_discount_identity", model.check_local_constraints(), 1e-12)
         check("discount_bounds", model.check_discount_bounds(), 1e-12)
         if all(level.eta == 0 for level in model.levels.values()):
-            check("kn_reduction", _kn_reduction_deviation(model, seed), 1e-10)
+            check("kn_reduction", kn_reduction_deviation(model, seed), 1e-10)
     return checks
 
 

@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections import Counter, abc
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+import types
+from collections import Counter
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -122,6 +123,11 @@ def run_starts(values: np.ndarray) -> np.ndarray:
     return np.append(np.flatnonzero(run_heads(values)), len(values))
 
 
+def _view(rows: np.ndarray, values: np.ndarray) -> Mapping[Key, int]:
+    """A read-only dict from each row of an id array, as a tuple, to its value."""
+    return types.MappingProxyType(dict(zip(map(tuple, rows.tolist()), values.tolist())))
+
+
 def _read_digits(keys: np.ndarray) -> Tuple[Tuple[np.ndarray, ...], np.ndarray]:
     """(trie, entry codes) of keys sorted by context, then word, repeats
     allowed: after context column m, the runs of equal prefixes are the
@@ -138,33 +144,6 @@ def _read_digits(keys: np.ndarray) -> Tuple[Tuple[np.ndarray, ...], np.ndarray]:
     return tuple(trie), row * RADIX + keys[:, 0]
 
 
-class RowMap(abc.Mapping):
-    """Read-only map from the rows of a sorted id array, as tuples, to values;
-    ``columns`` lists the sort columns, most significant first."""
-
-    def __init__(self, rows: np.ndarray, values: np.ndarray, columns: Sequence[int] = ()):
-        self._rows = rows
-        self._values = values
-        self._columns = list(columns) or list(range(rows.shape[1]))
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __iter__(self) -> Iterator[Key]:
-        return map(tuple, self._rows.tolist())
-
-    def __getitem__(self, key: Key):
-        if len(key) != self._rows.shape[1]:
-            raise KeyError(key)
-        lo, hi = 0, len(self._rows)
-        for c in self._columns:
-            col = self._rows[lo:hi, c]
-            lo, hi = lo + np.searchsorted(col, key[c]), lo + np.searchsorted(col, key[c], "right")
-            if lo == hi:
-                raise KeyError(key)
-        return self._values[lo].item()
-
-
 class CountTable:
     """Counts for one n-gram order as sorted 1-D trie codes.
 
@@ -175,8 +154,8 @@ class CountTable:
     word (``words``), and carries ``counts``.  Every code array strictly
     increases.  Context c owns entries ``ctx_start[c]:ctx_start[c+1]`` and
     has ``totals[c]``.  ``keys`` (n x order) and ``contexts`` are derived
-    digits, ``entries`` and ``context_totals`` read-only mapping views of
-    them keyed by tuples.
+    digits, ``entries`` and ``context_totals`` read-only dict views of
+    them keyed by tuples, in table order, each built on first use.
     """
 
     def __init__(self, trie: Tuple[np.ndarray, ...], entry_code: np.ndarray, counts: np.ndarray):
@@ -220,13 +199,13 @@ class CountTable:
     def contexts(self) -> np.ndarray:
         return self._digits(np.arange(len(self.ctx_code)))
 
-    @property
-    def entries(self) -> RowMap:
-        return RowMap(self.keys, self.counts, [*range(1, self.order), 0])
+    @functools.cached_property
+    def entries(self) -> Mapping[Key, int]:
+        return _view(self.keys, self.counts)
 
-    @property
-    def context_totals(self) -> RowMap:
-        return RowMap(self.contexts, self.totals)
+    @functools.cached_property
+    def context_totals(self) -> Mapping[Key, int]:
+        return _view(self.contexts, self.totals)
 
     @property
     def total(self) -> int:

@@ -29,14 +29,15 @@ discounted mass a level releases is exactly the mass the next level's table
 normalizes over.
 
 Each level is one sorted-array table, and the walk that answers every
-query is the one all models share (``levels.LevelModel.score``).
+query is the one all models share (``levels.LevelModel.score``).  The
+checks of these guarantees are ``plre.verify``'s, except the three that
+read only each level's own arrays, which are ``PlreModel`` methods.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -44,6 +45,8 @@ import numpy as np
 
 from .baselines import count_of_counts, good_turing_discount
 from .corpus import (
+    CODE_BITS,
+    RADIX,
     WORD_MASK,
     CountTable,
     Vocabulary,
@@ -137,6 +140,18 @@ class SliceLayout:
         self.row_ids, self.row_start = lower.words, lower.ctx_start
         self.rows, self.cols = np.diff(self.row_start), np.diff(self.col_start)
         self.nnz = np.diff(table.ctx_start[self.col_start])
+        self.entry_code = table.entry_code
+
+    @functools.cached_property
+    def entry_rows(self) -> np.ndarray:
+        """(order, row): the table's entries stably sorted by their codes
+        one order lower (``CountTable.lower_codes``), and each one's row,
+        ``lower`` (the adjusted table) counting the entries of each code.
+        Made on first use, once per level: a load needs none."""
+        code = self.entry_code
+        codes = (self.ctx_slice * RADIX)[code >> CODE_BITS] + (code & WORD_MASK)
+        order = np.argsort(codes, kind="stable")
+        return np.stack((order, np.repeat(np.arange(len(self.lower.counts)), self.lower.counts)))
 
 
 @dataclass(eq=False)
@@ -288,12 +303,11 @@ def compute_z(
         # The support in (slice, row, column) order, rows and columns
         # numbered across all slices: an entry's column is its context, and
         # its row its code one order lower among the entries there.  Table
-        # order runs by column, then row, so a stable sort by row keeps
-        # each row's columns in order.
+        # order runs by column, then row, so the layout's stable sort by row
+        # keeps each row's columns in order.
         row_slice = np.repeat(np.arange(n), rows)
-        row_of = np.searchsorted(lay.lower.entry_code, table.lower_codes())
-        perm = np.argsort(row_of, kind="stable")
-        ii, jj, vals = row_of[perm], table.ctx_of_entry[perm], v[perm]
+        perm, ii = lay.entry_rows
+        jj, vals = table.ctx_of_entry[perm], v[perm]
         col_slice = lay.ctx_slice
         row_local, col_local = offsets(rows), lay.ctx_col
         nnz_start = segments(lay.nnz)
@@ -312,7 +326,7 @@ def compute_z(
         R[z.R_start[col_slice[at]] + col_local[at]] = col_sums[at]
         support = (row_local[ii], col_local[jj], vals, nnz_start)
         dims, factors = z.dims, (L, R, z.L_start, z.R_start)
-        del v, row_of, perm, ii, jj  # the solver and reports need only the support
+        del v, perm, ii, jj  # the solver and reports need only the support
 
     # The other slices go to the solver in one batch per rank.
     solved = {}
@@ -589,154 +603,3 @@ def plre_levels(
     with timed(timings, "adjusted_tables"):
         tables = adjusted_tables(top)
     return {k: make_level(tables[k], tables[k - 1]) for k in range(top.order, 1, -1)}
-
-
-def _order(model: PlreModel, order: Optional[int]) -> int:
-    k = model.order if order is None else order
-    if not 2 <= k <= model.order:
-        raise ValueError(f"order must be in [2, {model.order}], got {k}")
-    return k
-
-
-def marginal(model: PlreModel, order: Optional[int] = None) -> np.ndarray:
-    """sum_h P̂(h) P(w|h) for every word w, over the contexts h observed at
-    one order, with P̂(h) the contexts' shares of the level total.
-
-    The sum is aggregated level by level, at a cost linear in the stored
-    model: each level scatters its weighted top numerators onto their
-    words, pushes each context's weighted share of every chain step onto
-    its slice column (a context is its own column over all slices) and
-    through the factors of all slices at once, and
-    hands the remaining weight on to the contexts' parents one order lower;
-    the base distribution takes what reaches the empty context.
-    """
-    k = _order(model, order)
-    vsize = len(model.vocab)
-    weight = model.levels[k].totals / model.levels[k].totals.sum()
-    acc = np.zeros(vsize)
-    for kk in range(k, 1, -1):
-        level = model.levels[kk]
-        share = (weight / level.totals)[level.ctx_of_entry] * level.top
-        acc += np.bincount(level.words, weights=share, minlength=vsize)
-        g = weight * level.gammas[0]
-        for j, z in enumerate(level.z_tables):
-            L_term, L_row, R_term, R_col = z.index
-            w = g / z.denominators
-            rows = np.bincount(L_row, z.L * np.bincount(R_term, z.R * w[R_col])[L_term])
-            acc += np.bincount(z.row_ids, weights=rows, minlength=vsize)
-            g = g * level.gammas[j + 1]
-        parents = len(model.levels[kk - 1].totals) if kk > 2 else 1
-        weight = np.bincount(level.parent, weights=g, minlength=parents)
-    return acc + weight[0] * model.base
-
-
-def verify_marginal(model: PlreModel, order: Optional[int] = None) -> float:
-    """Marginal-constraint check at one order.
-
-    Compares the ensemble's marginal over the contexts observed in the
-    order-k adjusted table (``marginal``) with the table's own word
-    marginals.  At the top order the adjusted table is the raw table, so
-    this is exactly the preserve-the-observed-(n-1)-gram-distribution
-    statement; the returned value is the max absolute violation over the
-    vocabulary.
-    """
-    k = _order(model, order)
-    level = model.levels[k]
-    expected = np.bincount(level.words, level.counts, len(model.vocab)) / float(level.totals.sum())
-    return float(np.max(np.abs(marginal(model, k) - expected)))
-
-
-def normalization_observed(model: LevelModel) -> float:
-    """Max |sum_w P(w|h) - 1| over every observed context h of every order,
-    for any level model: PLRE or a classical smoother (no chain steps).
-
-    A context's sum is its top numerators over its total, plus per chain
-    step its gamma prefix times its own slice column's factor mass
-    (1^T L R[:, h]) over the denominator, plus its hand-off times its
-    parent's sum; the empty context sums the base distribution.
-    """
-    sums = np.array([model.base.sum()])
-    worst = [abs(sums[0] - 1.0)]
-    for k in range(2, model.order + 1):
-        level = model.levels[k]
-        s = np.add.reduceat(level.top, level.ctx_start[:-1]) / level.totals
-        g = level.gammas[0]
-        for j, z in enumerate(level.z_tables):
-            L_term, _, R_term, R_col = z.index
-            mass = np.bincount(R_col, z.R * np.bincount(L_term, z.L)[R_term])
-            s += g * mass / z.denominators
-            g = g * level.gammas[j + 1]
-        sums = s + g * sums[level.parent]
-        worst.append(np.max(np.abs(sums - 1.0)))
-    return float(np.max(worst))
-
-
-def rank1_closed_form(model: PlreModel) -> Tuple[float, float]:
-    """(largest relative deviation of a rank-1 slice's factor row sums from
-    their targets, its rounding tolerance).  A row's target sums, in table
-    order as the build does, c^rho_j - d* c^rho_{j+1} over the entries
-    whose code one order lower is the row's (one search among the entry
-    codes there): stale factors show here, not in the marginal bound,
-    which takes its residuals from the factors.  L times the sum of R
-    rounds by at most (3 nnz + 2) / 2 ulps: the row, the columns and the
-    total each sum at most the slice's nnz terms."""
-    worst, nnz = [0.0], 0
-    for level in (level for level in model.levels.values() if level.z_tables):
-        lower = level.z_tables[0].layout.lower
-        row_of = np.searchsorted(lower.entry_code, level.lower_codes())
-        powered = [power_counts(level, rho) for rho in (1.0, *level.powers, 0.0)]
-        for j, z in enumerate(level.z_tables, start=1):
-            v = powered[j] - level.dstar * powered[j + 1]
-            target = np.bincount(row_of, v)
-            L_term, L_row, R_term, _ = z.index
-            rows = np.bincount(L_row, z.L * np.bincount(R_term, z.R)[L_term])
-            rank1 = z.ranks == 1
-            at = rank1[lower.ctx_of_entry]
-            worst.append(np.max(np.abs(rows[at] - target[at]) / target[at], initial=0.0))
-            nnz = max(nnz, int(z.layout.nnz[rank1].max(initial=0)))
-    # np.max, unlike max(), keeps a NaN
-    return float(np.max(worst)), (3 * nnz + 2) * sys.float_info.epsilon
-
-
-def marginal_error_bound(model: PlreModel, order: Optional[int] = None) -> float:
-    """Upper bound on verify_marginal implied by the stored factors.
-
-    The marginal identity telescopes exactly except where a low-rank slice
-    fails to reproduce its target's row sums; every such failure enters the
-    order-k marginal at a closed-form weight (the handoff mass arriving at
-    that level times d*^j over the level total).  Summing |row-sum residual|
-    worst-case per word therefore bounds the marginal deviation, and the
-    bound is zero for closed-form rank-1 slices.  The base distribution
-    adds one more term: where ``make_base_distribution`` floors a
-    zero-numerator type, the base differs from base_counts / their sum, and
-    the mass reaching it carries that difference into the marginal.
-    """
-    k = _order(model, order)
-    bound = 0.0
-    lam = 1.0
-    upper_total = None
-    for kk in range(k, 1, -1):
-        level = model.levels[kk]
-        total = float(level.totals.sum())
-        if upper_total is not None:
-            up = model.levels[kk + 1]
-            lam *= (up.dstar ** (up.eta + 1)) * total / upper_total
-        chain = (1.0,) + level.powers + (0.0,)
-        counts = level.counts.astype(np.float64)
-        for j, z in enumerate(level.z_tables, start=1):
-            # Factor row sums minus target row sums, summed per word over
-            # the slices (the targets first, then the factors, each in
-            # order); entries discounted to zero have no target.
-            v = counts ** chain[j] - level.dstar * counts ** chain[j + 1]
-            L_term, L_row, R_term, _ = z.index
-            rows = np.bincount(L_row, z.L * np.bincount(R_term, z.R)[L_term])
-            words = np.concatenate((level.words, z.row_ids))
-            resid = np.bincount(words, np.concatenate((-np.maximum(v, 0.0), rows)), len(model.vocab))
-            bound += lam * (level.dstar ** j) / total * float(np.max(np.abs(resid)))
-        upper_total = total
-    # The order-2 level hands d*^(eta+1) * T_1 / T_2 of what reaches it to
-    # the base, T_1 being the base counts' sum; the term is 0 unless floored.
-    total = float(model.base_counts.sum())
-    reaching = lam * level.dstar ** (level.eta + 1) * total / upper_total
-    floor = float(np.max(np.abs(model.base - model.base_counts / total)))
-    return bound + reaching * floor

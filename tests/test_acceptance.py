@@ -24,12 +24,11 @@ from plre.ensemble import (
     build_plre,
     compute_discounts,
     compute_z,
-    marginal_error_bound,
-    verify_marginal,
 )
 from plre.evaluation import perplexity
 from plre.factorization import best_rank1, nmf_gkl
 from plre.synthetic import synthesize_corpus
+from plre.verify import marginal_error_bound, verify_marginal
 
 from conftest import ZReader, dense_gkl, dense_residuals
 

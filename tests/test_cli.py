@@ -14,13 +14,14 @@ import pytest
 import plre
 from plre import cli
 from plre.baselines import NgramLM
-from plre.cli import _normalization_sweep, main, run_checks
+from plre.cli import main, run_checks
 from plre.config import parse_config
 from plre.container import load_model
 from plre.corpus import count_all_orders, read_sentences
-from plre.ensemble import DEFAULT_RANK, build_plre, normalization_observed, verify_marginal
+from plre.ensemble import DEFAULT_RANK, build_plre
 from plre.errors import EvalError
 from plre.evaluation import EvalReport, perplexity
+from plre.verify import normalization_observed, normalization_sweep, verify_marginal
 
 from conftest import write_corpus
 
@@ -389,6 +390,23 @@ class TestVerify:
         assert checks["normalization_observed"]["passed"]
         assert checks["normalization_observed"]["max_violation"] <= 1e-12
 
+    @pytest.mark.parametrize("smoother", ["mle", "abs", "kn", "mkn"])
+    def test_an_order_one_model_runs_the_two_normalization_checks(
+        self, ws, smoother, tmp_path, capsys
+    ):
+        # an order-1 model is its base distribution: no level, so no check
+        # beyond the two normalization ones applies
+        path = tmp_path / f"{smoother}1.plre"
+        assert main(["train", "--corpus", str(ws["train"]), "--model", str(path),
+                     "--smoother", smoother, "--order", "1"]) == 0
+        capsys.readouterr()
+        assert main(["verify", "--model", str(path), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        jsonschema.validate(report, VERIFY_SCHEMA)
+        assert report["order"] == 1 and report["passed"] is True
+        names = [c["name"] for c in report["checks"]]
+        assert names == ["normalization_sweep", "normalization_observed"]
+
     def test_nan_baseline_gamma_fails_observed_normalization(self, toy_corpus):
         _, vocab, enc = toy_corpus
         lm = NgramLM.build(vocab, count_all_orders(enc, 3), "abs")
@@ -480,7 +498,7 @@ class TestVerify:
         swept = []
         states = model.states
         model.states = lambda contexts: swept.append(contexts) or states(contexts)
-        assert _normalization_sweep(model, 0) <= 1e-8
+        assert normalization_sweep(model, 0) <= 1e-8
         del model.states
         level = model.levels[2]
         # a bigram context's state is its row in level 2 plus 1
@@ -489,7 +507,7 @@ class TestVerify:
         level.gammas[1, states[states > 0][0] - 1] = float("nan")
         assert not model.check_gamma_closed_form() <= 1e-12
         assert not model.check_local_constraints() <= 1e-12
-        assert not _normalization_sweep(model, 0) <= 1e-8
+        assert not normalization_sweep(model, 0) <= 1e-8
         assert not normalization_observed(model) <= 1e-8
         assert not verify_marginal(model, 2) <= 1e-8
         with pytest.raises(EvalError):
@@ -518,7 +536,7 @@ class TestVerify:
         model.states = lambda contexts: (
             swept.update(map(tuple, contexts.tolist())) or states(contexts)
         )
-        assert _normalization_sweep(model, 0) <= 1e-8
+        assert normalization_sweep(model, 0) <= 1e-8
         del model.states
         level = model.levels[3]
         ctx = next(

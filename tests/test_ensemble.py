@@ -22,13 +22,10 @@ from plre.ensemble import (
     compute_discounts,
     compute_z,
     derive_dstar,
-    marginal,
-    marginal_error_bound,
-    normalization_observed,
     power_counts,
-    verify_marginal,
 )
 from plre.errors import ConfigError, FactorizationError
+from plre.verify import marginal, marginal_error_bound, normalization_observed, verify_marginal
 
 from conftest import (
     ZReader,
