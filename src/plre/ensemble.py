@@ -150,7 +150,9 @@ class SliceLayout:
         Made on first use, once per level: a load needs none."""
         code = self.entry_code
         codes = (self.ctx_slice * RADIX)[code >> CODE_BITS] + (code & WORD_MASK)
-        order = np.argsort(codes, kind="stable")
+        # In the narrowest type that holds them: at order 2 the codes are
+        # word ids, and numpy sorts 16-bit integers stably by radix.
+        order = np.argsort(codes.astype(np.min_scalar_type(codes.max(initial=0))), kind="stable")
         return np.stack((order, np.repeat(np.arange(len(self.lower.counts)), self.lower.counts)))
 
 
@@ -277,8 +279,8 @@ def compute_z(
     level's terms summing to gamma-complementary mass.  Every discounted
     count must be positive and finite, as every PLRE chain step makes it.
     Rank-1 slices take the closed form, all at once; the rest go to the
-    batched solver, one batch per rank, each slice seeded by
-    ``SeedSequence(seed, (order, step, slice))``, which writes their
+    solver in one call, each slice solved alone at its own rank and seeded
+    by ``SeedSequence(seed, (order, step, slice))``, which writes their
     factors into the table; one batched pass then reports on every slice.
     Deterministic for a given seed, regardless of thread count.  Seconds
     are added to ``timings["slices"]`` and ``timings["nmf"]``.
@@ -328,20 +330,13 @@ def compute_z(
         dims, factors = z.dims, (L, R, z.L_start, z.R_start)
         del v, perm, ii, jj  # the solver and reports need only the support
 
-    # The other slices go to the solver in one batch per rank.
-    solved = {}
+    # The other slices go to the solver, each at its own rank.
+    batch = np.flatnonzero(~rank1).tolist()
+    seeds = [np.random.SeedSequence(entropy=seed, spawn_key=(k, j, s)) for s in batch]
+    names = [f"order {k}, chain step {j}, interior {tuple(z.slices[s].tolist())}" for s in batch]
     with timed(timings, "nmf"):
-        for r in np.unique(ranks[~rank1]).tolist():
-            batch = np.flatnonzero(ranks == r).tolist()
-            seeds = [np.random.SeedSequence(entropy=seed, spawn_key=(k, j, s)) for s in batch]
-            names = [
-                f"order {k}, chain step {j}, interior {tuple(z.slices[s].tolist())}"
-                for s in batch
-            ]
-            fits = nmf_gkl_many(
-                support, dims, factors, batch, r, seeds, max_iters, rel_tol, names, threads
-            )
-            solved.update(zip(batch, fits))
+        fits = nmf_gkl_many(support, dims, factors, batch, seeds, max_iters, rel_tol, names, threads)
+    solved = dict(zip(batch, fits))
     with timed(timings, "slices"):
         if not (np.isfinite(L).all() and np.isfinite(R).all()):
             raise FactorizationError(f"non-finite factors in order {k}, chain step {j}")

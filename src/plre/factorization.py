@@ -16,9 +16,9 @@ Slices live in the flat arrays of an ``ensemble.LowRankCPT``: ``support``
 row then column within it; ``dims[s]`` its (rows, cols[, rank]); and
 ``factors`` (L, R, L_start, R_start) its row-major L (rows x rank) and R
 (rank x cols).  ``nmf_gkl_many`` solves slices into the factors by Lee-Seung
-updates (Lee & Seung, NIPS 2001); ``fit_reports`` measures every slice at
-once, closed form or iterative; ``best_rank1`` and ``nmf_gkl`` take one
-dense matrix.
+updates (Lee & Seung, NIPS 2001), each slice alone on its own run of the
+support; ``fit_reports`` measures every slice at once, closed form or
+iterative; ``best_rank1`` and ``nmf_gkl`` take one dense matrix.
 """
 
 from __future__ import annotations
@@ -92,8 +92,8 @@ def nmf_gkl(
 
     k is clamped (with a report warning) to the number of nonzero rows and
     columns.  k = 1 takes the closed form (``best_rank1``), the global
-    optimum; any higher rank is a batch of one of ``nmf_gkl_many``, with the
-    same bytes as in any larger batch.
+    optimum; any higher rank is ``nmf_gkl_many`` on this one slice, with the
+    bytes it gives the slice among any others.
     """
     if k < 1:
         raise ValueError(f"rank must be >= 1, got {k}")
@@ -109,7 +109,7 @@ def nmf_gkl(
     if k_eff == 1:
         L[:], R[:] = best_rank1(M)
     else:
-        [solved[0]] = nmf_gkl_many(support, dims, factors, [0], k_eff, [seed], max_iters, rel_tol)
+        [solved[0]] = nmf_gkl_many(support, dims, factors, [0], [seed], max_iters, rel_tol)
     [report] = fit_reports(support, dims, factors, solved)
     if k_eff < k:
         report.warnings.insert(
@@ -118,95 +118,59 @@ def nmf_gkl(
     return (L, R), report
 
 
-# Most nnz * rank one solver group may hold, unless a single slice holds
-# more.  A group iterates on two gathered factor blocks of nnz * rank
-# floats, so each stays within 16 MiB.
-GROUP_WORK = 1 << 21
-
-
 def nmf_gkl_many(
     support: Support,
     dims: np.ndarray,
     factors: Factors,
-    batch: Sequence[int],
-    k: int,
+    slices: Sequence[int],
     seeds: Sequence[Seed],
     max_iters: int = 200,
     rel_tol: float = 1e-6,
     names: Optional[Sequence[str]] = None,
     threads: int = 1,
 ) -> List[Solved]:
-    """Rank-k nonnegative factorizations under gKL of the slices ``batch``,
-    written into ``factors``; what the solver found, per slice of the batch.
+    """Nonnegative factorizations under gKL of ``slices``, each at its rank
+    ``dims[s, 2]``, written into ``factors``; what the solver found, per
+    slice.  Ranks are not clamped: callers pass ranks <= each slice's
+    nonzero rows and columns.
 
-    Each slice starts from W, H uniform in (0, 1] drawn from its own seed,
-    scaled so total(W @ H) == total(M).  Each iteration updates W, then H,
-    and records the objective; a rise is reported as a warning.  A slice
-    stops when its relative improvement drops below ``rel_tol`` or after
-    ``max_iters``.  Then each column of its product is rescaled to M's
-    column sum and its factors are written.  k is not clamped: callers pass
-    k <= each slice's nonzero rows and columns.
-
-    Every sum runs within one slice in a fixed order, so a slice's factors
-    and history are the same bytes alone, in any batch, group or thread
-    count: the batch is solved in consecutive groups of at most
-    ``max(GROUP_WORK, largest nnz * k)`` nonzero-rank products, on
-    ``threads`` threads.  A non-finite factor raises ``FactorizationError``
-    naming the slice (``names[i]``, default ``slice s``) and the iteration.
+    Each slice is solved alone, on its own run of the support (``_solve``),
+    so its factors and history are the same bytes whatever else is solved
+    with it, and on any number of ``threads``, which take whole slices.  A
+    non-finite factor raises ``FactorizationError`` naming the slice
+    (``names[i]``, default ``slice s``) and the iteration.
     """
-    if k < 1:
-        raise ValueError(f"rank must be >= 1, got {k}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
-    batch = np.asarray(batch, dtype=np.int64)
-    if len(seeds) != len(batch):
-        raise ValueError(f"{len(batch)} slices but {len(seeds)} seeds")
+    slices = [int(s) for s in slices]
+    if len(seeds) != len(slices):
+        raise ValueError(f"{len(slices)} slices but {len(seeds)} seeds")
     if names is None:
-        names = [f"slice {s}" for s in batch.tolist()]
+        names = [f"slice {s}" for s in slices]
 
-    def solve(group: List[int]) -> List[Solved]:
-        at = batch[group]
-        seeds_, names_ = [seeds[i] for i in group], [names[i] for i in group]
-        return _solve_group(support, dims, factors, at, k, seeds_, names_, max_iters, rel_tol)
+    def solve(i: int) -> Solved:
+        return _solve(support, dims, factors, slices[i], seeds[i], names[i], max_iters, rel_tol)
 
-    groups = _groups((np.diff(support[3])[batch] * k).tolist(), threads)
-    if threads > 1 and len(groups) > 1:
+    if threads > 1 and len(slices) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(solve, groups))
-    else:
-        parts = [solve(group) for group in groups]
-    return [result for part in parts for result in part]
+            return list(pool.map(solve, range(len(slices))))
+    return [solve(i) for i in range(len(slices))]
 
 
-def _groups(work: List[int], threads: int) -> List[List[int]]:
-    """Consecutive runs of indices whose work sums to at most
-    max(GROUP_WORK, the largest single work), cut to about an equal share
-    per thread when ``threads`` > 1."""
-    if not work:
-        return []
-    budget = max(GROUP_WORK, max(work))
-    if threads > 1:
-        budget = max(max(work), min(budget, -(-sum(work) // threads)))
-    groups: List[List[int]] = [[]]
-    load = 0
-    for i, w in enumerate(work):
-        if groups[-1] and load + w > budget:
-            groups.append([])
-            load = 0
-        groups[-1].append(i)
-        load += w
-    return groups
-
-
-def _term_bincount(F: np.ndarray, at: np.ndarray, size: int, weight=None) -> np.ndarray:
-    """k x size: each term's row of F (times ``weight``) summed into bins
-    ``at``, in order, one term at a time.  With the slices' row or column
-    ids as bins this gives the per-slice factor sums; with the support's
-    row or column ids and the ratio as weight, an update's numerator."""
+def _term_bincount(F: np.ndarray, at: np.ndarray, size: int, weight: np.ndarray) -> np.ndarray:
+    """k x size: each term's row of F times ``weight`` summed into bins
+    ``at``, in order, one term at a time: with the support's rows or
+    columns as bins, an update's numerator."""
     out = np.empty((len(F), size))
     for t, row in enumerate(F):
-        out[t] = np.bincount(at, row if weight is None else weight * row, minlength=size)
+        out[t] = np.bincount(at, weight * row, minlength=size)
     return out
+
+
+def _in_order_sum(F: np.ndarray) -> np.ndarray:
+    """Sums along the last axis, adding one element at a time in order
+    (``sum`` adds pairwise, which rounds differently)."""
+    return np.cumsum(F, axis=-1)[..., -1]
 
 
 def _dot_terms(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -217,114 +181,72 @@ def _dot_terms(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out
 
 
-def _solve_group(support, dims, factors, slices, k, seeds, names, max_iters, rel_tol):
-    """The slices of one group as one block-diagonal problem.  Factors are
-    kept term-major, W as k x (all rows) and H as k x (all columns), so each
+def _solve(support, dims, factors, s, seed, name, max_iters, rel_tol) -> Solved:
+    """Lee-Seung updates of slice s at rank k = ``dims[s, 2]``.  W starts
+    as rows x k and H as k x cols, uniform in (0, 1] from ``seed``, scaled
+    so total(W @ H) == total(M).  Each iteration updates W, then H, and
+    records gKL(M, W @ H); a rise is reported as a warning.  The slice stops
+    when its relative improvement drops below ``rel_tol`` or after
+    ``max_iters``; then each column of W @ H is rescaled to M's column sum
+    and the factors are written.  W is kept term-major (k x rows), so each
     gather at the support reads one contiguous row per rank term, and rank
-    terms are summed one at a time, in order.  A stopped slice leaves by a
-    mask over the running slices' arrays."""
-    L, R, L_start, R_start = factors
-    rows, cols, nnz_start = dims[slices, 0], dims[slices, 1], support[3]
-    nnz = nnz_start[slices + 1] - nnz_start[slices]
-    gi, gj, vals = (a[np.repeat(nnz_start[slices], nnz) + offsets(nnz)] for a in support[:3])
-    totals = np.array([m.sum() for m in np.split(vals, np.cumsum(nnz)[:-1])])
-    W_parts, H_parts = [], []
-    for r, c, total, seed in zip(rows, cols, totals.tolist(), seeds):
-        rng = np.random.default_rng(seed)
-        # Uniform in (0, 1], then scale so total(W@H) == total(M).
-        W = 1.0 - rng.random((r, k))
-        H = 1.0 - rng.random((k, c))
-        W *= total / (W.sum(axis=0) @ H.sum(axis=1))
-        W_parts.append(W.T)
-        H_parts.append(H)
-    W, H = np.concatenate(W_parts, axis=1), np.concatenate(H_parts, axis=1)
-    act = np.arange(len(slices))  # the running slices, by place in the group
-    results: List[Optional[Solved]] = [None] * len(slices)
+    terms are summed one at a time, in order."""
+    rows, cols, k = (int(d) for d in dims[s])
+    if k < 1:
+        raise ValueError(f"rank must be >= 1, got {k} in {name}")
+    lo, hi = support[3][s], support[3][s + 1]
+    gi, gj, vals = (a[lo:hi] for a in support[:3])
+    total = vals.sum()
+    rng = np.random.default_rng(seed)
+    W = 1.0 - rng.random((rows, k))
+    H = 1.0 - rng.random((k, cols))
+    W *= total / (W.sum(axis=0) @ H.sum(axis=1))
+    W = W.T.copy()
 
-    def place(gi, gj, row_at, col_at):
-        """The slice of each running nonzero, row and column, and the nonzeros'
-        rows and columns moved from slice starts ``row_at``, ``col_at`` to the new."""
-        ids = np.arange(len(act))
-        seg = np.repeat(ids, nnz)
-        gi = gi - (row_at - segments(rows)[:-1])[seg]
-        gj = gj - (col_at - segments(cols)[:-1])[seg]
-        return seg, np.repeat(ids, rows), np.repeat(ids, cols), gi, gj
+    def objective(pred, Wsum, Hsum) -> float:
+        """gKL(M, W @ H), from the product at the support."""
+        logs = _in_order_sum(vals * np.log(vals / np.maximum(pred, _TINY)))
+        return float(logs - total + _dot_terms(Wsum, Hsum))
 
-    def objective(pred, Wsum, Hsum) -> np.ndarray:
-        """gKL(M, W @ H) of each running slice, from its product at the support."""
-        logs = np.bincount(seg, vals * np.log(vals / np.maximum(pred, _TINY)), minlength=len(act))
-        return logs - totals + _dot_terms(Wsum, Hsum)
-
-    seg, row_seg, col_seg, gi, gj = place(gi, gj, 0, 0)
-    col_sums = np.bincount(gj, vals, minlength=H.shape[1])
+    col_sums = np.bincount(gj, vals, minlength=cols)
     # The factors gathered at the support, nnz * k floats each.  Each
     # iteration gathers into the same two blocks (unbuffered with "clip";
     # every index is in range).
     Hg = np.take(H, gj, axis=1)
     Wg = np.take(W, gi, axis=1)
     pred = _dot_terms(Wg, Hg)
-    Wsum, Hsum = _term_bincount(W, row_seg, len(act)), _term_bincount(H, col_seg, len(act))
+    Wsum, Hsum = _in_order_sum(W), _in_order_sum(H)
     last = objective(pred, Wsum, Hsum)
-    history = [[v] for v in last.tolist()]
-    warnings: List[List[str]] = [[] for _ in slices]
-
+    history, warnings = [last], []
     for it in range(1, max_iters + 1):
         ratio = vals / np.maximum(pred, _EPS)
-        den = np.take(np.maximum(Hsum, _EPS), row_seg, axis=1)
-        W *= _term_bincount(Hg, gi, W.shape[1], ratio) / den
+        W *= _term_bincount(Hg, gi, rows, ratio) / np.maximum(Hsum, _EPS)[:, None]
         np.take(W, gi, axis=1, out=Wg, mode="clip")
         ratio = vals / np.maximum(_dot_terms(Wg, Hg), _EPS)
-        Wsum = _term_bincount(W, row_seg, len(act))
-        den = np.take(np.maximum(Wsum, _EPS), col_seg, axis=1)
-        H *= _term_bincount(Wg, gj, H.shape[1], ratio) / den
-
+        Wsum = _in_order_sum(W)
+        H *= _term_bincount(Wg, gj, cols, ratio) / np.maximum(Wsum, _EPS)[:, None]
         if not (np.isfinite(W).all() and np.isfinite(H).all()):
-            bad = np.concatenate(
-                (row_seg[~np.isfinite(W).all(axis=0)], col_seg[~np.isfinite(H).all(axis=0)])
-            )
-            name = names[act[bad.min()]]
             raise FactorizationError(f"non-finite factor values at iteration {it} in {name}")
 
         np.take(H, gj, axis=1, out=Hg, mode="clip")
         pred = _dot_terms(Wg, Hg)
-        Hsum = _term_bincount(H, col_seg, len(act))
+        Hsum = _in_order_sum(H)
         obj = objective(pred, Wsum, Hsum)
-        rose = obj > last + 1e-9 * np.maximum(1.0, np.abs(last))
-        done = last - obj < rel_tol * np.maximum(np.abs(last), _TINY)
-        for g, prev, cur, up in zip(act.tolist(), last.tolist(), obj.tolist(), rose.tolist()):
-            history[g].append(cur)
-            if up:
-                warnings[g].append(f"objective increased at iteration {it}: {prev} -> {cur}")
+        history.append(obj)
+        if obj > last + 1e-9 * max(1.0, abs(last)):
+            warnings.append(f"objective increased at iteration {it}: {last} -> {obj}")
+        done = last - obj < rel_tol * max(abs(last), _TINY)
         last = obj
-
-        stop = done | (it == max_iters)
-        if not stop.any():
-            continue
-        # Leave the stopped slices out: the running ones keep every value,
-        # in C order (``compress``; a mask index would transpose the layout).
-        # The gathered blocks shrink first, so finishing adds to less memory.
-        keep, keep_nz = ~stop, ~stop[seg]
-        Hg, pred = Hg.compress(keep_nz, axis=1), pred[keep_nz]
-        Wg = np.empty_like(Hg)
-        row_start, col_start = segments(rows), segments(cols)
-        for i in np.flatnonzero(stop).tolist():
-            g, s = int(act[i]), int(slices[act[i]])
-            # Each column of the product rescaled to the slice's column sum.
-            Ws = W[:, row_start[i] : row_start[i + 1]].T.copy()
-            Hs = H[:, col_start[i] : col_start[i + 1]].copy()
-            Hs *= col_sums[col_start[i] : col_start[i + 1]] / np.maximum(Ws.sum(axis=0) @ Hs, _TINY)
-            L[L_start[s] : L_start[s + 1]] = Ws.ravel()
-            R[R_start[s] : R_start[s + 1]] = Hs.ravel()
-            results[g] = it, bool(done[i]), history[g], warnings[g]
-        if not keep.any():
+        if done:
             break
-        W, H = W.compress(keep[row_seg], axis=1), H.compress(keep[col_seg], axis=1)
-        col_sums, vals = col_sums[keep[col_seg]], vals[keep_nz]
-        act, last, totals, Hsum = act[keep], last[keep], totals[keep], Hsum.compress(keep, axis=1)
-        rows, cols, nnz = rows[keep], cols[keep], nnz[keep]
-        gi, gj = gi[keep_nz], gj[keep_nz]
-        seg, row_seg, col_seg, gi, gj = place(gi, gj, row_start[:-1][keep], col_start[:-1][keep])
-    return results
+    # Each column of the product rescaled to the slice's column sum.  W
+    # back to rows x k in C order, so that its column sums add row by row.
+    L, R, L_start, R_start = factors
+    W = W.T.copy()
+    H *= col_sums / np.maximum(W.sum(axis=0) @ H, _TINY)
+    L[L_start[s] : L_start[s + 1]] = W.ravel()
+    R[R_start[s] : R_start[s + 1]] = H.ravel()
+    return it, done, history, warnings
 
 
 def factor_index(rows, cols, ranks, col_start) -> Tuple[np.ndarray, ...]:

@@ -254,7 +254,7 @@ def test_fewer_than_one_iteration_is_rejected_everywhere(toy_corpus, toy_top3):
     # a cap below 1 would return unfitted random factors
     support, dims, factors = _pack([B_COUNTS], [2])
     with pytest.raises(ValueError, match="max_iters"):
-        nmf_gkl_many(support, dims, factors, [0], 2, [0], max_iters=0)
+        nmf_gkl_many(support, dims, factors, [0], [0], max_iters=0)
     with pytest.raises(ValueError, match="max_iters"):
         nmf_gkl(B_COUNTS, 2, max_iters=0)
     _, vocab, _ = toy_corpus
@@ -272,12 +272,13 @@ def _batch_slices():
     return mats
 
 
-def _solve_batch(mats, seeds, batch=None, **kw):
-    """nmf_gkl_many at rank 3 over the packed matrices; each solved slice's
-    (L bytes, R bytes, iterations, converged, history bytes, warnings)."""
-    support, dims, factors = _pack(mats, [3] * len(mats))
+def _solve_batch(mats, seeds, batch=None, ranks=None, **kw):
+    """nmf_gkl_many over the packed matrices, at rank 3 unless ``ranks``
+    are given; each solved slice's (L bytes, R bytes, iterations,
+    converged, history bytes, warnings)."""
+    support, dims, factors = _pack(mats, ranks or [3] * len(mats))
     batch = list(range(len(mats))) if batch is None else batch
-    solved = nmf_gkl_many(support, dims, factors, batch, 3, seeds, **kw)
+    solved = nmf_gkl_many(support, dims, factors, batch, seeds, **kw)
     out = {}
     for s, (iterations, converged, history, notes) in zip(batch, solved):
         L, R = _factors(factors, dims, s)
@@ -332,24 +333,19 @@ class TestNmfGklMany:
         for s in (0, 2, 3):
             assert not any(f.any() for f in _factors(factors, dims, s))
 
-    def test_group_split_and_threads_give_the_same_bytes(self, monkeypatch):
+    def test_threads_give_the_same_bytes(self):
         mats = _batch_slices()
         seeds = list(range(len(mats)))
         whole, _, _ = _solve_batch(mats, seeds, **self.SOLVE)
-        monkeypatch.setattr(factorization, "GROUP_WORK", 1)
-        assert len(factorization._groups([len(np.flatnonzero(m)) * 3 for m in mats], 1)) > 1
-        split, _, _ = _solve_batch(mats, seeds, **self.SOLVE)
         threaded, _, _ = _solve_batch(mats, seeds, threads=3, **self.SOLVE)
-        assert split == whole
         assert threaded == whole
 
-    def test_groups_respect_the_work_budget(self):
-        work = [5, 1 << 20, 1 << 20, 3, 1 << 22, 7]
-        groups = factorization._groups(work, 1)
-        assert [i for g in groups for i in g] == list(range(len(work)))
-        budget = max(factorization.GROUP_WORK, max(work))
-        assert all(sum(work[i] for i in g) <= budget for g in groups)
-        assert factorization._groups([], 1) == []
+    def test_one_call_over_mixed_ranks_gives_each_slice_its_bytes_alone(self):
+        mats = _batch_slices()
+        ranks, seeds = [2, 3, 4, 3, 2], [5, 6, 7, 8, 9]
+        mixed, _, _ = _solve_batch(mats, seeds, ranks=ranks, **self.SOLVE)
+        for s, (m, rank, seed) in enumerate(zip(mats, ranks, seeds)):
+            assert mixed[s] == _fingerprint(nmf_gkl(m, rank, seed=seed, **self.SOLVE))
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_non_finite_factor_names_its_slice(self):
@@ -359,7 +355,7 @@ class TestNmfGklMany:
         support, dims, factors = _pack(mats, [3] * 3)
         with pytest.raises(FactorizationError, match="iteration 1 in second$"):
             nmf_gkl_many(
-                support, dims, factors, [0, 1, 2], 3, [0, 1, 2], names=["first", "second", "third"]
+                support, dims, factors, [0, 1, 2], [0, 1, 2], names=["first", "second", "third"]
             )
 
     @pytest.mark.filterwarnings("ignore:overflow")
@@ -383,7 +379,7 @@ class TestNmfGklMany:
     def test_rejects_mismatched_seeds(self):
         support, dims, factors = _pack(_batch_slices(), [3] * 5)
         with pytest.raises(ValueError):
-            nmf_gkl_many(support, dims, factors, range(5), 3, [0])
+            nmf_gkl_many(support, dims, factors, range(5), [0])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
