@@ -378,7 +378,7 @@ def run_checks(model, seed: int) -> List[dict]:
             allowance = MARGINAL_ULPS * sys.float_info.epsilon * len(model.levels[k].totals)
             bound = marginal_error_bound(model, k)
             check(f"marginal_order_{k}", verify_marginal(model, k), bound + allowance)
-        check("rank1_closed_form", *rank1_closed_form(model))
+        check("rank1_closed_form", rank1_closed_form(model), 2 * sys.float_info.epsilon)
         check("gamma_closed_form", model.check_gamma_closed_form(), 1e-12)
         check("local_discount_identity", model.check_local_constraints(), 1e-12)
         check("discount_bounds", model.check_discount_bounds(), 1e-12)

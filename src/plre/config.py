@@ -106,8 +106,11 @@ class TrainConfig:
         }
 
     def echo(self) -> dict:
-        """JSON-serializable dump for container headers."""
+        """JSON-serializable dump for container headers, without
+        ``threads``: the thread count cannot change a model, so it must not
+        change the container's bytes."""
         d = asdict(self)
+        del d["threads"]
         d["powers"] = {str(k): list(v) for k, v in self.powers.items()}
         d["ranks"] = {str(k): list(v) for k, v in self.ranks.items()}
         if self.default_power is not None:

@@ -45,7 +45,7 @@ from .ensemble import DiscountSpec, LowRankCPT, PlreLevel, PlreModel, SliceLayou
 from .errors import ContainerError, DataError
 
 MAGIC = b"PLRE"
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 
 
 def _bytes(arr: np.ndarray, dtype: str) -> bytes:
@@ -237,15 +237,17 @@ def _read_counts(header: dict, payloads: Dict[str, bytes], vsize: int):
 def _load_plre(
     header: dict, payloads: Dict[str, bytes], vocab: Vocabulary, top: CountTable
 ) -> PlreModel:
-    factors: List[Tuple[str, LowRankCPT]] = []
-
     def make_level(table: CountTable, lower: CountTable) -> PlreLevel:
         k = table.order
         ranks = header["ranks"][str(k)]
 
         def sized(spec: DiscountSpec, layout: SliceLayout) -> LowRankCPT:
+            # Each section holds its factors alone, sized by the layout.
+            name = f"z.{k}.{spec.level}"
             z = LowRankCPT(k, int(ranks[spec.level - 1]), layout, spec.sums)
-            factors.append((f"z.{k}.{spec.level}", z))
+            cur = _Cursor(payloads[name], name)
+            z.L, z.R = cur.floats(len(z.L)), cur.floats(len(z.R))
+            cur.done()
             return z
 
         powers = tuple(map(float, header["powers"][str(k)]))
@@ -254,10 +256,4 @@ def _load_plre(
 
     levels = plre_levels(top, make_level)
     seed, warnings = int(header.get("seed", 0)), list(header.get("warnings", []))
-    model = PlreModel(vocab, top.order, levels, seed, warnings)
-    # Each section holds its factors alone, sized by the layout.
-    for name, z in factors:
-        cur = _Cursor(payloads[name], name)
-        z.L, z.R = cur.floats(len(z.L)), cur.floats(len(z.R))
-        cur.done()
-    return model
+    return PlreModel(vocab, top.order, levels, seed, warnings)

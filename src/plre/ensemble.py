@@ -22,11 +22,11 @@ hands off to the level one order lower.  Querying walks the levels top-down
 and ends at the base distribution.
 
 Two facts make the whole ensemble preserve the observed lower-order
-marginals: the factorization preserves per-slice row sums (exactly for the
-closed-form rank-1 path, to reported tolerance for iterative NMF), and
-the adjusted tables are derived recursively from support, so the
-discounted mass a level releases is exactly the mass the next level's table
-normalizes over.
+marginals: the factorization preserves per-slice row sums (to one
+rounding for the closed-form rank-1 path, to reported tolerance for
+iterative NMF), and the adjusted tables are derived recursively from
+support, so the discounted mass a level releases is exactly the mass the
+next level's table normalizes over.
 
 Each level is one sorted-array table, and the walk that answers every
 query is the one all models share (``levels.LevelModel.score``).  The
@@ -56,7 +56,7 @@ from .corpus import (
     segments,
 )
 from .errors import ConfigError, FactorizationError
-from .factorization import ConvergenceReport, factor_index, fit_reports, nmf_gkl_many
+from .factorization import ConvergenceReport, closed_form, factor_index, fit_reports, nmf_gkl_many
 from .factorization import nmf_gkl  # noqa: F401  (not called here; bench/run.py traces it)
 from .levels import Level, LevelModel, OpCounter, timed
 
@@ -246,19 +246,6 @@ class LowRankCPT:
         return out
 
 
-def _run_sums(vals: np.ndarray, start: np.ndarray, which: np.ndarray) -> np.ndarray:
-    """``vals[start[s]:start[s+1]].sum()`` for each run s in ``which``, bit
-    for bit: one row-wise sum per group of runs of equal length (a segment
-    sum would add in another order)."""
-    lengths = np.diff(start)[which]
-    by_length = np.argsort(lengths, kind="stable")
-    sizes, heads = np.unique(lengths[by_length], return_index=True)
-    out = np.empty(len(which))
-    for n, group in zip(sizes.tolist(), np.split(by_length, heads[1:])):
-        out[group] = vals[start[which[group]][:, None] + np.arange(n)].sum(axis=1)
-    return out
-
-
 def compute_z(
     spec: DiscountSpec,
     rank: int,
@@ -278,10 +265,11 @@ def compute_z(
     column-sum preservation of the factorization is exactly what keeps each
     level's terms summing to gamma-complementary mass.  Every discounted
     count must be positive and finite, as every PLRE chain step makes it.
-    Rank-1 slices take the closed form, all at once; the rest go to the
-    solver in one call, each slice solved alone at its own rank and seeded
-    by ``SeedSequence(seed, (order, step, slice))``, which writes their
-    factors into the table; one batched pass then reports on every slice.
+    Rank-1 slices take the closed form (``closed_form``), all at once; the
+    rest go to the solver in one call, each slice solved alone at its own
+    rank and seeded by ``SeedSequence(seed, (order, step, slice))``, which
+    writes their factors into the table; one batched pass then reports on
+    every slice.
     Deterministic for a given seed, regardless of thread count.  Seconds
     are added to ``timings["slices"]`` and ``timings["nmf"]``.
     """
@@ -300,45 +288,28 @@ def compute_z(
                 f"{tuple(table.keys[e].tolist())}: discount bound broken"
             )
         z = LowRankCPT(k, rank, layout or SliceLayout(table, table.lower()), spec.sums)
-        lay, ranks, L, R = z.layout, z.ranks, z.L, z.R
-        rows, n = lay.rows, len(lay.rows)
+        lay = z.layout
         # The support in (slice, row, column) order, rows and columns
         # numbered across all slices: an entry's column is its context, and
         # its row its code one order lower among the entries there.  Table
         # order runs by column, then row, so the layout's stable sort by row
         # keeps each row's columns in order.
-        row_slice = np.repeat(np.arange(n), rows)
         perm, ii = lay.entry_rows
         jj, vals = table.ctx_of_entry[perm], v[perm]
-        col_slice = lay.ctx_slice
-        row_local, col_local = offsets(rows), lay.ctx_col
-        nnz_start = segments(lay.nnz)
-        rank1 = ranks == 1
-        rank1_ids = np.flatnonzero(rank1)
-
-        # Rank 1: L = row sums / total and R = column sums, each summed in
-        # the order the slice's own row, column and total sums take.
-        row_sums = np.bincount(ii, vals, minlength=len(row_slice))
-        col_sums = np.bincount(jj, vals, minlength=len(col_slice))
-        total = np.ones(n)
-        total[rank1] = _run_sums(vals, nnz_start, rank1_ids)
-        at = rank1[row_slice]
-        L[z.L_start[row_slice[at]] + row_local[at]] = (row_sums / total[row_slice])[at]
-        at = rank1[col_slice]
-        R[z.R_start[col_slice[at]] + col_local[at]] = col_sums[at]
-        support = (row_local[ii], col_local[jj], vals, nnz_start)
-        dims, factors = z.dims, (L, R, z.L_start, z.R_start)
+        dims, factors = z.dims, (z.L, z.R, z.L_start, z.R_start)
+        closed_form(ii, jj, vals, dims, factors)
+        support = (offsets(lay.rows)[ii], lay.ctx_col[jj], vals, segments(lay.nnz))
         del v, perm, ii, jj  # the solver and reports need only the support
 
     # The other slices go to the solver, each at its own rank.
-    batch = np.flatnonzero(~rank1).tolist()
+    batch = np.flatnonzero(z.ranks > 1).tolist()
     seeds = [np.random.SeedSequence(entropy=seed, spawn_key=(k, j, s)) for s in batch]
     names = [f"order {k}, chain step {j}, interior {tuple(z.slices[s].tolist())}" for s in batch]
     with timed(timings, "nmf"):
         fits = nmf_gkl_many(support, dims, factors, batch, seeds, max_iters, rel_tol, names, threads)
     solved = dict(zip(batch, fits))
     with timed(timings, "slices"):
-        if not (np.isfinite(L).all() and np.isfinite(R).all()):
+        if not (np.isfinite(z.L).all() and np.isfinite(z.R).all()):
             raise FactorizationError(f"non-finite factors in order {k}, chain step {j}")
         z.reports = fit_reports(support, dims, factors, solved)
     return z

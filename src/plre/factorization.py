@@ -5,7 +5,10 @@ the convention 0*log(0/x) = 0.  Two properties of its minimizers carry the
 whole smoothing construction and are what the tests pin down:
 
 * the best rank-1 approximation has a closed form, the outer product of the
-  row-sum and column-sum profiles, and preserves both sum vectors exactly;
+  row-sum and column-sum profiles, and preserves both sum vectors: R is the
+  column sums and L the row sums over their total, taken as the in-order
+  sum of R, so L times the sum of R gives each row sum back to within one
+  quotient's and one product's rounding (``closed_form``);
 * at any stationary point of higher rank the row and column sums of the
   approximation match the input's.  An iterative solver stops short of
   stationarity, so after convergence each column is rescaled to match the
@@ -17,8 +20,9 @@ row then column within it; ``dims[s]`` its (rows, cols[, rank]); and
 ``factors`` (L, R, L_start, R_start) its row-major L (rows x rank) and R
 (rank x cols).  ``nmf_gkl_many`` solves slices into the factors by Lee-Seung
 updates (Lee & Seung, NIPS 2001), each slice alone on its own run of the
-support; ``fit_reports`` measures every slice at once, closed form or
-iterative; ``best_rank1`` and ``nmf_gkl`` take one dense matrix.
+support; ``closed_form`` writes every rank-1 slice; ``fit_reports``
+measures every slice at once, closed form or iterative; ``best_rank1`` and
+``nmf_gkl`` take one dense matrix.
 """
 
 from __future__ import annotations
@@ -73,16 +77,9 @@ def _dense_support(M) -> Tuple[np.ndarray, Support]:
 
 
 def best_rank1(M) -> Tuple[np.ndarray, np.ndarray]:
-    """Closed-form best rank-1 gKL approximation of a dense matrix:
-    L = row sums / total (rows x 1) and R = column sums (1 x cols).
-
-    Both the row sums and the column sums of L @ R equal M's exactly (up to
-    one rounding each), which is what the ensemble's exact-marginal
-    guarantee leans on.
-    """
-    M, (ii, jj, vals, _) = _dense_support(M)
-    L = np.bincount(ii, vals, minlength=M.shape[0]) / vals.sum()
-    return L[:, None], np.bincount(jj, vals, minlength=M.shape[1])[None, :]
+    """Closed-form best rank-1 gKL approximation of a dense matrix, L (rows
+    x 1) and R (1 x cols): ``nmf_gkl(M, 1)``'s factors (``closed_form``)."""
+    return nmf_gkl(M, 1)[0]
 
 
 def nmf_gkl(
@@ -91,7 +88,7 @@ def nmf_gkl(
     """Rank-k nonnegative factorization (L, R) of a dense matrix under gKL.
 
     k is clamped (with a report warning) to the number of nonzero rows and
-    columns.  k = 1 takes the closed form (``best_rank1``), the global
+    columns.  k = 1 takes the closed form (``closed_form``), the global
     optimum; any higher rank is ``nmf_gkl_many`` on this one slice, with the
     bytes it gives the slice among any others.
     """
@@ -107,7 +104,8 @@ def nmf_gkl(
     factors = (L.reshape(-1), R.reshape(-1), np.array([0, L.size]), np.array([0, R.size]))
     solved: Dict[int, Solved] = {}
     if k_eff == 1:
-        L[:], R[:] = best_rank1(M)
+        # One slice: its rows and columns are the matrix's.
+        closed_form(*support[:3], dims, factors)
     else:
         [solved[0]] = nmf_gkl_many(support, dims, factors, [0], [seed], max_iters, rel_tol)
     [report] = fit_reports(support, dims, factors, solved)
@@ -116,6 +114,30 @@ def nmf_gkl(
             0, f"rank {k} clamped to {k_eff} (effective dims {eff_rows}x{eff_cols})"
         )
     return (L, R), report
+
+
+def closed_form(
+    ii: np.ndarray, jj: np.ndarray, vals: np.ndarray, dims: np.ndarray, factors: Factors
+) -> None:
+    """The best rank-1 gKL approximation of every slice of rank 1 in
+    ``dims``, written into ``factors``: R is the slice's column sums, and L
+    its row sums over T, the sum of that R added in order.  A reader that
+    adds R the same way and multiplies (``plre.verify``) gets each row sum
+    back within one quotient's and one product's rounding, 2u + u²
+    relative (u = 2⁻⁵³).  The nonzeros ``vals`` are at rows ``ii`` and
+    columns ``jj`` numbered across all slices in slice order, as the
+    entries one order lower and the contexts number them, each row's in
+    order: every sum adds in that order."""
+    rows, cols, ranks = np.asarray(dims, dtype=np.int64).T
+    L, R, _, _ = factors
+    col_sums = np.bincount(jj, vals, minlength=cols.sum())
+    total = np.bincount(np.repeat(np.arange(len(cols)), cols), col_sums, minlength=len(cols))
+    row_sums = np.bincount(ii, vals, minlength=rows.sum()) / np.repeat(total, rows)
+    # Each slice's factors follow the one before's, so the rank-1 slices'
+    # runs, in order, take their rows' and columns' sums, in order.
+    rank1 = ranks == 1
+    L[np.repeat(rank1, rows * ranks)] = row_sums[np.repeat(rank1, rows)]
+    R[np.repeat(rank1, ranks * cols)] = col_sums[np.repeat(rank1, cols)]
 
 
 def nmf_gkl_many(

@@ -10,7 +10,6 @@ read.
 
 from __future__ import annotations
 
-import sys
 from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -101,8 +100,9 @@ def marginal_error_bound(model: PlreModel, order: Optional[int] = None) -> float
     marginal identity telescopes exactly except where a slice misses its
     targets' row sums, which enters at the step's column weight in
     ``_push``: so each step's largest column weight times its largest
-    per-word residual (0 for rank-1 slices), plus the mass reaching the
-    base times the shift ``make_base_distribution``'s floor makes."""
+    per-word residual (a rank-1 slice's row sums miss by one rounding,
+    ``rank1_closed_form``), plus the mass reaching the base times the
+    shift ``make_base_distribution``'s floor makes."""
     bound = 0.0
     vsize = len(model.vocab)
     for level, weight, steps in _push(model, order):
@@ -137,23 +137,22 @@ def normalization_observed(model: LevelModel) -> float:
     return float(np.max(worst))
 
 
-def rank1_closed_form(model: PlreModel) -> Tuple[float, float]:
-    """(largest relative deviation of a rank-1 slice's factor row sums from
-    their targets, summed per row in table order as the build sums them,
-    and its tolerance): stale factors show here, not in the marginal bound.
-    L times the sum of R rounds by at most (3 nnz + 2) / 2 ulps: the row,
-    the columns and the total each sum at most the slice's nnz terms."""
-    worst, nnz = [0.0], 0
+def rank1_closed_form(model: PlreModel) -> float:
+    """Largest relative deviation of a rank-1 slice's factor row sums from
+    their targets, summed per row in table order as the build sums them:
+    stale factors show here, not in the marginal bound.  ``_rows`` takes a
+    row sum as L times the in-order sum of R, the T that ``closed_form``
+    divided by, so a fresh factor misses by one quotient's and one
+    product's rounding, 2u + u² relative (u = 2⁻⁵³)."""
+    worst = [0.0]
     for level in model.levels.values():
         for z, v, rows in _steps(level):
             perm, row_of = z.layout.entry_rows
             target = np.bincount(row_of, v[perm])
-            rank1 = z.ranks == 1
-            at = rank1[z.layout.lower.ctx_of_entry]
+            at = (z.ranks == 1)[z.layout.lower.ctx_of_entry]
             worst.append(np.max(np.abs(rows[at] - target[at]) / target[at], initial=0.0))
-            nnz = max(nnz, int(z.layout.nnz[rank1].max(initial=0)))
     # np.max, unlike max(), keeps a NaN
-    return float(np.max(worst)), (3 * nnz + 2) * sys.float_info.epsilon
+    return float(np.max(worst))
 
 
 def normalization_sweep(model: LevelModel, seed: int, n_contexts: int = 100) -> float:

@@ -435,12 +435,12 @@ def _dict_slice_matrix(entries: Dict[Tuple[int, int], float]):
 def _dict_rank1(M: np.ndarray):
     """The closed-form rank-1 factors of a dense slice, L = row sums / total
     and R = column sums: each row and column summed left to right over its
-    nonzeros, and the total as numpy sums the nonzeros in row-major order."""
+    nonzeros, and the total the column sums summed left to right."""
     rows, cols = M.shape
     add = functools.partial(functools.reduce, operator.add)
-    total = M[M > 0].sum()
     row_sums = [add([v for v in M[i].tolist() if v > 0], 0.0) for i in range(rows)]
     col_sums = [add([v for v in M[:, j].tolist() if v > 0], 0.0) for j in range(cols)]
+    total = add(col_sums, 0.0)
     return np.array(row_sums).reshape(rows, 1) / total, np.array(col_sums).reshape(1, cols)
 
 

@@ -825,3 +825,36 @@ def test_commands_in_their_own_process_end_with_one_strict_json_line(tmp_path, t
         assert done.stderr == ""
         report = json.loads(done.stdout.splitlines()[-1], parse_constant=_no_constant)
         assert report["command"] == args[0]
+
+
+def test_train_writes_the_same_bytes_on_any_thread_count(tmp_path, toy_corpus):
+    # Two processes with different hash seeds and thread counts, on a
+    # config with an iterative slice: the thread count cannot change the
+    # model, so it must not change the container either.
+    train = tmp_path / "train.txt"
+    write_corpus(str(train), toy_corpus[0][:200])
+    src = str(Path(plre.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    blobs = []
+    for hash_seed, threads in (("0", "1"), ("1", "3")):
+        model = tmp_path / f"threads-{threads}.plre"
+        done = subprocess.run(
+            [sys.executable, "-m", "plre.cli", "train", "--corpus", str(train),
+             "--model", str(model), "--smoother", "plre", "--order", "3", "--rank", "4",
+             "--seed", "1", "--threads", threads, "--json"],
+            capture_output=True, text=True, timeout=300,
+            env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=hash_seed),
+        )
+        assert done.returncode == 0, done.stderr
+        levels = json.loads(done.stdout.splitlines()[-1])["convergence"]["levels"]
+        assert sum(lv["slices"]["iterative"] for lv in levels) > 0
+        blobs.append(model.read_bytes())
+    assert blobs[0] == blobs[1]
+
+
+def test_readme_verify_block_lists_the_checks_run_checks_gives(toy_plre3):
+    # The quick start's `plre verify` output, check by check, in order.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("plre verify --model demo.plre\n```\n\n```\n", 1)[1].split("```", 1)[0]
+    names = [line.split()[0] for line in block.splitlines() if not line.startswith("verify:")]
+    assert names == [c["name"] for c in run_checks(toy_plre3, seed=0)]

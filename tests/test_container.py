@@ -228,6 +228,16 @@ class TestCorruption:
             load_model(str(saved))
         assert main(["verify", "--model", str(saved)]) == 6
 
+    def test_version_6_file_exits_6(self, saved, capsys):
+        # format 6 held rank-1 factors whose L divided by numpy's pairwise
+        # sum of the nonzeros, about 1e-14 off the closed form's tolerance
+        blob = bytearray(saved.read_bytes())
+        blob[4:8] = struct.pack("<I", 6)
+        saved.write_bytes(bytes(blob))
+        with pytest.raises(ContainerError, match="unsupported container version 6"):
+            load_model(str(saved))
+        assert main(["verify", "--model", str(saved)]) == 6
+
     def test_truncated_payload(self, saved):
         blob = saved.read_bytes()
         saved.write_bytes(blob[: len(blob) - 40])
@@ -570,6 +580,34 @@ class TestRank1ClosedForm:
             for z, built in zip(loaded.levels[k].z_tables, model.levels[k].z_tables):
                 assert np.array_equal(z.dims, built.dims)
                 assert z.L.tobytes() == built.L.tobytes()
+        capsys.readouterr()
+        assert main(["verify", "--model", str(path), "--json"]) == 7
+        checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert not checks.pop("rank1_closed_form")["passed"]
+        assert all(c["passed"] for c in checks.values()), checks
+
+    def test_rehashed_rank1_factor_a_few_ulps_off_exits_7(self, toy_corpus, tmp_path, capsys):
+        # the closed form's row sums come back within one rounding, so an
+        # order-3 rank-1 L entry scaled by (1 + 8 eps) and rehashed fails
+        # the rank-1 check alone: every other check passes it
+        _, vocab, enc = toy_corpus
+        model = build_plre(
+            count_ngrams(enc, 4),
+            vocab,
+            powers={2: (0.6, 0.3), 3: (0.6, 0.3), 4: ()},
+            ranks={2: (1, 1), 3: (1, 1), 4: ()},
+        )
+        assert model.levels[3].z_tables[0].ranks[0] == 1
+        path = tmp_path / "m.plre"
+        save_model(model, str(path))
+        blob = path.read_bytes()
+        header, sections = _split(blob)
+        payload = dict(sections)["z.3.1"]
+        L = np.frombuffer(bytes(payload[:8]), "<f8").copy()
+        scaled = L * (1.0 + 8 * np.finfo(float).eps)
+        assert scaled[0] != L[0]
+        payload[:8] = scaled.tobytes()
+        path.write_bytes(_join(blob, header, sections, rehash=True))
         capsys.readouterr()
         assert main(["verify", "--model", str(path), "--json"]) == 7
         checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
