@@ -25,9 +25,10 @@ k is the order-(k-1) context s, its rows that context's entries and its
 columns the order-k contexts it is the parent of.  The unigram base comes
 from the order-2 words (``PlreModel``).  A baseline is rebuilt by
 ``NgramLM.build``.  So a loaded model answers queries bit-identically, and
-a rebuild with the same seed produces byte-identical files.  Sections a
-loader does not read, as earlier layouts wrote them, are hash-checked and
-ignored.
+a rebuild with the same seed produces byte-identical files.  The header
+lists exactly the sections the loader reads, in that order
+(``_sections``): a section it would not read, a repeated one or a missing
+one is a ContainerError naming it.
 """
 
 from __future__ import annotations
@@ -179,9 +180,12 @@ def load_model(path: str):
     if not isinstance(hashes, dict) or hashes.get("header") != _header_digest(header):
         raise ContainerError(f"{path}: header: hash mismatch")
 
+    listed = header.get("sections")
+    if not (isinstance(listed, list) and all(isinstance(name, str) for name in listed)):
+        raise ContainerError(f"{path}: header: not a list of section names")
     payloads: Dict[str, bytes] = {}
     pos = 16 + hlen
-    for name in header.get("sections", []):
+    for name in listed:
         if pos + 8 > len(blob):
             raise ContainerError(f"{path}: missing section {name}")
         (plen,) = struct.unpack("<Q", blob[pos : pos + 8])
@@ -196,10 +200,18 @@ def load_model(path: str):
         if hashes.get(name) != hashlib.sha256(payload).hexdigest():
             raise ContainerError(f"{path}: section {name}: hash mismatch")
 
-    if "vocab" not in payloads:
-        raise ContainerError(f"{path}: missing vocab section")
-
     try:
+        expected = _sections(header)
+        for name in expected:
+            if name not in listed:
+                raise ContainerError(f"{path}: missing section {name}")
+        for i, name in enumerate(listed):
+            if name not in expected:
+                raise ContainerError(f"{path}: section {name} is not one the loader reads")
+            if name in listed[:i]:
+                raise ContainerError(f"{path}: section {name} listed twice")
+        if listed != expected:
+            raise ContainerError(f"{path}: sections out of order: {listed}")
         text = payloads["vocab"].decode("utf-8")
         words = text.split("\n")[:-1]
         # Equal only if every line, the last one too, ends in a newline and
@@ -210,15 +222,26 @@ def load_model(path: str):
         if len(vocab) != header.get("vocab_size"):
             raise ContainerError(f"{path}: vocab size disagrees with header")
         top = CountTable.from_keys(*_read_counts(header, payloads, len(vocab)))
-        if header.get("kind") == "plre":
+        if header["kind"] == "plre":
             return _load_plre(header, payloads, vocab, top)
-        if header.get("kind") == "baseline":
-            return NgramLM.build(vocab, {top.order: top}, header["smoother"])
+        return NgramLM.build(vocab, {top.order: top}, header["smoother"])
     except LookupError as exc:
         raise ContainerError(f"{path}: missing container field {exc}") from exc
     except (DataError, TypeError, ValueError) as exc:
         raise ContainerError(f"{path}: {exc}") from exc
-    raise ContainerError(f"{path}: unknown container kind {header.get('kind')!r}")
+
+
+def _sections(header: dict) -> List[str]:
+    """The sections a loader reads, in order: ``vocab``, the top order's
+    ``counts.n`` and, for a PLRE model, each order's ``z.k.j``."""
+    n, kind = int(header["order"]), header.get("kind")
+    if kind not in ("plre", "baseline"):
+        raise DataError(f"unknown container kind {kind!r}")
+    names = ["vocab", f"counts.{n}"]
+    if kind == "plre":
+        chains = [(k, len(header["powers"][str(k)])) for k in range(n, 1, -1)]
+        names += [f"z.{k}.{j}" for k, eta in chains for j in range(1, eta + 1)]
+    return names
 
 
 def _read_counts(header: dict, payloads: Dict[str, bytes], vsize: int):

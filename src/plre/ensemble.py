@@ -45,18 +45,17 @@ import numpy as np
 
 from .baselines import count_of_counts, good_turing_discount
 from .corpus import (
-    CODE_BITS,
     RADIX,
     WORD_MASK,
     CountTable,
     Vocabulary,
     adjusted_tables,
-    offsets,
     run_starts,
     segments,
 )
 from .errors import ConfigError, FactorizationError
-from .factorization import ConvergenceReport, closed_form, factor_index, fit_reports, nmf_gkl_many
+from .factorization import ConvergenceReport, closed_form, factor_index, factor_starts
+from .factorization import fit_reports, nmf_gkl_many, product
 from .factorization import nmf_gkl  # noqa: F401  (not called here; bench/run.py traces it)
 from .levels import Level, LevelModel, OpCounter, timed
 
@@ -123,12 +122,12 @@ class SliceLayout:
 
     Slice s is ``lower``'s context s, the parent of a run of the table's
     contexts.  Its columns are that run's contexts, by their oldest words,
-    so a context is its own column over all slices (``ctx_slice`` gives its
-    slice, ``ctx_col`` its column within it).  Its rows are ``lower``'s
-    entries of context s, by their words, numbered across all slices as
-    ``lower``'s entries are.  Every discounted count of a chain step is
-    positive, so each slice has ``nnz`` nonzeros: the table's entries in
-    its columns.  Every chain step of a level shares its layout.
+    and its rows ``lower``'s entries of context s, by their words: a
+    context is its own column (``ctx_slice`` gives its slice) and an entry
+    one order lower its own row over all slices, the one numbering every
+    reader of the factors uses.  Every discounted count of a chain step is
+    positive, so each slice has ``nnz`` nonzeros, the table's entries in
+    its columns (``support``).  Every chain step of a level shares it.
     """
 
     def __init__(self, table: CountTable, lower: CountTable):
@@ -136,11 +135,10 @@ class SliceLayout:
         self.ctx_slice = table.parent
         self.col_start = run_starts(table.parent)
         self.col_ids = table.ctx_code & WORD_MASK
-        self.ctx_col = np.arange(len(table.parent)) - self.col_start[table.parent]
         self.row_ids, self.row_start = lower.words, lower.ctx_start
         self.rows, self.cols = np.diff(self.row_start), np.diff(self.col_start)
         self.nnz = np.diff(table.ctx_start[self.col_start])
-        self.entry_code = table.entry_code
+        self.ctx_of_entry, self.entry_words = table.ctx_of_entry, table.words
 
     @functools.cached_property
     def entry_rows(self) -> np.ndarray:
@@ -148,12 +146,18 @@ class SliceLayout:
         one order lower (``CountTable.lower_codes``), and each one's row,
         ``lower`` (the adjusted table) counting the entries of each code.
         Made on first use, once per level: a load needs none."""
-        code = self.entry_code
-        codes = (self.ctx_slice * RADIX)[code >> CODE_BITS] + (code & WORD_MASK)
+        codes = (self.ctx_slice * RADIX)[self.ctx_of_entry] + self.entry_words
         # In the narrowest type that holds them: at order 2 the codes are
         # word ids, and numpy sorts 16-bit integers stably by radix.
         order = np.argsort(codes.astype(np.min_scalar_type(codes.max(initial=0))), kind="stable")
         return np.stack((order, np.repeat(np.arange(len(self.lower.counts)), self.lower.counts)))
+
+    def support(self, v: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """(ii, jj, vals, nnz_start): ``v`` (one per entry) at the entries'
+        rows and columns, by slice, row, then column (``entry_rows`` sorts
+        stably, and table order is by column), and each slice's start."""
+        perm, ii = self.entry_rows
+        return ii, self.ctx_of_entry[perm], v[perm], segments(self.nnz)
 
 
 @dataclass(eq=False)
@@ -196,9 +200,13 @@ class LowRankCPT:
 
     @functools.cached_property
     def index(self) -> Tuple[np.ndarray, ...]:
-        """``factor_index`` of the slices, a column its context, made once."""
-        lay = self.layout
-        return factor_index(lay.rows, lay.cols, self.ranks, lay.col_start)
+        """``factor_index`` of the slices, made once."""
+        return factor_index(self.dims)
+
+    @functools.cached_property
+    def starts(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``factor_starts`` of the slices, made on the first lookup."""
+        return factor_starts(self.dims)
 
     @property
     def dims(self) -> np.ndarray:
@@ -226,19 +234,13 @@ class LowRankCPT:
         word is no row of the context's slice.  The rows of slice s are the
         entries of context s one order lower (the base's words at order 2),
         so the walk's search there gives each query's row: ``pos`` is its
-        place among them all and ``hit`` whether it is one."""
-        lay = self.layout
+        place among them all, the layout's row, and ``hit`` whether it is
+        one.  The product is the reports' own (``product``)."""
         ctx, pos = ctx[hit], pos[hit]
-        s = lay.ctx_slice[ctx]
-        rank, cols = self.ranks[s], lay.cols[s]
-        left = self.L_start[s] + (pos - lay.row_start[s]) * rank
-        right = self.R_start[s] + lay.ctx_col[ctx]
-        # One rank term at a time, in order, like a plain dot product; every
-        # slice has the first.
-        dot = self.L[left] * self.R[right]
-        for t in range(1, int(rank.max(initial=0))):
-            live = rank > t
-            dot[live] += self.L[left[live] + t] * self.R[right[live] + t * cols[live]]
+        s = self.layout.ctx_slice[ctx]
+        rank = self.ranks[s]
+        left, right = self.starts
+        dot = product(self.L, self.R, left[pos], right[ctx], rank, self.layout.cols[s])
         out = np.zeros(len(hit))
         out[hit] = dot / self.denominators[ctx]
         if counter is not None:
@@ -265,11 +267,12 @@ def compute_z(
     column-sum preservation of the factorization is exactly what keeps each
     level's terms summing to gamma-complementary mass.  Every discounted
     count must be positive and finite, as every PLRE chain step makes it.
-    Rank-1 slices take the closed form (``closed_form``), all at once; the
-    rest go to the solver in one call, each slice solved alone at its own
-    rank and seeded by ``SeedSequence(seed, (order, step, slice))``, which
-    writes their factors into the table; one batched pass then reports on
-    every slice.
+    The closed form, the solver and the reports take one support
+    (``SliceLayout.support``).  Rank-1 slices take the closed form, all at
+    once; the rest go to the solver in one call, each slice solved alone at
+    its own rank and seeded by ``SeedSequence(seed, (order, step, slice))``,
+    which writes their factors into the table; one batched pass then
+    reports on every slice.
     Deterministic for a given seed, regardless of thread count.  Seconds
     are added to ``timings["slices"]`` and ``timings["nmf"]``.
     """
@@ -288,18 +291,10 @@ def compute_z(
                 f"{tuple(table.keys[e].tolist())}: discount bound broken"
             )
         z = LowRankCPT(k, rank, layout or SliceLayout(table, table.lower()), spec.sums)
-        lay = z.layout
-        # The support in (slice, row, column) order, rows and columns
-        # numbered across all slices: an entry's column is its context, and
-        # its row its code one order lower among the entries there.  Table
-        # order runs by column, then row, so the layout's stable sort by row
-        # keeps each row's columns in order.
-        perm, ii = lay.entry_rows
-        jj, vals = table.ctx_of_entry[perm], v[perm]
+        support = z.layout.support(v)
+        del v  # the closed form, the solver and the reports need only the support
         dims, factors = z.dims, (z.L, z.R, z.L_start, z.R_start)
-        closed_form(ii, jj, vals, dims, factors)
-        support = (offsets(lay.rows)[ii], lay.ctx_col[jj], vals, segments(lay.nnz))
-        del v, perm, ii, jj  # the solver and reports need only the support
+        closed_form(support, dims, factors)
 
     # The other slices go to the solver, each at its own rank.
     batch = np.flatnonzero(z.ranks > 1).tolist()
@@ -405,7 +400,9 @@ class PlreModel(LevelModel):
         return {k: tuple(z.rank for z in level.z_tables) for k, level in self.levels.items()}
 
     def check_discount_bounds(self) -> float:
-        """Max violation of 0 <= D_j(w,h) <= c̃(w,h)^rho_j over everything."""
+        """Max violation of 0 <= D_j(w,h) <= c̃(w,h)^rho_j over everything.
+        Powers are ``np.power``'s, not the build's ``power_counts``: the
+        check is meant not to share the arithmetic it checks."""
         worst = [0.0]
         for level in self.levels.values():
             counts = level.counts.astype(np.float64)
@@ -422,7 +419,9 @@ class PlreModel(LevelModel):
         For every entry, chain step j must satisfy
         c^rho_j/S_j(h) = (c^rho_j - D_j)/S_j(h) + gamma_j(h) * c^rho_{j+1}/S_{j+1}(h),
         where the powered context sums S are recomputed here from the raw
-        level counts rather than read from the model.
+        level counts rather than read from the model, and the powers with
+        ``np.power``, not the build's ``power_counts``: the check is meant
+        not to share the arithmetic it checks.
         """
         worst = [0.0]
         for level in self.levels.values():

@@ -14,15 +14,16 @@ whole smoothing construction and are what the tests pin down:
   stationarity, so after convergence each column is rescaled to match the
   input column sums exactly and the remaining row-sum deviation is reported.
 
-Slices live in the flat arrays of an ``ensemble.LowRankCPT``: ``support``
-(ii, jj, vals, nnz_start) holds slice s's nonzeros at ``nnz_start[s]:``, by
-row then column within it; ``dims[s]`` its (rows, cols[, rank]); and
-``factors`` (L, R, L_start, R_start) its row-major L (rows x rank) and R
-(rank x cols).  ``nmf_gkl_many`` solves slices into the factors by Lee-Seung
-updates (Lee & Seung, NIPS 2001), each slice alone on its own run of the
-support; ``closed_form`` writes every rank-1 slice; ``fit_reports``
-measures every slice at once, closed form or iterative; ``best_rank1`` and
-``nmf_gkl`` take one dense matrix.
+Slices live in the flat arrays of an ``ensemble.LowRankCPT``, with rows
+and columns numbered across all slices: ``support`` (ii, jj, vals,
+nnz_start) holds slice s's nonzeros at ``nnz_start[s]:``, by row then
+column; ``dims[s]`` its (rows, cols, rank); and ``factors`` (L, R,
+L_start, R_start) its row-major L (rows x rank) and R (rank x cols).
+``closed_form`` writes every rank-1 slice; ``nmf_gkl_many`` solves the
+others by Lee-Seung updates (Lee & Seung, NIPS 2001), each alone on its own
+run of the support; ``fit_reports`` measures every slice at once, through
+the lookups' ``product`` and ``plre.verify``'s ``row_sums`` and
+``col_sums``.  ``best_rank1`` and ``nmf_gkl`` take one dense matrix.
 """
 
 from __future__ import annotations
@@ -104,8 +105,7 @@ def nmf_gkl(
     factors = (L.reshape(-1), R.reshape(-1), np.array([0, L.size]), np.array([0, R.size]))
     solved: Dict[int, Solved] = {}
     if k_eff == 1:
-        # One slice: its rows and columns are the matrix's.
-        closed_form(*support[:3], dims, factors)
+        closed_form(support, dims, factors)
     else:
         [solved[0]] = nmf_gkl_many(support, dims, factors, [0], [seed], max_iters, rel_tol)
     [report] = fit_reports(support, dims, factors, solved)
@@ -116,28 +116,25 @@ def nmf_gkl(
     return (L, R), report
 
 
-def closed_form(
-    ii: np.ndarray, jj: np.ndarray, vals: np.ndarray, dims: np.ndarray, factors: Factors
-) -> None:
+def closed_form(support: Support, dims: np.ndarray, factors: Factors) -> None:
     """The best rank-1 gKL approximation of every slice of rank 1 in
     ``dims``, written into ``factors``: R is the slice's column sums, and L
     its row sums over T, the sum of that R added in order.  A reader that
-    adds R the same way and multiplies (``plre.verify``) gets each row sum
+    adds R the same way and multiplies (``row_sums``) gets each row sum
     back within one quotient's and one product's rounding, 2u + u²
-    relative (u = 2⁻⁵³).  The nonzeros ``vals`` are at rows ``ii`` and
-    columns ``jj`` numbered across all slices in slice order, as the
-    entries one order lower and the contexts number them, each row's in
-    order: every sum adds in that order."""
+    relative (u = 2⁻⁵³).  Every sum adds in the support's order, each
+    row's columns in order."""
+    ii, jj, vals, _ = support
     rows, cols, ranks = np.asarray(dims, dtype=np.int64).T
     L, R, _, _ = factors
-    col_sums = np.bincount(jj, vals, minlength=cols.sum())
-    total = np.bincount(np.repeat(np.arange(len(cols)), cols), col_sums, minlength=len(cols))
-    row_sums = np.bincount(ii, vals, minlength=rows.sum()) / np.repeat(total, rows)
+    by_col = np.bincount(jj, vals, minlength=cols.sum())
+    total = np.bincount(np.repeat(np.arange(len(cols)), cols), by_col, minlength=len(cols))
+    by_row = np.bincount(ii, vals, minlength=rows.sum()) / np.repeat(total, rows)
     # Each slice's factors follow the one before's, so the rank-1 slices'
     # runs, in order, take their rows' and columns' sums, in order.
     rank1 = ranks == 1
-    L[np.repeat(rank1, rows * ranks)] = row_sums[np.repeat(rank1, rows)]
-    R[np.repeat(rank1, ranks * cols)] = col_sums[np.repeat(rank1, cols)]
+    L[np.repeat(rank1, rows * ranks)] = by_row[np.repeat(rank1, rows)]
+    R[np.repeat(rank1, ranks * cols)] = by_col[np.repeat(rank1, cols)]
 
 
 def nmf_gkl_many(
@@ -154,7 +151,8 @@ def nmf_gkl_many(
     """Nonnegative factorizations under gKL of ``slices``, each at its rank
     ``dims[s, 2]``, written into ``factors``; what the solver found, per
     slice.  Ranks are not clamped: callers pass ranks <= each slice's
-    nonzero rows and columns.
+    nonzero rows and columns.  The support is the one ``closed_form`` and
+    ``fit_reports`` take, rows and columns numbered across all slices.
 
     Each slice is solved alone, on its own run of the support (``_solve``),
     so its factors and history are the same bytes whatever else is solved
@@ -210,14 +208,16 @@ def _solve(support, dims, factors, s, seed, name, max_iters, rel_tol) -> Solved:
     records gKL(M, W @ H); a rise is reported as a warning.  The slice stops
     when its relative improvement drops below ``rel_tol`` or after
     ``max_iters``; then each column of W @ H is rescaled to M's column sum
-    and the factors are written.  W is kept term-major (k x rows), so each
-    gather at the support reads one contiguous row per rank term, and rank
-    terms are summed one at a time, in order."""
+    and the factors are written.  The slice's rows and columns are its
+    support's less its first row and first column.  W is kept term-major
+    (k x rows), so each gather at the support reads one contiguous row per
+    rank term, and rank terms are summed one at a time, in order."""
     rows, cols, k = (int(d) for d in dims[s])
     if k < 1:
         raise ValueError(f"rank must be >= 1, got {k} in {name}")
     lo, hi = support[3][s], support[3][s + 1]
     gi, gj, vals = (a[lo:hi] for a in support[:3])
+    gi, gj = gi - segments(dims[:, 0])[s], gj - segments(dims[:, 1])[s]
     total = vals.sum()
     rng = np.random.default_rng(seed)
     W = 1.0 - rng.random((rows, k))
@@ -271,17 +271,53 @@ def _solve(support, dims, factors, s, seed, name, max_iters, rel_tol) -> Solved:
     return it, done, history, warnings
 
 
-def factor_index(rows, cols, ranks, col_start) -> Tuple[np.ndarray, ...]:
+def factor_index(dims: np.ndarray) -> Tuple[np.ndarray, ...]:
     """(rank term, row) of every L entry and (rank term, column) of every R
-    entry, numbered across all slices (slice s's columns from
-    ``col_start[s]``): the concatenated factors then act as one
-    block-diagonal pair, and a product with every slice is a segment sum."""
+    entry, rows and columns numbered across all slices: the concatenated
+    factors then act as one block-diagonal pair, and a product with every
+    slice is a segment sum (``row_sums``, ``col_sums``)."""
+    rows, cols, ranks = np.asarray(dims, dtype=np.int64).T
     per_row, per_term = np.repeat(ranks, rows), np.repeat(cols, ranks)
     L_term = np.repeat(np.repeat(segments(ranks)[:-1], rows), per_row) + offsets(per_row)
     L_row = np.repeat(np.arange(len(per_row)), per_row)
     R_term = np.repeat(np.arange(len(per_term)), per_term)
-    R_col = np.repeat(np.repeat(col_start[:-1], ranks), per_term) + offsets(per_term)
+    R_col = np.repeat(np.repeat(segments(cols)[:-1], ranks), per_term) + offsets(per_term)
     return L_term, L_row, R_term, R_col
+
+
+def factor_starts(dims: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(left, right), rows and columns numbered across all slices: rank term
+    t of the product at (i, j) is L[left[i] + t] * R[right[j] + t * cols]."""
+    rows, cols, ranks = np.asarray(dims, dtype=np.int64).T
+    left = segments(np.repeat(ranks, rows))[:-1]
+    shift = segments(ranks * cols)[:-1] - segments(cols)[:-1]
+    return left, np.arange(cols.sum()) + np.repeat(shift, cols)
+
+
+def product(L, R, left, right, rank, width) -> np.ndarray:
+    """L R at places with ``factor_starts`` ``left`` and ``right``, in slices
+    of ``rank`` and ``width`` columns: rank terms add in order, as in a dot."""
+    out = L[left] * R[right]
+    for t in range(1, int(rank.max(initial=0))):
+        live = rank > t
+        out[live] += L[left[live] + t] * R[right[live] + t * width[live]]
+    return out
+
+
+def row_sums(L, R, index, w: Optional[np.ndarray] = None) -> np.ndarray:
+    """L (R w) per row of every slice, ``index`` their ``factor_index``, ``w``
+    one weight per column if given.  R adds per rank term in order, so a
+    rank-1 row sum is L times the T that ``closed_form`` divided by."""
+    L_term, L_row, R_term, R_col = index
+    if w is not None:
+        R = R * w[R_col]
+    return np.bincount(L_row, L * np.bincount(R_term, R)[L_term])
+
+
+def col_sums(L, R, index) -> np.ndarray:
+    """1ᵀ L R per column of every slice: each column's factor mass."""
+    L_term, _, R_term, R_col = index
+    return np.bincount(R_col, R * np.bincount(L_term, L)[R_term])
 
 
 def fit_reports(
@@ -289,34 +325,28 @@ def fit_reports(
 ) -> List[ConvergenceReport]:
     """Every slice's report, measured all at once: gKL(M, L @ R) and the
     largest deviations of the product's row and column sums from M's.
+    The product at the support is the lookup's (``product``), and the
+    factor sums are the verifier's (``row_sums``, ``col_sums``).
     ``solved[s]`` is what the solver found for slice s; a slice without it
     is a closed form."""
     ii, jj, vals, nnz_start = support
-    L, R, L_start, R_start = factors
+    L, R, _, _ = factors
     rows, cols, ranks = np.asarray(dims, dtype=np.int64).T
     n = len(rows)
     seg = np.repeat(np.arange(n), np.diff(nnz_start))
-    # The product at the support, one rank term at a time.
-    left, right = L_start[seg] + ii * ranks[seg], R_start[seg] + jj
-    pred = L[left] * R[right]
-    for t in range(1, int(ranks.max(initial=0))):
-        live = ranks[seg] > t
-        pred[live] += L[left[live] + t] * R[right[live] + t * cols[seg[live]]]
-    del left, right
+    left, right = factor_starts(dims)
+    pred = product(L, R, left[ii], right[jj], ranks[seg], cols[seg])
     # A zero of the product under a nonzero makes the gKL infinite.
     with np.errstate(divide="ignore", over="ignore"):
         gkl = np.bincount(seg, vals * np.log(vals / pred), minlength=n)
     gkl -= np.bincount(seg, vals, minlength=n)
-    row_start, col_start = segments(rows), segments(cols)
-    L_term, L_row, R_term, R_col = factor_index(rows, cols, ranks, col_start)
-    L_sum, R_sum = np.bincount(L_term, L), np.bincount(R_term, R)
-    gkl += np.bincount(np.repeat(np.arange(n), ranks), L_sum * R_sum, minlength=n)
-    row_dev = np.bincount(L_row, L * R_sum[L_term])
-    row_dev -= np.bincount(ii + row_start[seg], vals, minlength=len(row_dev))
-    col_dev = np.bincount(R_col, R * L_sum[R_term])
-    col_dev -= np.bincount(jj + col_start[seg], vals, minlength=len(col_dev))
-    row_res = np.maximum.reduceat(np.abs(row_dev), row_start[:-1]).tolist()
-    col_res = np.maximum.reduceat(np.abs(col_dev), col_start[:-1]).tolist()
+    index = factor_index(dims)
+    mass = np.bincount(index[0], L) * np.bincount(index[2], R)
+    gkl += np.bincount(np.repeat(np.arange(n), ranks), mass, minlength=n)
+    row_dev = row_sums(L, R, index) - np.bincount(ii, vals, minlength=rows.sum())
+    col_dev = col_sums(L, R, index) - np.bincount(jj, vals, minlength=cols.sum())
+    row_res = np.maximum.reduceat(np.abs(row_dev), segments(rows)[:-1]).tolist()
+    col_res = np.maximum.reduceat(np.abs(col_dev), segments(cols)[:-1]).tolist()
     fits, reports = zip(gkl.tolist(), row_res, col_res, ranks.tolist()), []
     for s, (obj, row, col, r) in enumerate(fits):
         it, converged, history, notes = solved.get(s, (0, True, [obj], []))

@@ -1,11 +1,11 @@
 """What a valid model satisfies, checked from its arrays: each function
 gives a check's largest violation, and ``plre.cli.run_checks`` sets the
 tolerances.  The checks that read one level's own arrays are ``PlreModel``
-methods.  The rest share a low-rank table's factor products per row
-(``_rows``) and per column (``_cols``), each chain step's targets next to
-its factor row sums (``_steps``), and one push of the order-k contexts'
-weights down the levels (``_push``), which the marginal and its bound both
-read.
+methods.  The rest read a low-rank table's factor sums per row and per
+column through ``factorization.row_sums`` and ``col_sums``, the build's
+reports' own arithmetic, and share each chain step's targets next to its
+factor row sums (``_steps``) and one push of the order-k contexts' weights
+down the levels (``_push``), which the marginal and its bound both read.
 """
 
 from __future__ import annotations
@@ -17,21 +17,8 @@ import numpy as np
 from .baselines import DiscountParams, NgramLM
 from .ensemble import LowRankCPT, PlreLevel, PlreModel, power_counts
 from .evaluation import SCORE_CHUNK
+from .factorization import col_sums, row_sums
 from .levels import LevelModel
-
-
-def _rows(z: LowRankCPT, w: Optional[np.ndarray] = None) -> np.ndarray:
-    """L (R w) per row of every slice: each row's factor mass over its
-    columns, weighted by ``w`` (one per context of the level) if given."""
-    L_term, L_row, R_term, R_col = z.index
-    R = z.R if w is None else z.R * w[R_col]
-    return np.bincount(L_row, z.L * np.bincount(R_term, R)[L_term])
-
-
-def _cols(z: LowRankCPT) -> np.ndarray:
-    """1ᵀ L R per column of every slice: each context's factor mass."""
-    L_term, _, R_term, R_col = z.index
-    return np.bincount(R_col, z.R * np.bincount(L_term, z.L)[R_term])
 
 
 def _steps(level: PlreLevel) -> Iterator[Tuple[LowRankCPT, np.ndarray, np.ndarray]]:
@@ -41,7 +28,7 @@ def _steps(level: PlreLevel) -> Iterator[Tuple[LowRankCPT, np.ndarray, np.ndarra
         return
     powered = [power_counts(level, rho) for rho in (*level.powers, 0.0)]
     for j, z in enumerate(level.z_tables):
-        yield z, powered[j] - level.dstar * powered[j + 1], _rows(z)
+        yield z, powered[j] - level.dstar * powered[j + 1], row_sums(z.L, z.R, z.index)
 
 
 def _push(
@@ -82,7 +69,7 @@ def marginal(model: PlreModel, order: Optional[int] = None) -> np.ndarray:
         share = (weight / level.totals)[level.ctx_of_entry] * level.top
         acc += np.bincount(level.words, weights=share, minlength=vsize)
         for z, w in zip(level.z_tables, steps):
-            acc += np.bincount(z.row_ids, weights=_rows(z, w), minlength=vsize)
+            acc += np.bincount(z.row_ids, weights=row_sums(z.L, z.R, z.index, w), minlength=vsize)
 
 
 def verify_marginal(model: PlreModel, order: Optional[int] = None) -> float:
@@ -130,7 +117,7 @@ def normalization_observed(model: LevelModel) -> float:
         s = np.add.reduceat(level.top, level.ctx_start[:-1]) / level.totals
         g = level.gammas[0]
         for j, z in enumerate(level.z_tables, start=1):
-            s += g * _cols(z) / z.denominators
+            s += g * col_sums(z.L, z.R, z.index) / z.denominators
             g = g * level.gammas[j]
         sums = s + g * sums[level.parent]
         worst.append(np.max(np.abs(sums - 1.0)))
@@ -140,15 +127,16 @@ def normalization_observed(model: LevelModel) -> float:
 def rank1_closed_form(model: PlreModel) -> float:
     """Largest relative deviation of a rank-1 slice's factor row sums from
     their targets, summed per row in table order as the build sums them:
-    stale factors show here, not in the marginal bound.  ``_rows`` takes a
-    row sum as L times the in-order sum of R, the T that ``closed_form``
-    divided by, so a fresh factor misses by one quotient's and one
-    product's rounding, 2u + u² relative (u = 2⁻⁵³)."""
+    stale factors show here, not in the marginal bound.  The targets add
+    the build's support (``SliceLayout.support``) per row, and ``row_sums``
+    takes a row sum as L times the in-order sum of R, the T that
+    ``closed_form`` divided by, so a fresh factor misses by one quotient's
+    and one product's rounding, 2u + u² relative (u = 2⁻⁵³)."""
     worst = [0.0]
     for level in model.levels.values():
         for z, v, rows in _steps(level):
-            perm, row_of = z.layout.entry_rows
-            target = np.bincount(row_of, v[perm])
+            ii, _, vals, _ = z.layout.support(v)
+            target = np.bincount(ii, vals)
             at = (z.ranks == 1)[z.layout.lower.ctx_of_entry]
             worst.append(np.max(np.abs(rows[at] - target[at]) / target[at], initial=0.0))
     # np.max, unlike max(), keeps a NaN

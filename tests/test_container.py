@@ -337,27 +337,38 @@ class TestBaselineLayout:
             assert p1.read_bytes() == p2.read_bytes(), (smoother, order)
 
 
-def _save_every_order(model, path):
-    """Save a baseline in the layout that also stored every lower order's
-    counts and the discounts, which loading now derives instead."""
+def _save_every_order(model, path, sections_too=True):
+    """Save a baseline in the layout that also stored the discounts in the
+    header and, with ``sections_too``, every lower order's counts, which
+    loading now derives instead."""
     save_model(model, str(path))
     blob = path.read_bytes()
     header, sections = _split(blob)
     arrays = [(k, (t.keys, t.counts)) for k, t in sorted(model.tables().items())]
-    sections[1:1] = [
-        [f"counts.{k}", bytearray(keys.astype("<i4").tobytes() + counts.astype("<i8").tobytes())]
-        for k, (keys, counts) in arrays[:-1]
-    ]
+    if sections_too:
+        sections[1:1] = [
+            [f"counts.{k}", bytearray(keys.astype("<i4").tobytes() + counts.astype("<i8").tobytes())]
+            for k, (keys, counts) in arrays[:-1]
+        ]
+        header["entries"] = {str(k): len(keys) for k, (keys, _) in arrays}
     header["sections"] = [name for name, _ in sections]
-    header["entries"] = {str(k): len(keys) for k, (keys, _) in arrays}
     header["discounts"] = {str(k): [d.d1, d.d2, d.d3plus] for k, d in model.discounts.items()}
     path.write_bytes(_join(blob, header, sections, rehash=True))
 
 
+def _rejects_unread_section(path, name):
+    """The load fails naming ``name`` as a section it does not read, and
+    verify exits 6."""
+    with pytest.raises(ContainerError, match=f"section {re.escape(name)} is not one the loader"):
+        load_model(str(path))
+    assert main(["verify", "--model", str(path)]) == 6
+
+
 class TestBaselineTamper:
-    # A baseline is rebuilt from its top-order counts, so a container that
-    # also stores lower orders and discounts answers from the top order
-    # alone: rewriting the rest cannot change the model.
+    # A baseline is rebuilt from its top-order counts.  A container that
+    # also stores lower orders' counts is rejected, whatever they hold; a
+    # discounts header key is never read, so rewriting it cannot change
+    # the model.
     @staticmethod
     def _perplexity(path, test, capsys):
         capsys.readouterr()
@@ -371,17 +382,12 @@ class TestBaselineTamper:
         return path
 
     @pytest.mark.parametrize("smoother", ["mle", "abs", "kn", "mkn"])
-    def test_every_order_layout_loads_to_the_same_answers(
-        self, smoother, toy_top3, toy_corpus, tmp_path
-    ):
+    def test_every_order_layout_exits_6(self, smoother, toy_top3, toy_corpus, tmp_path, capsys):
         _, vocab, _ = toy_corpus
         model = NgramLM.build(vocab, {3: toy_top3}, smoother)
         path = tmp_path / "lm.plre"
         _save_every_order(model, path)
-        loaded = load_model(str(path))
-        rng = np.random.default_rng(9)
-        for w, ctx in _sample_queries(len(vocab), rng):
-            assert loaded.prob(w, ctx) == model.prob(w, ctx), (smoother, w, ctx)
+        _rejects_unread_section(path, "counts.1")
 
     @pytest.mark.parametrize("model", ["toy_kn3", "toy_mkn3"])
     @pytest.mark.parametrize("value", [-0.5, 0.05, 7.0, float("nan"), float("inf")])
@@ -389,7 +395,7 @@ class TestBaselineTamper:
         self, model, value, request, test_text, tmp_path, capsys
     ):
         path = tmp_path / "lm.plre"
-        _save_every_order(request.getfixturevalue(model), path)
+        _save_every_order(request.getfixturevalue(model), path, sections_too=False)
         untouched = self._perplexity(path, test_text, capsys)
         blob = path.read_bytes()
         header, sections = _split(blob)
@@ -399,12 +405,9 @@ class TestBaselineTamper:
         assert main(["verify", "--model", str(path)]) == 0
 
     @pytest.mark.parametrize("model", ["toy_kn3", "toy_mkn3"])
-    def test_tripled_lower_order_counts_leave_perplexity_unchanged(
-        self, model, request, test_text, tmp_path, capsys
-    ):
+    def test_tripled_lower_order_counts_exit_6(self, model, request, tmp_path, capsys):
         path = tmp_path / "lm.plre"
         _save_every_order(request.getfixturevalue(model), path)
-        untouched = self._perplexity(path, test_text, capsys)
         blob = path.read_bytes()
         header, sections = _split(blob)
         payload = next(sec for sec in sections if sec[0] == "counts.2")[1]
@@ -412,8 +415,7 @@ class TestBaselineTamper:
         counts = np.frombuffer(bytes(payload), "<i8", count=n, offset=4 * 2 * n)
         payload[4 * 2 * n :] = (3 * counts).astype("<i8").tobytes()
         path.write_bytes(_join(blob, header, sections, rehash=True))
-        assert self._perplexity(path, test_text, capsys) == untouched
-        assert main(["verify", "--model", str(path)]) == 0
+        _rejects_unread_section(path, "counts.1")
 
 
 class TestSectionChecks:
@@ -615,6 +617,33 @@ class TestRank1ClosedForm:
         assert all(c["passed"] for c in checks.values()), checks
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 3: the marginal bound is made from the factors it checks, "
+    "so rows swapped within an iterative slice verify clean",
+)
+def test_rehashed_row_swap_in_the_iterative_slice_exits_7(toy_plre3, tmp_path, capsys):
+    # toy_plre3's one iterative slice is order 2's, all of z.2.1: L is its
+    # first 375 x 2 floats, and two of its rows trade places
+    z = toy_plre3.levels[2].z_tables[0]
+    if z.dims.tolist() != [[375, 375, 2]]:
+        pytest.fail(f"order 2's slices are {z.dims.tolist()}, not one 375 x 375 at rank 2")
+    path = tmp_path / "m.plre"
+    save_model(toy_plre3, str(path))
+    blob = path.read_bytes()
+    header, sections = _split(blob)
+    payload = dict(sections)["z.2.1"]
+    L = np.frombuffer(bytes(payload), "<f8", count=len(z.L)).reshape(375, 2).copy()
+    i, j = np.random.default_rng(3).choice(375, size=2, replace=False)
+    if np.array_equal(L[i], L[j]):
+        pytest.fail(f"rows {i} and {j} are equal")
+    L[[i, j]] = L[[j, i]]
+    payload[: 8 * L.size] = L.tobytes()
+    path.write_bytes(_join(blob, header, sections, rehash=True))
+    assert main(["verify", "--model", str(path)]) == 7
+
+
 class TestFuzz:
     def test_rehashed_byte_edits_and_tail_cuts_never_escape(
         self, toy_plre3, toy_kn3, toy_corpus, tmp_path, capsys
@@ -733,13 +762,10 @@ def _save_with_discount_sections(model, path):
 
 class TestPlreTamper:
     # A PLRE level derives its top numerators, gammas and denominators, so
-    # a container that also stores them answers from its counts, factors,
-    # d*s and powers alone: rewriting those sections cannot change it.
+    # a container that also stores them is rejected, whatever they hold.
     @pytest.mark.parametrize("model", ["toy_plre3", "toy_plre3_rank1"])
     @pytest.mark.parametrize("edit", ["none", "nan", "triple"])
-    def test_stored_discount_sections_are_never_read(
-        self, model, edit, request, tmp_path, capsys
-    ):
+    def test_stored_discount_sections_exit_6(self, model, edit, request, tmp_path, capsys):
         model = request.getfixturevalue(model)
         path = tmp_path / "m.plre"
         _save_with_discount_sections(model, path)
@@ -754,16 +780,7 @@ class TestPlreTamper:
             if edit != "none":
                 payload[:] = _f8(np.full_like(values, np.nan) if edit == "nan" else 3 * values)
         path.write_bytes(_join(blob, header, sections, rehash=True))
-
-        loaded = load_model(str(path))
-        rng = np.random.default_rng(13)
-        for w, ctx in _sample_queries(len(model.vocab), rng, n=500):
-            assert loaded.prob(w, ctx) == model.prob(w, ctx), (edit, w, ctx)
-        assert main(["verify", "--model", str(path)]) == 0
-        p1, p2 = tmp_path / "a.plre", tmp_path / "b.plre"
-        save_model(loaded, str(p1))
-        save_model(model, str(p2))
-        assert p1.read_bytes() == p2.read_bytes()
+        _rejects_unread_section(path, "top.3")
 
 
 def _save_with_lower_counts(model, path):
@@ -787,13 +804,10 @@ def _save_with_lower_counts(model, path):
 
 class TestLowerCountsTamper:
     # A PLRE model's lower orders are derived from counts.n, so a container
-    # that also stores them answers from the top order alone: rewriting
-    # those sections cannot change it.
+    # that also stores them is rejected, whatever they hold.
     @pytest.mark.parametrize("model", ["toy_plre3", "toy_plre3_rank1", "toy_plre3_eta0"])
     @pytest.mark.parametrize("edit", ["none", "nan", "triple"])
-    def test_stored_lower_order_counts_are_never_read(
-        self, model, edit, request, tmp_path, capsys
-    ):
+    def test_stored_lower_order_counts_exit_6(self, model, edit, request, tmp_path, capsys):
         model = request.getfixturevalue(model)
         path = tmp_path / "m.plre"
         _save_with_lower_counts(model, path)
@@ -810,16 +824,7 @@ class TestLowerCountsTamper:
         elif edit == "nan":
             payload[4 * 2 * n :] = _f8(np.full(n, np.nan))
         path.write_bytes(_join(blob, header, sections, rehash=True))
-
-        loaded = load_model(str(path))
-        rng = np.random.default_rng(19)
-        for w, ctx in _sample_queries(len(model.vocab), rng, n=500):
-            assert loaded.prob(w, ctx) == model.prob(w, ctx), (edit, w, ctx)
-        assert main(["verify", "--model", str(path)]) == 0
-        p1, p2 = tmp_path / "a.plre", tmp_path / "b.plre"
-        save_model(loaded, str(p1))
-        save_model(model, str(p2))
-        assert p1.read_bytes() == p2.read_bytes()
+        _rejects_unread_section(path, "counts.2")
 
 
 class TestVocabSection:
@@ -862,13 +867,11 @@ class TestVocabSection:
 
 class TestBaseTamper:
     # The base's numerators follow from the order-2 keys, so a container
-    # that also stores them, as format version 3 did, answers the same
-    # whatever that section holds.
+    # that also stores them, as format version 3 did, is rejected whatever
+    # that section holds.
     @pytest.mark.parametrize("model", ["toy_plre3", "toy_plre3_rank1"])
     @pytest.mark.parametrize("scale", [1, 3, -1])
-    def test_stored_base_counts_section_is_never_read(
-        self, model, scale, request, tmp_path, capsys
-    ):
+    def test_stored_base_counts_section_exits_6(self, model, scale, request, tmp_path, capsys):
         model = request.getfixturevalue(model)
         path = tmp_path / "m.plre"
         save_model(model, str(path))
@@ -878,17 +881,47 @@ class TestBaseTamper:
         sections.append(["base_counts", bytearray(stored.tobytes())])
         header["sections"] = [name for name, _ in sections]
         path.write_bytes(_join(blob, header, sections, rehash=True))
+        _rejects_unread_section(path, "base_counts")
 
-        loaded = load_model(str(path))
-        rng = np.random.default_rng(17)
-        for w, ctx in _sample_queries(len(model.vocab), rng, n=500):
-            assert loaded.prob(w, ctx) == model.prob(w, ctx), (scale, w, ctx)
-        assert loaded.base.tobytes() == model.base.tobytes()
-        assert main(["verify", "--model", str(path)]) == 0
-        p1, p2 = tmp_path / "a.plre", tmp_path / "b.plre"
-        save_model(loaded, str(p1))
-        save_model(model, str(p2))
-        assert p1.read_bytes() == p2.read_bytes()
+
+class TestSectionList:
+    # The header lists exactly the sections the loader reads, in its order:
+    # a rehashed container that lists any other is rejected, naming a
+    # section, and verify exits 6.
+    EDITS = {
+        "unknown": (lambda secs: secs + [["junk", bytearray(b"junk\n")]], "section junk is not one"),
+        "vocab-twice": (lambda secs: secs[:1] + secs, "section vocab listed twice"),
+        "counts-twice": (lambda secs: secs[:2] + secs[1:], r"section counts\.3 listed twice"),
+        "missing": (lambda secs: secs[:-1], "missing section"),
+        "out-of-order": (lambda secs: [secs[1], secs[0]] + secs[2:], "sections out of order"),
+    }
+
+    @pytest.mark.parametrize("model", ["toy_plre3", "toy_kn3"])
+    @pytest.mark.parametrize("edit", list(EDITS))
+    def test_relisted_sections_exit_6(self, model, edit, request, tmp_path, capsys):
+        path = tmp_path / "m.plre"
+        save_model(request.getfixturevalue(model), str(path))
+        blob = path.read_bytes()
+        header, sections = _split(blob)
+        change, message = self.EDITS[edit]
+        sections = change(sections)
+        header["sections"] = [name for name, _ in sections]
+        path.write_bytes(_join(blob, header, sections, rehash=True))
+        with pytest.raises(ContainerError, match=message):
+            load_model(str(path))
+        assert main(["verify", "--model", str(path)]) == 6
+
+    @pytest.mark.parametrize("listed", [[["vocab"], "counts.3"], "vocab", None])
+    def test_rehashed_section_list_of_non_names_exits_6(self, toy_kn3, listed, tmp_path, capsys):
+        path = tmp_path / "m.plre"
+        save_model(toy_kn3, str(path))
+        blob = path.read_bytes()
+        header, sections = _split(blob)
+        header["sections"] = listed
+        path.write_bytes(_join(blob, header, sections, rehash=True))
+        with pytest.raises(ContainerError, match="not a list of section names"):
+            load_model(str(path))
+        assert main(["verify", "--model", str(path)]) == 6
 
 
 class TestHeaderTrust:

@@ -35,11 +35,16 @@ def _random_dense(rng, rows, cols, density=0.5, scale=10.0):
 
 def _pack(matrices, ranks):
     """Dense matrices in the solver's flat layout at the given ranks:
-    (support with nnz offsets, dims, zeroed factors with their offsets)."""
+    (support with nnz offsets, its rows and columns numbered across all
+    slices, dims, zeroed factors with their offsets)."""
     supports = [np.nonzero(M) for M in matrices]
+    row0 = np.cumsum([0] + [M.shape[0] for M in matrices])
+    col0 = np.cumsum([0] + [M.shape[1] for M in matrices])
     ii, jj, vals = (
         np.concatenate(parts)
-        for parts in zip(*[(ii, jj, M[ii, jj]) for M, (ii, jj) in zip(matrices, supports)])
+        for parts in zip(
+            *[(ii + r, jj + c, M[ii, jj]) for M, (ii, jj), r, c in zip(matrices, supports, row0, col0)]
+        )
     )
     nnz_start = np.cumsum([0] + [len(ii) for ii, _ in supports])
     dims = np.array([(*M.shape, r) for M, r in zip(matrices, ranks)])
