@@ -33,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .baselines import NgramLM
-from .config import TrainConfig, _apply_key, load_config
+from .config import SMOOTHER_CHOICES, TrainConfig, _apply_key, load_config
 from .container import load_model, save_model
 from .corpus import (
     CountTable,
@@ -63,7 +63,6 @@ from .verify import (
     verify_marginal,
 )
 
-SMOOTHER_CHOICES = ("mle", "abs", "kn", "mkn", "plre")
 # The config keys that train flags override, each the dest of its flag.
 TRAIN_FLAG_KEYS = ("smoother", "order", "power", "rank", "dstar", "seed", "threads", "unk_threshold")
 BUILD_STAGES = ("counting", "adjusted_tables", "discounts", "slices", "nmf")

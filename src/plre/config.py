@@ -27,10 +27,12 @@ import re
 from dataclasses import dataclass, field, asdict
 from typing import Dict, Optional, Tuple, Union
 
+from .baselines import SMOOTHERS
 from .ensemble import DEFAULT_RANK, default_powers
 from .errors import ConfigError
 
-_SMOOTHERS = ("mle", "abs", "kn", "mkn", "plre")
+# Every smoother a config or a train flag may name.
+SMOOTHER_CHOICES = (*SMOOTHERS, "plre")
 
 
 def _parse_rank_value(text: str) -> Union[int, float]:
@@ -68,7 +70,7 @@ class TrainConfig:
     nmf_rel_tol: float = 1e-6
 
     def validate(self) -> None:
-        if self.smoother not in _SMOOTHERS:
+        if self.smoother not in SMOOTHER_CHOICES:
             raise ConfigError(f"unknown smoother {self.smoother!r}")
         if self.order < 1 or (self.smoother == "plre" and self.order < 2):
             raise ConfigError(f"order {self.order} invalid for {self.smoother}")

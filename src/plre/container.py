@@ -28,7 +28,10 @@ from the order-2 words (``PlreModel``).  A baseline is rebuilt by
 a rebuild with the same seed produces byte-identical files.  The header
 lists exactly the sections the loader reads, in that order
 (``_sections``): a section it would not read, a repeated one or a missing
-one is a ContainerError naming it.
+one is a ContainerError naming it.  So are a header key the loader does
+not read for the model's kind, a missing one, and an order key that is not
+one of the model's (``_check_header``); ``config``, the training config's
+echo, may be there too and is never read.
 """
 
 from __future__ import annotations
@@ -47,6 +50,11 @@ from .errors import ContainerError, DataError
 
 MAGIC = b"PLRE"
 FORMAT_VERSION = 7
+# The header keys a loader reads, for every kind and for a PLRE model.
+_HEADER_KEYS = (
+    "entries", "format_version", "kind", "order", "sections", "sha256", "smoother", "vocab_size"
+)
+_PLRE_KEYS = ("dstars", "powers", "ranks", "seed", "warnings")
 
 
 def _bytes(arr: np.ndarray, dtype: str) -> bytes:
@@ -212,6 +220,7 @@ def load_model(path: str):
                 raise ContainerError(f"{path}: section {name} listed twice")
         if listed != expected:
             raise ContainerError(f"{path}: sections out of order: {listed}")
+        _check_header(header, version)
         text = payloads["vocab"].decode("utf-8")
         words = text.split("\n")[:-1]
         # Equal only if every line, the last one too, ends in a newline and
@@ -244,6 +253,38 @@ def _sections(header: dict) -> List[str]:
     return names
 
 
+def _check_header(header: dict, version: int) -> None:
+    """Raise DataError unless the header holds exactly the keys the loader
+    reads for its kind, and perhaps ``config``; its format version is the
+    file's; ``entries`` is keyed by the top order n alone, and a PLRE
+    model's ``dstars``, ``powers`` and ``ranks`` by its orders n..2, with
+    one rank per power."""
+    n, plre = int(header["order"]), header["kind"] == "plre"
+    wanted = _HEADER_KEYS + (_PLRE_KEYS if plre else ())
+    for key in header:
+        if key not in wanted and key != "config":
+            raise DataError(f"header key {key!r} is not one the loader reads")
+    for key in wanted:
+        if key not in header:
+            raise DataError(f"header key {key!r} is missing")
+    if header["format_version"] != version:
+        raise DataError(f"header format_version {header['format_version']!r} is not {version}")
+    orders = {"entries": [str(n)]}
+    if plre:
+        levels = [str(k) for k in range(n, 1, -1)]
+        orders.update(dstars=levels, powers=levels, ranks=levels)
+        if header["smoother"] != "plre":
+            raise DataError(f"header smoother {header['smoother']!r} is not plre")
+    for key, want in orders.items():
+        have = header[key]
+        if not isinstance(have, dict) or sorted(have) != sorted(want):
+            keys = sorted(have) if isinstance(have, dict) else have
+            raise DataError(f"header {key}: keyed by {keys!r}, not the model's orders {want}")
+    for k in orders.get("ranks", ()):
+        if len(header["ranks"][k]) != len(header["powers"][k]):
+            raise DataError(f"header ranks: order {k} needs one rank per power")
+
+
 def _read_counts(header: dict, payloads: Dict[str, bytes], vsize: int):
     k = int(header["order"])
     name = f"counts.{k}"
@@ -267,7 +308,7 @@ def _load_plre(
         def sized(spec: DiscountSpec, layout: SliceLayout) -> LowRankCPT:
             # Each section holds its factors alone, sized by the layout.
             name = f"z.{k}.{spec.level}"
-            z = LowRankCPT(k, int(ranks[spec.level - 1]), layout, spec.sums)
+            z = LowRankCPT(k, int(ranks[spec.level - 1]), layout, spec.sums, spec.targets)
             cur = _Cursor(payloads[name], name)
             z.L, z.R = cur.floats(len(z.L)), cur.floats(len(z.R))
             cur.done()
@@ -278,5 +319,5 @@ def _load_plre(
         return PlreLevel(table, lower, dstar, powers, sized)
 
     levels = plre_levels(top, make_level)
-    seed, warnings = int(header.get("seed", 0)), list(header.get("warnings", []))
+    seed, warnings = int(header["seed"]), list(header["warnings"])
     return PlreModel(vocab, top.order, levels, seed, warnings)

@@ -54,8 +54,8 @@ from .corpus import (
     segments,
 )
 from .errors import ConfigError, FactorizationError
-from .factorization import ConvergenceReport, closed_form, factor_index, factor_starts
-from .factorization import fit_reports, nmf_gkl_many, product
+from .factorization import ConvergenceReport, Fit, Solved, closed_form, factor_index
+from .factorization import factor_starts, fit_reports, fit_sums, nmf_gkl_many, product
 from .factorization import nmf_gkl  # noqa: F401  (not called here; bench/run.py traces it)
 from .levels import Level, LevelModel, OpCounter, timed
 
@@ -87,6 +87,11 @@ class DiscountSpec:
     @property
     def order(self) -> int:
         return self.table.order
+
+    @functools.cached_property
+    def targets(self) -> np.ndarray:
+        """c^rho_j - d* c^rho_{j+1} per entry: the step's discounted counts."""
+        return self.powered - self.discount
 
 
 def compute_discounts(
@@ -171,17 +176,20 @@ class LowRankCPT:
     and ``R``, zero until ``compute_z`` writes them or a load reads them.
     ``row_ids`` and ``col_ids`` are the layout's.  A lookup is
     one L-row . R-column product over the powered context sum in
-    ``denominators``, aligned with the level's contexts: the level that
-    owns the table derives them (``PlreLevel``), and a container stores
-    only the factors.  A lookup runs no search: its row is where the walk
-    found (parent context, word) among the entries one order lower.
+    ``denominators``, aligned with the level's contexts, and the factors
+    fit the step's ``targets``: the level that owns the table derives both
+    (``PlreLevel``), and a container stores only the factors.  A lookup
+    runs no search: its row is where the walk found (parent context, word)
+    among the entries one order lower.  ``solved`` is what the solver found
+    per iterative slice; ``fit`` and ``reports`` are measured when read.
     """
 
     order: int
     rank: int
     layout: SliceLayout
     denominators: Optional[np.ndarray] = None
-    reports: List[ConvergenceReport] = field(default_factory=list)
+    targets: Optional[np.ndarray] = None
+    solved: Dict[int, Solved] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.rank < 1:
@@ -212,6 +220,19 @@ class LowRankCPT:
     def dims(self) -> np.ndarray:
         """(rows, cols, rank) of each slice."""
         return np.stack([self.layout.rows, self.layout.cols, self.ranks], axis=1)
+
+    @functools.cached_property
+    def fit(self) -> Fit:
+        """``fit_sums`` of the slices against ``targets``, made once."""
+        factors = self.L, self.R, self.L_start, self.R_start
+        return fit_sums(self.layout.support(self.targets), self.dims, factors, self.index)
+
+    @functools.cached_property
+    def reports(self) -> List[ConvergenceReport]:
+        """Every slice's ``fit_reports``, from ``fit`` and ``solved``."""
+        factors = self.L, self.R, self.L_start, self.R_start
+        support = self.layout.support(self.targets)
+        return fit_reports(support, self.dims, factors, self.solved, self.fit)
 
     def factors(self, s: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(row ids, column ids, L, R) of slice s, as views."""
@@ -266,13 +287,13 @@ def compute_z(
     Conditional queries divide by the undiscounted powered context sums, so
     column-sum preservation of the factorization is exactly what keeps each
     level's terms summing to gamma-complementary mass.  Every discounted
-    count must be positive and finite, as every PLRE chain step makes it.
-    The closed form, the solver and the reports take one support
+    count (``targets``) must be positive and finite, as every PLRE chain
+    step makes it.  The closed form and the solver take one support
     (``SliceLayout.support``).  Rank-1 slices take the closed form, all at
     once; the rest go to the solver in one call, each slice solved alone at
     its own rank and seeded by ``SeedSequence(seed, (order, step, slice))``,
-    which writes their factors into the table; one batched pass then
-    reports on every slice.
+    which writes their factors into the table; it keeps what the solver
+    found (``solved``) and measures no slice.
     Deterministic for a given seed, regardless of thread count.  Seconds
     are added to ``timings["slices"]`` and ``timings["nmf"]``.
     """
@@ -282,7 +303,7 @@ def compute_z(
     if k < 2:
         raise ValueError("low-rank tables need order >= 2")
     with timed(timings, "slices"):
-        v = spec.powered - spec.discount
+        v = spec.targets
         bad = ~(np.isfinite(v) & (v > 0.0))
         if bad.any():
             e = int(bad.argmax())
@@ -290,9 +311,8 @@ def compute_z(
                 f"nonpositive or non-finite discounted count {v[e]} at "
                 f"{tuple(table.keys[e].tolist())}: discount bound broken"
             )
-        z = LowRankCPT(k, rank, layout or SliceLayout(table, table.lower()), spec.sums)
+        z = LowRankCPT(k, rank, layout or SliceLayout(table, table.lower()), spec.sums, v)
         support = z.layout.support(v)
-        del v  # the closed form, the solver and the reports need only the support
         dims, factors = z.dims, (z.L, z.R, z.L_start, z.R_start)
         closed_form(support, dims, factors)
 
@@ -302,11 +322,10 @@ def compute_z(
     names = [f"order {k}, chain step {j}, interior {tuple(z.slices[s].tolist())}" for s in batch]
     with timed(timings, "nmf"):
         fits = nmf_gkl_many(support, dims, factors, batch, seeds, max_iters, rel_tol, names, threads)
-    solved = dict(zip(batch, fits))
+    z.solved = dict(zip(batch, fits))
     with timed(timings, "slices"):
         if not (np.isfinite(z.L).all() and np.isfinite(z.R).all()):
             raise FactorizationError(f"non-finite factors in order {k}, chain step {j}")
-        z.reports = fit_reports(support, dims, factors, solved)
     return z
 
 
@@ -345,7 +364,7 @@ class PlreLevel(Level):
         self.check_chain(table.order, powers, dstar)
         with timed(timings, "discounts"):
             specs = compute_discounts(table, (1.0,) + tuple(powers) + (0.0,), dstar)
-            top = specs[0].powered - specs[0].discount
+            top = specs[0].targets
             super().__init__(table, top, np.array([spec.gamma for spec in specs]))
         self.dstar, self.powers = dstar, tuple(powers)
         if self.eta:
@@ -448,7 +467,8 @@ class PlreModel(LevelModel):
         return float(np.max(worst))
 
     def convergence_reports(self) -> List[ConvergenceReport]:
-        """All per-slice factorization reports (empty for loaded models)."""
+        """Every slice's report, the same for a built and a loaded model,
+        except what only the solver knows of an iterative slice."""
         tables = [z for level in self.levels.values() for z in level.z_tables]
         return [r for z in tables for r in z.reports]
 

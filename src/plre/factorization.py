@@ -21,16 +21,16 @@ column; ``dims[s]`` its (rows, cols, rank); and ``factors`` (L, R,
 L_start, R_start) its row-major L (rows x rank) and R (rank x cols).
 ``closed_form`` writes every rank-1 slice; ``nmf_gkl_many`` solves the
 others by Lee-Seung updates (Lee & Seung, NIPS 2001), each alone on its own
-run of the support; ``fit_reports`` measures every slice at once, through
-the lookups' ``product`` and ``plre.verify``'s ``row_sums`` and
-``col_sums``.  ``best_rank1`` and ``nmf_gkl`` take one dense matrix.
+run of the support; ``fit_sums`` measures every slice's targets and factor
+sums at once, for the reports (``fit_reports``) and ``plre.verify`` alike.
+``best_rank1`` and ``nmf_gkl`` take one dense matrix.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -52,12 +52,14 @@ Solved = Tuple[int, bool, List[float], List[str]]
 
 @dataclass
 class ConvergenceReport:
-    iterations: int
+    # iterations and converged are None for a slice of rank > 1 that no
+    # solver ran on, as after a load: only the solver knows them.
+    iterations: Optional[int]
     final_gkl: float
     max_row_residual: float
     max_col_residual: float
     rank: int
-    converged: bool
+    converged: Optional[bool]
     objective_history: List[float] = field(default_factory=list)
     warnings: List[str] = field(default_factory=list)
     # "rank1" (closed form) or "iterative".
@@ -320,19 +322,50 @@ def col_sums(L, R, index) -> np.ndarray:
     return np.bincount(R_col, R * np.bincount(L_term, L)[R_term])
 
 
+class Fit(NamedTuple):
+    """Targets and factor sums per row and per column of every slice."""
+
+    row_targets: np.ndarray
+    rows: np.ndarray
+    col_targets: np.ndarray
+    cols: np.ndarray
+
+
+def fit_sums(support: Support, dims: np.ndarray, factors: Factors, index) -> Fit:
+    """Every slice's row and column targets, the support's values added in
+    order, and its factors' row and column sums (``index`` their
+    ``factor_index``): the one measurement of a fit, which the reports and
+    ``plre.verify``'s checks read."""
+    ii, jj, vals, _ = support
+    rows, cols, _ = np.asarray(dims, dtype=np.int64).T
+    L, R, _, _ = factors
+    return Fit(
+        np.bincount(ii, vals, minlength=rows.sum()),
+        row_sums(L, R, index),
+        np.bincount(jj, vals, minlength=cols.sum()),
+        col_sums(L, R, index),
+    )
+
+
 def fit_reports(
-    support: Support, dims: np.ndarray, factors: Factors, solved: Dict[int, Solved]
+    support: Support,
+    dims: np.ndarray,
+    factors: Factors,
+    solved: Dict[int, Solved],
+    fit: Optional[Fit] = None,
 ) -> List[ConvergenceReport]:
-    """Every slice's report, measured all at once: gKL(M, L @ R) and the
-    largest deviations of the product's row and column sums from M's.
-    The product at the support is the lookup's (``product``), and the
-    factor sums are the verifier's (``row_sums``, ``col_sums``).
-    ``solved[s]`` is what the solver found for slice s; a slice without it
-    is a closed form."""
+    """Every slice's report, all at once: gKL(M, L @ R) through the lookup's
+    ``product``, and the largest deviations of ``fit``'s factor sums from
+    its targets (``fit_sums``).  A slice's kind is its rank's.  ``solved[s]``
+    is what the solver found for slice s; without it, a rank-1 slice has 0
+    iterations and converged, and one of higher rank None, no history."""
     ii, jj, vals, nnz_start = support
     L, R, _, _ = factors
     rows, cols, ranks = np.asarray(dims, dtype=np.int64).T
     n = len(rows)
+    index = factor_index(dims)
+    if fit is None:
+        fit = fit_sums(support, dims, factors, index)
     seg = np.repeat(np.arange(n), np.diff(nnz_start))
     left, right = factor_starts(dims)
     pred = product(L, R, left[ii], right[jj], ranks[seg], cols[seg])
@@ -340,16 +373,15 @@ def fit_reports(
     with np.errstate(divide="ignore", over="ignore"):
         gkl = np.bincount(seg, vals * np.log(vals / pred), minlength=n)
     gkl -= np.bincount(seg, vals, minlength=n)
-    index = factor_index(dims)
     mass = np.bincount(index[0], L) * np.bincount(index[2], R)
     gkl += np.bincount(np.repeat(np.arange(n), ranks), mass, minlength=n)
-    row_dev = row_sums(L, R, index) - np.bincount(ii, vals, minlength=rows.sum())
-    col_dev = col_sums(L, R, index) - np.bincount(jj, vals, minlength=cols.sum())
+    row_dev, col_dev = fit.rows - fit.row_targets, fit.cols - fit.col_targets
     row_res = np.maximum.reduceat(np.abs(row_dev), segments(rows)[:-1]).tolist()
     col_res = np.maximum.reduceat(np.abs(col_dev), segments(cols)[:-1]).tolist()
     fits, reports = zip(gkl.tolist(), row_res, col_res, ranks.tolist()), []
     for s, (obj, row, col, r) in enumerate(fits):
-        it, converged, history, notes = solved.get(s, (0, True, [obj], []))
-        kind = "iterative" if s in solved else "rank1"
+        unsolved = (0, True, [obj], []) if r == 1 else (None, None, [], [])
+        it, converged, history, notes = solved.get(s, unsolved)
+        kind = "rank1" if r == 1 else "iterative"
         reports.append(ConvergenceReport(it, obj, row, col, r, converged, history, notes, kind))
     return reports

@@ -1,34 +1,24 @@
 """What a valid model satisfies, checked from its arrays: each function
 gives a check's largest violation, and ``plre.cli.run_checks`` sets the
 tolerances.  The checks that read one level's own arrays are ``PlreModel``
-methods.  The rest read a low-rank table's factor sums per row and per
-column through ``factorization.row_sums`` and ``col_sums``, the build's
-reports' own arithmetic, and share each chain step's targets next to its
-factor row sums (``_steps``) and one push of the order-k contexts' weights
-down the levels (``_push``), which the marginal and its bound both read.
+methods.  The rest read each low-rank table's one measurement of its
+slices, its ``fit`` (``factorization.fit_sums``, the reports' own): the
+targets the build kept and the factor sums per row and per column.  The
+marginal and its bound also share one push of the order-k contexts'
+weights down the levels (``_push``).  No check recomputes a target.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional
 
 import numpy as np
 
 from .baselines import DiscountParams, NgramLM
-from .ensemble import LowRankCPT, PlreLevel, PlreModel, power_counts
+from .ensemble import PlreLevel, PlreModel
 from .evaluation import SCORE_CHUNK
-from .factorization import col_sums, row_sums
+from .factorization import row_sums
 from .levels import LevelModel
-
-
-def _steps(level: PlreLevel) -> Iterator[Tuple[LowRankCPT, np.ndarray, np.ndarray]]:
-    """(low-rank table, targets c^rho_j - d* c^rho_{j+1} per entry, factor
-    row sums) of each chain step j, powered as the build powers."""
-    if not level.z_tables:
-        return
-    powered = [power_counts(level, rho) for rho in (*level.powers, 0.0)]
-    for j, z in enumerate(level.z_tables):
-        yield z, powered[j] - level.dstar * powered[j + 1], row_sums(z.L, z.R, z.index)
 
 
 def _push(
@@ -89,7 +79,8 @@ def marginal_error_bound(model: PlreModel, order: Optional[int] = None) -> float
     ``_push``: so each step's largest column weight times its largest
     per-word residual (a rank-1 slice's row sums miss by one rounding,
     ``rank1_closed_form``), plus the mass reaching the base times the
-    shift ``make_base_distribution``'s floor makes."""
+    shift ``make_base_distribution``'s floor makes.  Every target is
+    positive: counts are >= 1, d* < 1 and the powers descend."""
     bound = 0.0
     vsize = len(model.vocab)
     for level, weight, steps in _push(model, order):
@@ -97,11 +88,11 @@ def marginal_error_bound(model: PlreModel, order: Optional[int] = None) -> float
             total = float(model.base_counts.sum())
             floor = float(np.max(np.abs(model.base - model.base_counts / total)))
             return bound + float(weight[0]) * floor
-        for (z, v, rows), w in zip(_steps(level), steps):
+        for z, w in zip(level.z_tables, steps):
             # Per word, the targets first, then the factor row sums, each
-            # in order; entries discounted to zero have no target.
+            # in order.
             words = np.concatenate((level.words, z.row_ids))
-            resid = np.bincount(words, np.concatenate((-np.maximum(v, 0.0), rows)), vsize)
+            resid = np.bincount(words, np.concatenate((-z.targets, z.fit.rows)), vsize)
             bound += float(np.max(w)) * float(np.max(np.abs(resid)))
 
 
@@ -117,7 +108,7 @@ def normalization_observed(model: LevelModel) -> float:
         s = np.add.reduceat(level.top, level.ctx_start[:-1]) / level.totals
         g = level.gammas[0]
         for j, z in enumerate(level.z_tables, start=1):
-            s += g * col_sums(z.L, z.R, z.index) / z.denominators
+            s += g * z.fit.cols / z.denominators
             g = g * level.gammas[j]
         sums = s + g * sums[level.parent]
         worst.append(np.max(np.abs(sums - 1.0)))
@@ -126,17 +117,16 @@ def normalization_observed(model: LevelModel) -> float:
 
 def rank1_closed_form(model: PlreModel) -> float:
     """Largest relative deviation of a rank-1 slice's factor row sums from
-    their targets, summed per row in table order as the build sums them:
-    stale factors show here, not in the marginal bound.  The targets add
-    the build's support (``SliceLayout.support``) per row, and ``row_sums``
-    takes a row sum as L times the in-order sum of R, the T that
-    ``closed_form`` divided by, so a fresh factor misses by one quotient's
-    and one product's rounding, 2u + u² relative (u = 2⁻⁵³)."""
+    their targets, both read from the table's ``fit``: stale factors show
+    here, not in the marginal bound.  The targets add the build's support
+    (``SliceLayout.support``) per row, and ``row_sums`` takes a row sum as
+    L times the in-order sum of R, the T that ``closed_form`` divided by,
+    so a fresh factor misses by one quotient's and one product's rounding,
+    2u + u² relative (u = 2⁻⁵³)."""
     worst = [0.0]
     for level in model.levels.values():
-        for z, v, rows in _steps(level):
-            ii, _, vals, _ = z.layout.support(v)
-            target = np.bincount(ii, vals)
+        for z in level.z_tables:
+            rows, target = z.fit.rows, z.fit.row_targets
             at = (z.ranks == 1)[z.layout.lower.ctx_of_entry]
             worst.append(np.max(np.abs(rows[at] - target[at]) / target[at], initial=0.0))
     # np.max, unlike max(), keeps a NaN

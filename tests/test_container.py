@@ -1,5 +1,6 @@
 """Binary model container: round-trip fidelity and corruption handling."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -17,6 +18,7 @@ from plre.corpus import adjusted_tables, count_all_orders, count_ngrams
 from plre.ensemble import build_plre
 from plre.errors import ContainerError
 from plre.evaluation import perplexity
+from plre.factorization import ConvergenceReport
 
 from conftest import write_corpus
 
@@ -65,6 +67,26 @@ def _first_float(name):
     return 0 if name.startswith("z.") else None
 
 
+def _hexed(value):
+    """A report field with its floats as ``float.hex``."""
+    if isinstance(value, list):
+        return [_hexed(v) for v in value]
+    return value.hex() if isinstance(value, float) else value
+
+
+@pytest.fixture(scope="module")
+def toy_plre4_rank1(toy_corpus):
+    """An order-4 model of rank-1 slices at two powers on orders 2 and 3."""
+    _, vocab, enc = toy_corpus
+    return build_plre(
+        count_ngrams(enc, 4),
+        vocab,
+        powers={2: (0.6, 0.3), 3: (0.6, 0.3), 4: ()},
+        ranks={2: (1, 1), 3: (1, 1), 4: ()},
+        seed=0,
+    )
+
+
 def _sample_queries(vocab_size, rng, n=300, max_ctx=2):
     out = []
     for _ in range(n):
@@ -103,6 +125,27 @@ class TestRoundTrip:
         rng = np.random.default_rng(5)
         for w, ctx in _sample_queries(len(model.vocab), rng, n=500):
             assert loaded.prob(w, ctx) == model.prob(w, ctx)
+
+    @pytest.mark.parametrize("name", ["toy_plre3", "toy_plre4_rank1"])
+    def test_loaded_reports_equal_the_built_ones(self, name, request, tmp_path):
+        # field for field, floats by their bits, except what only the
+        # solver knows of an iterative slice, which a load leaves unset
+        built = request.getfixturevalue(name)
+        path = str(tmp_path / "model.plre")
+        save_model(built, path)
+        reports, loaded = built.convergence_reports(), load_model(path).convergence_reports()
+        assert len(loaded) == len(reports) > 0
+        solver_only = ("iterations", "converged", "objective_history", "warnings")
+        for a, b in zip(reports, loaded):
+            for f in dataclasses.fields(ConvergenceReport):
+                if not (a.kind == "iterative" and f.name in solver_only):
+                    assert _hexed(getattr(b, f.name)) == _hexed(getattr(a, f.name)), f.name
+            if b.kind == "iterative":
+                assert (b.iterations, b.converged, b.objective_history, b.warnings) == (
+                    None, None, [], []
+                )
+        kinds = {r.kind for r in loaded}
+        assert kinds == ({"rank1", "iterative"} if name == "toy_plre3" else {"rank1"})
 
     def test_loaded_plre_still_satisfies_invariants(self, toy_plre3, tmp_path):
         path = str(tmp_path / "model.plre")
@@ -366,9 +409,9 @@ def _rejects_unread_section(path, name):
 
 class TestBaselineTamper:
     # A baseline is rebuilt from its top-order counts.  A container that
-    # also stores lower orders' counts is rejected, whatever they hold; a
-    # discounts header key is never read, so rewriting it cannot change
-    # the model.
+    # also stores lower orders' counts is rejected, whatever they hold, and
+    # so is one whose header keeps the discounts: no header key the loader
+    # does not read can change the model.
     @staticmethod
     def _perplexity(path, test, capsys):
         capsys.readouterr()
@@ -394,15 +437,23 @@ class TestBaselineTamper:
     def test_rewritten_discounts_leave_perplexity_unchanged(
         self, model, value, request, test_text, tmp_path, capsys
     ):
+        # The rewritten discounts key exits 6; without it, the file gives
+        # the perplexity it gave before.
         path = tmp_path / "lm.plre"
-        _save_every_order(request.getfixturevalue(model), path, sections_too=False)
+        save_model(request.getfixturevalue(model), str(path))
         untouched = self._perplexity(path, test_text, capsys)
+        _save_every_order(request.getfixturevalue(model), path, sections_too=False)
         blob = path.read_bytes()
         header, sections = _split(blob)
         header["discounts"] = {k: [value] * 3 for k in header["discounts"]}
         path.write_bytes(_join(blob, header, sections, rehash=True))
+        with pytest.raises(ContainerError, match="header key 'discounts' is not one the loader"):
+            load_model(str(path))
+        assert main(["eval", "--model", str(path), "--corpus", str(test_text)]) == 6
+        assert main(["verify", "--model", str(path)]) == 6
+        del header["discounts"]
+        path.write_bytes(_join(blob, header, sections, rehash=True))
         assert self._perplexity(path, test_text, capsys) == untouched
-        assert main(["verify", "--model", str(path)]) == 0
 
     @pytest.mark.parametrize("model", ["toy_kn3", "toy_mkn3"])
     def test_tripled_lower_order_counts_exit_6(self, model, request, tmp_path, capsys):
@@ -952,6 +1003,28 @@ class TestHeaderTrust:
         fixture, edit = self.EDITS[name]
         path = self._edited(request.getfixturevalue(fixture), tmp_path, edit, rehash=False)
         with pytest.raises(ContainerError, match="header: hash mismatch"):
+            load_model(str(path))
+        assert main(["verify", "--model", str(path)]) == 6
+
+    SCHEMA_EDITS = {
+        "unread-key": ("toy_kn3", lambda h: h.update(junk=1), "header key 'junk' is not one"),
+        "plre-key-in-baseline": ("toy_kn3", lambda h: h.update(seed=0), "header key 'seed' is not"),
+        "missing-key": ("toy_plre3", lambda h: h.pop("warnings"), "header key 'warnings' is missing"),
+        "format-version": ("toy_plre3", lambda h: h.update(format_version=6), "format_version 6"),
+        "extra-order": ("toy_plre3", lambda h: h["dstars"].update({"4": 0.5}), "header dstars: keyed"),
+        "missing-order": ("toy_plre3", lambda h: h["ranks"].pop("2"), "header ranks: keyed"),
+        "lower-entries": ("toy_kn3", lambda h: h["entries"].update({"2": 9}), "header entries: keyed"),
+        "rank-per-power": ("toy_plre3", lambda h: h["ranks"].update({"2": [4, 4]}), "one rank per"),
+        "plre-smoother": ("toy_plre3", lambda h: h.update(smoother="kn"), "smoother 'kn' is not"),
+    }
+
+    @pytest.mark.parametrize("name", list(SCHEMA_EDITS))
+    def test_rehashed_header_outside_its_kinds_schema_exits_6(
+        self, name, request, tmp_path, capsys
+    ):
+        fixture, edit, message = self.SCHEMA_EDITS[name]
+        path = self._edited(request.getfixturevalue(fixture), tmp_path, edit, rehash=True)
+        with pytest.raises(ContainerError, match=message):
             load_model(str(path))
         assert main(["verify", "--model", str(path)]) == 6
 
